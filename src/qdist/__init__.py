@@ -5,7 +5,7 @@ Submodules:
   graphs      immutable bitmask graphs, editing ops, named families
   graph6      graph6 text codec
   exact       rational matrices, congruence inertia, quotient matrices
-  jacobi      floating symmetric eigensolver and inequality checkers
+  jacobi      certified floating eigensolver (LAPACK eigh), inequality checkers
   spectral    Q/L builders, interval counting, closed-form spectra
   invariants  matching, diameter, independence, domination, longest path
   verify      theorem catalog, enumeration, sampling, counterexample search

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import exact, spectral, sweeps, verify
+from . import exact, jacobi, spectral, sweeps, verify
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import FamilyKind, FamilySpec, Graph, GraphError, make_family
 from .invariants import invariant_bundle
@@ -148,6 +148,8 @@ def _theorem_list(name: str) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.exhaustive <= verify.EXHAUSTIVE_LIMIT:
+        raise ValueError(f"--exhaustive must lie in 0..{verify.EXHAUSTIVE_LIMIT}, got {args.exhaustive}")
     jobs = args.jobs or sweeps.default_jobs()
     print(f"# qdist verify --theorem {args.theorem} --exhaustive {args.exhaustive} "
           f"--family-max {args.family_max} --jobs {jobs}", file=sys.stderr)
@@ -253,7 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, exact.MatrixError, spectral.IntervalError, KeyError, ValueError) as err:
+    except (
+        GraphError, exact.MatrixError, spectral.IntervalError, jacobi.ConvergenceError, KeyError, ValueError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

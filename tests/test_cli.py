@@ -4,8 +4,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from qdist import jacobi, sweeps, verify
 from qdist.cli import main
 from qdist.graph6 import graph6_decode, graph6_encode
 from qdist.graphs import cycle_graph, gndt
@@ -101,6 +103,33 @@ def test_usage_errors_exit_two():
     assert main(["verify", "--theorem", "no-such-theorem"]) == 2
     proc = run_cli(["family", "--kind", "nope"])
     assert proc.returncode == 2
+
+
+def _forbid(monkeypatch, module, name):
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the range check")
+
+    monkeypatch.setattr(module, name, called)
+
+
+def test_out_of_range_orders_exit_two_before_any_work(monkeypatch):
+    _forbid(monkeypatch, sweeps, "exhaustive_failures")
+    _forbid(monkeypatch, sweeps, "sweep_data")
+    _forbid(monkeypatch, verify, "family_grid_reports")
+    assert main(["verify", "--theorem", "all", "--exhaustive", "8", "--jobs", "1"]) == 2
+    assert main(["verify", "--theorem", "delta2", "--exhaustive", "-1", "--jobs", "1"]) == 2
+
+
+def test_failed_certificate_exits_two(monkeypatch, capsys):
+    real = np.linalg.eigh
+
+    def shifted(a):
+        w, v = real(a)
+        return w + 1e-10, v
+
+    monkeypatch.setattr(jacobi.np.linalg, "eigh", shifted)
+    assert main(["spectrum", "--family", "complete,n=5"]) == 2
+    assert "certificate failed" in capsys.readouterr().err
 
 
 def test_malformed_graph6_exit_two():

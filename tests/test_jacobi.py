@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdist import jacobi
 from qdist.jacobi import (
     ConvergenceError,
     SymmetryError,
@@ -151,6 +152,76 @@ def test_interlacing_random(seed, n):
     assert ok
 
 
-def test_nonconvergence_is_reported():
-    with pytest.raises(ConvergenceError):
-        jacobi_batch(np.array([[[0.0, 1.0], [1.0, 0.0]]]), max_sweeps=0)
+def _patched_eigh(monkeypatch, spoil):
+    real = np.linalg.eigh
+
+    def fake(a):
+        w, v = real(a)
+        return spoil(w.copy(), v.copy())
+
+    monkeypatch.setattr(jacobi.np.linalg, "eigh", fake)
+
+
+def _shift(w, v):
+    # a 1e-10 shift stays inside the trace check's 1e-9 * n, so only the
+    # residual certificate can catch it
+    w[:, 0] += 1e-10
+    return w, v
+
+
+def _stretch(w, v):
+    v[:, :, 0] *= 1.0 + 1e-9
+    return w, v
+
+
+def _duplicate(w, v):
+    # eta >= 1/2: the bound is infinite
+    v[:, :, 1] = v[:, :, 0]
+    return w, v
+
+
+@pytest.mark.parametrize(
+    "spoil, mat, match",
+    [
+        (_shift, [[0.0, 1.0], [1.0, 0.0]], "certificate"),
+        (_stretch, q_float(cycle_graph(5)), "certificate"),
+        (_duplicate, np.diag([1.0, 1.0, 2.0]), "bound inf"),
+    ],
+    ids=["shift", "stretch", "duplicate"],
+)
+def test_certificate_failure_is_reported(monkeypatch, spoil, mat, match):
+    _patched_eigh(monkeypatch, spoil)
+    with pytest.raises(ConvergenceError, match=match):
+        eigenvalues_sym(mat)
+
+
+def test_certified_bound_on_small_graphs():
+    for n in range(1, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        masks = np.arange(1 << len(pairs))
+        A = np.zeros((masks.size, n, n))
+        for k, (u, v) in enumerate(pairs):
+            A[:, u, v] = A[:, v, u] = (masks >> k) & 1
+        A[:, np.arange(n), np.arange(n)] = A.sum(axis=2)
+        _, bounds = jacobi_batch(A)
+        assert bounds.max() <= 1e-10, n
+
+
+def test_certified_bound_covers_closed_forms():
+    for n in range(3, 17):
+        s = eigenvalues_sym(q_float(cycle_graph(n)))
+        expect = sorted((2 + 2 * math.cos(2 * math.pi * j / n) for j in range(n)), reverse=True)
+        assert np.abs(np.array(s.values) - expect).max() <= s.residual
+        s = eigenvalues_sym(q_float(complete_graph(n)))
+        expect = [2.0 * n - 2] + [n - 2.0] * (n - 1)
+        assert np.abs(np.array(s.values) - expect).max() <= s.residual
+
+
+def test_large_orders_are_certified():
+    n = 200
+    s = eigenvalues_sym(q_float(complete_graph(n)))
+    expect = [2.0 * n - 2] + [n - 2.0] * (n - 1)
+    assert np.abs(np.array(s.values) - expect).max() <= s.residual
+    s = eigenvalues_sym(q_float(cycle_graph(n)))
+    expect = sorted((2 + 2 * math.cos(2 * math.pi * j / n) for j in range(n)), reverse=True)
+    assert np.abs(np.array(s.values) - expect).max() <= s.residual

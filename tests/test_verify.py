@@ -4,6 +4,7 @@ import pytest
 
 from qdist import sweeps, verify
 from qdist.graphs import (
+    GraphError,
     complete_bipartite,
     complete_graph,
     complete_minus_edge,
@@ -260,6 +261,19 @@ def test_search_exhaustive_small():
 def test_search_family_grids():
     assert search_counterexamples("diameter-3-equality", (7, 9)) == []
     assert search_counterexamples("cycle-matching", (3, 20)) == []
+
+
+def test_search_rejects_unsampled_order_before_checking(monkeypatch):
+    def called(*args, **kwargs):
+        raise AssertionError("a checker ran before the range check")
+
+    for tid, theorem in verify.GRAPH_THEOREMS.items():
+        monkeypatch.setitem(verify.GRAPH_THEOREMS, tid, verify.GraphTheorem(tid, called, theorem.description))
+    monkeypatch.setattr(sweeps, "exhaustive_failures", called)
+    with pytest.raises(GraphError, match="got 17"):
+        search_counterexamples("delta2", (8, 17), budget=1)
+    with pytest.raises(GraphError, match="got 17"):
+        search_counterexamples("edge-interlacing", (5, 17), budget=1)
 
 
 def test_search_sampled():
