@@ -256,27 +256,20 @@ def char_poly_eval(M: RationalMatrix, x: Fraction | int) -> Fraction:
 def char_poly(M: RationalMatrix) -> list[Fraction]:
     """Coefficients c0..cm of det(xI - M), ascending degree (cm = 1).
 
-    Interpolates the monic polynomial through exact evaluations at x=0..m.
+    Faddeev-LeVerrier over Fractions: M_1 = I, c_{m-k} = -tr(M M_k)/k,
+    M_{k+1} = M M_k + c_{m-k} I (the recurrence ``sweeps.char_poly_batch``
+    runs in float64 on stacks of graph matrices).
     """
     m = M.order
-    xs = list(range(m + 1))
-    ys = [char_poly_eval(M, x) for x in xs]
-    # Newton's divided differences, then expand to monomial coefficients
-    coeffs_newton = [Fraction(y) for y in ys]
-    for level in range(1, m + 1):
-        for i in range(m, level - 1, -1):
-            coeffs_newton[i] = (coeffs_newton[i] - coeffs_newton[i - 1]) / (xs[i] - xs[i - level])
-    poly = [Fraction(0)] * (m + 1)
-    acc = [Fraction(1)]  # product (x - x0)...(x - x_{k-1})
-    for k in range(m + 1):
-        for d, c in enumerate(acc):
-            poly[d] += coeffs_newton[k] * c
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for d, c in enumerate(acc):
-            nxt[d + 1] += c
-            nxt[d] -= c * xs[k]
-        acc = nxt
-    return poly
+    A = M.rows
+    coeffs = [Fraction(0)] * m + [Fraction(1)]
+    Mk = RationalMatrix.identity(m).rows
+    for k in range(1, m + 1):
+        AM = [[sum(A[i][l] * Mk[l][j] for l in range(m)) for j in range(m)] for i in range(m)]
+        c = -sum(AM[i][i] for i in range(m)) / k
+        coeffs[m - k] = c
+        Mk = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
+    return coeffs
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

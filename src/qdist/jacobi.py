@@ -6,22 +6,26 @@ Spectra come from LAPACK's symmetric eigensolver: one stacked
 sweeps use. Every result is then certified from its own eigenvectors. With
 R = AV - VΛ and eta = ||VᵀV - I||_F < 1/2, each eigenvalue obeys
 
-    |λ_i(A) - λ̃_i| <= (||R||_F + 2·eta·max|λ̃|) / (1 - eta).
+    |λ_i(A) - λ̃_i| <= (||R||_F + eta·(max λ̃ - min λ̃)) / (1 - eta).
 
 Proof: take the polar decomposition V = QS, Q orthogonal, S symmetric
 positive definite. Then ||S - I||_2 <= ||S² - I||_2 = ||VᵀV - I||_2 <= eta,
-and QᵀAQ - Λ = (QᵀR + SΛ - ΛS)S⁻¹ has 2-norm at most the fraction above.
-QᵀAQ has the spectrum of A, so Weyl's inequality bounds every sorted pair
-(Kahan's residual bounds, with the loss of orthogonality paid for).
+and QᵀAQ - Λ = (QᵀR + SΛ - ΛS)S⁻¹. For every scalar c, SΛ - ΛS =
+(S - I)(Λ - cI) - (Λ - cI)(S - I); with c the midpoint of the spectrum,
+||Λ - cI||_2 = (max λ̃ - min λ̃)/2, so ||SΛ - ΛS||_2 <= eta·(max λ̃ - min λ̃)
+and ||S⁻¹||_2 <= 1/(1 - eta) give the fraction above as a bound on
+||QᵀAQ - Λ||_2. QᵀAQ has the spectrum of A, so Weyl's inequality bounds
+every sorted pair (Kahan's residual bounds, with the loss of orthogonality
+paid for).
 
 The rounding made while forming R and VᵀV enters only the reported
 bound: with u = 2^-53, γ = (n+2)u / (1 - (n+2)u) and w² = n(1 + eta) >=
 ||V||_F², the computed ||R||_F and eta are raised by γ·w·(||A||_F +
 max|λ̃|) and γ·w² before they enter the fraction, and the result is scaled
-by 1 + (n² + 4)u for the rounding of the norms themselves. This margin is a
-worst case of order n²·u·||A||_F (about 4e-14 · scale at order 16, the
-largest graphs the float route checks), so it is not held against the
-tolerance. Acceptance depends on the computed fraction alone: a result
+by 1 + (n² + 5)u for the rounding of the norms themselves and of the
+spread max λ̃ - min λ̃. This margin is a worst case of order n²·u·||A||_F
+(about 4e-14 · scale at order 16, the largest graphs the float route
+checks), so it is not held against the tolerance. Acceptance depends on the computed fraction alone: a result
 whose eta reaches 1/2, whose computed fraction exceeds RESIDUAL_RTOL ·
 scale (scale = 1 + ||A||_F), or whose eigenvalue sum drifts from the trace
 raises ConvergenceError. Spectrum.residual and the bounds of
@@ -87,12 +91,13 @@ def _certified_bounds(
     eta = np.sqrt((G * G).sum(axis=(1, 2)))
     r = np.sqrt((R * R).sum(axis=(1, 2)))
     lam_max = np.abs(lam).max(axis=1)
+    spread = lam.max(axis=1) - lam.min(axis=1)
     w2 = n * (1.0 + eta)
     r_up = r + g * np.sqrt(w2) * (fro + lam_max)
     eta_up = eta + g * w2
     with np.errstate(divide="ignore", invalid="ignore"):
-        computed = (r + 2.0 * eta * lam_max) / (1.0 - eta)
-        bound = (r_up + 2.0 * eta_up * lam_max) / (1.0 - eta_up) * (1 + (n * n + 4) * _U)
+        computed = (r + eta * spread) / (1.0 - eta)
+        bound = (r_up + eta_up * spread) / (1.0 - eta_up) * (1 + (n * n + 5) * _U)
     return np.where(eta < 0.5, computed, np.inf), np.where(eta_up < 0.5, bound, np.inf), eta
 
 

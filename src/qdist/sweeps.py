@@ -1,20 +1,26 @@
 """Exhaustive labeled-graph sweeps at desk scale (n <= 7), vectorized.
 
-Stacked LAPACK ``eigh`` calls (``jacobi.jacobi_batch``, CHUNK matrices per
-call to bound peak memory) compute the floating spectra of every labeled
-graph on n vertices, each with a certified eigenvalue error bound of at most
-1e-12 * scale. Eigenvalue counts below each needed threshold are then taken
-from the floats wherever every eigenvalue clears the 1e-6 guard band (the
-certified bound is four decades smaller, so those counts are exact) and
-from exact congruence inertia wherever one does not. Invariants that admit
-a subset formulation (matching, independence, domination) are evaluated
-exactly for all graphs at once by scanning the 2^n vertex subsets. The
-resulting verdicts are exact; the point checkers re-verify every reported
-failure, so nothing rests on floating comparisons alone.
+One pass over every labeled graph on n vertices, CHUNK matrices at a time,
+builds Q(G) once and takes from it two things: the floating spectra
+(stacked LAPACK ``eigh`` calls, ``jacobi.jacobi_batch``, each with a
+certified eigenvalue error bound) and the integer coefficients of the
+characteristic polynomial det(xI - Q) (batched Faddeev-LeVerrier in
+float64, exact under asserted bounds). Q(G) is symmetric, so that
+polynomial has only real roots and Descartes' rule of signs is exact for
+it: the number of eigenvalues below a rational threshold t is the number of
+sign variations in the coefficients of the shifted polynomial, and the
+multiplicity of t is the order of its zero there. Every eigenvalue count in
+the sweeps comes from this one exact kernel. The spectra feed the
+interlacing-chain screens, which compare eigenvalues and not counts.
+Invariants that admit a subset formulation (matching, independence,
+domination) are evaluated exactly for all graphs at once by scanning the
+2^n vertex subsets. The point checkers re-verify every graph a screen
+rejects, so a reported failure never rests on the vectorized route alone.
 
 Count tables are cached per (order, threshold) and shared across theorems
-and with the solver-vs-inertia agreement check. Escalation tasks carry only
-bitmasks, so worker processes stay cheap.
+and with the agreement gate, which compares them against the floats and,
+wherever an eigenvalue lies in the 1e-6 guard band (and on a seeded sample
+elsewhere), against exact congruence inertia over a process pool.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
 
@@ -50,6 +57,7 @@ class SweepData:
     n: int
     rows: np.ndarray  # (N, n) uint8 adjacency bitmasks
     vals: np.ndarray  # (N, n) float64, nonincreasing rows
+    poly: np.ndarray  # (N, n+1) int32, coefficients c_0..c_n of det(xI - Q), ascending
     degs: np.ndarray  # (N, n) uint8
     conn: np.ndarray  # (N,) bool
     diam: np.ndarray  # (N,) int16; only meaningful where conn
@@ -57,7 +65,6 @@ class SweepData:
     alpha: np.ndarray  # (N,) int16, exact independence number
     gamma: np.ndarray  # (N,) int16, exact domination number
     counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    counts_full_exact: set = field(default_factory=set)
 
     @property
     def count(self) -> int:
@@ -85,8 +92,10 @@ def _adjacency_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _spectra_for_masks(n: int, masks: np.ndarray) -> np.ndarray:
+def _spectra_for_masks(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and characteristic-polynomial coefficients of Q(G) for every mask."""
     vals = np.empty((masks.size, n), dtype=np.float64)
+    poly = np.empty((masks.size, n + 1), dtype=np.int32)
     pairs = mask_pairs(n)
     for lo in range(0, masks.size, CHUNK):
         hi = min(lo + CHUNK, masks.size)
@@ -99,7 +108,8 @@ def _spectra_for_masks(n: int, masks: np.ndarray) -> np.ndarray:
         idx = np.arange(n)
         A[:, idx, idx] = A.sum(axis=2)
         vals[lo:hi], _ = jacobi_batch(A)
-    return vals
+        poly[lo:hi] = char_poly_batch(A)
+    return vals, poly
 
 
 def _connectivity_and_diameter(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,11 +231,12 @@ def sweep_data(n: int) -> SweepData:
                 c += (r >> v) & 1
             degs[:, u] = c
         conn, diam = _connectivity_and_diameter(n, rows)
-        vals = _spectra_for_masks(n, masks)
+        vals, poly = _spectra_for_masks(n, masks)
         _DATA[n] = SweepData(
             n,
             rows,
             vals,
+            poly,
             degs,
             conn,
             diam,
@@ -241,63 +252,111 @@ def _masks(data: SweepData) -> np.ndarray:
 
 
 # -- exact count tables --------------------------------------------------------------
+#
+# Both kernels below do integer arithmetic in float64, which is exact only
+# while every value formed, partial sums included, stays below 2^53 in
+# magnitude. Each asserts a bound on that before it starts and raises
+# ArithmeticError, never truncates, when a bound or a run-time check fails.
+
+_FLOAT_EXACT = 2**53
 
 
-def _exact_counts_chunk(args: tuple[int, Sequence[int], Sequence[tuple[int, int]]]) -> np.ndarray:
-    """(lt, le) counts for each (mask, threshold); returns (len, k, 2) int16."""
-    n, masks, thresholds = args
-    out = np.zeros((len(masks), len(thresholds), 2), dtype=np.int16)
-    for i, mask in enumerate(masks):
-        g = graph_from_mask(n, int(mask))
-        for j, (num, den) in enumerate(thresholds):
-            neg, zero, _ = exact._inertia_int(exact.q_shift_rows(g, num, den))
-            out[i, j, 0] = neg
-            out[i, j, 1] = neg + zero
-    return out
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ArithmeticError(message)
 
 
-def _pool_map(fn: Callable, tasks: list, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+def char_poly_batch(A: np.ndarray) -> np.ndarray:
+    """Coefficients c_0..c_n (ascending, c_n = 1) of det(xI - A) for a stack
+    of integer matrices of shape (B, n, n); returns (B, n+1) int32.
+
+    Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(A M_k)/k, M_{k+1} = A M_k +
+    c_{n-k} I. With r >= 1 bounding every absolute row sum of A, every
+    eigenvalue has modulus at most r, so |c_{n-i}| <= C(n,i) r^i, entries of
+    M_k are at most 2^n r^(k-1), and every partial sum of A M_k and of its
+    trace is at most n 2^n r^n. For Q(G), r <= 2n - 2, which keeps that
+    below 2^53 for n <= 9. Every trace must divide exactly by k and every
+    coefficient must fit int32.
+    """
+    B, n, _ = A.shape
+    coeffs = np.zeros((B, n + 1), dtype=np.float64)
+    coeffs[:, n] = 1.0
+    if B and n:
+        r = max(1.0, float(np.abs(A).sum(axis=2).max()))
+        _require(n * 2.0**n * r**n < _FLOAT_EXACT, f"order {n} with row sums up to {r:g} exceeds 2^53")
+        diag = np.arange(n)
+        M = np.broadcast_to(np.eye(n), A.shape)
+        for k in range(1, n + 1):
+            if k < n:
+                AM = A @ M
+                trace = np.einsum("bii->b", AM)
+            else:
+                trace = np.einsum("bij,bji->b", A, M)
+            _require(not np.fmod(trace, k).any(), f"a trace of A M_{k} is not divisible by {k}")
+            c = -trace / k
+            coeffs[:, n - k] = c
+            if k < n:
+                AM[:, diag, diag] += c[:, None]
+                M = AM
+        _require(float(np.abs(coeffs).max()) < 2**31, "a coefficient does not fit int32")
+    return coeffs.astype(np.int32)
 
 
-def _chunked(seq, size: int) -> list:
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _exact_counts_for(n: int, masks: Sequence[int], threshold: Fraction, jobs: int) -> np.ndarray:
-    tasks = [
-        (n, [int(m) for m in chunk], [(threshold.numerator, threshold.denominator)])
-        for chunk in _chunked(masks, 4096)
+def _taylor_shift(n: int, t: Fraction) -> list[list[int]]:
+    """T with (p @ T)_j = (-1)^j s_j, where s(y) = b^n p((y + a)/b) and t = a/b."""
+    a, b = t.numerator, t.denominator
+    return [
+        [(-1) ** j * comb(k, j) * a ** (k - j) * b ** (n - k) if j <= k else 0 for j in range(n + 1)]
+        for k in range(n + 1)
     ]
-    parts = _pool_map(_exact_counts_chunk, tasks, jobs)
-    if not parts:
-        return np.zeros((0, 1, 2), dtype=np.int16).reshape(0, 2)
-    return np.concatenate(parts)[:, 0, :]
 
 
-def counts_pair(data: SweepData, threshold, jobs: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(count-below, count-at-most) for every mask at the threshold; exact.
+def descartes_counts(poly: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """(count below, count at most) threshold t of the roots of each row of
+    poly, an (N, n+1) array of nonzero integer polynomials (ascending) whose
+    roots are all real; returns two (N,) int16 arrays.
 
-    Float counts are used where certified by the guard band; masks with an
-    eigenvalue inside the band are resolved by exact inertia. Cached.
+    s(y) = b^n p((y + a)/b), t = a/b, has a root y < 0 exactly where p has a
+    root below t. Descartes' rule is exact for real-rooted polynomials, so
+    the count below t is the number of sign variations in the coefficients
+    of s(-y), zeros skipped, and the multiplicity of t is the number of
+    zero coefficients before the first nonzero one. Every partial sum of the
+    shift is bounded by sum_k max|p_k| |T_kj| before it runs.
     """
     t = Fraction(threshold)
-    if t in data.counts:
-        return data.counts[t]
-    jobs = jobs or default_jobs()
-    tf = float(t)
-    lt = (data.vals < tf - GUARD_BAND).sum(axis=1).astype(np.int16)
-    le = (data.vals < tf + GUARD_BAND).sum(axis=1).astype(np.int16)
-    inband = ((data.vals > tf - GUARD_BAND) & (data.vals < tf + GUARD_BAND)).any(axis=1)
-    idx = np.flatnonzero(inband)
-    if idx.size:
-        resolved = _exact_counts_for(data.n, idx, t, jobs)
-        lt[idx] = resolved[:, 0]
-        le[idx] = resolved[:, 1]
-    data.counts[t] = (lt, le)
+    N, m = poly.shape
+    T = _taylor_shift(m - 1, t)
+    _require(max(abs(x) for row in T for x in row) < _FLOAT_EXACT, f"Taylor shift to {t} exceeds 2^53")
+    shift = np.array(T, dtype=np.float64)
+    lt = np.empty((N,), dtype=np.int16)
+    le = np.empty((N,), dtype=np.int16)
+    for lo in range(0, N, CHUNK):
+        part = poly[lo : lo + CHUNK].astype(np.float64)
+        pmax = [int(v) for v in np.abs(part).max(axis=0)]
+        bound = max(sum(pmax[k] * abs(T[k][j]) for k in range(m)) for j in range(m))
+        _require(bound < _FLOAT_EXACT, f"Taylor shift to {t} exceeds 2^53")
+        signs = np.sign(part @ shift)
+        nonzero = signs != 0
+        variations = np.zeros((part.shape[0],), dtype=np.int16)
+        last = signs[:, 0]
+        for j in range(1, m):
+            variations += last * signs[:, j] < 0
+            last = np.where(nonzero[:, j], signs[:, j], last)
+        lt[lo : lo + CHUNK] = variations
+        le[lo : lo + CHUNK] = variations + nonzero.argmax(axis=1)
+    return lt, le
+
+
+def counts_pair(data: SweepData, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """(count-below, count-at-most) for every mask at the threshold; exact.
+
+    Both come from the characteristic polynomials by Descartes' rule
+    (``descartes_counts``), with no floating comparison and no worker
+    process. Cached in data.counts as int16 arrays.
+    """
+    t = Fraction(threshold)
+    if t not in data.counts:
+        data.counts[t] = descartes_counts(data.poly, t)
     return data.counts[t]
 
 
@@ -313,9 +372,9 @@ def inband_flags(data: SweepData, threshold) -> np.ndarray:
 # screen cannot certify go to the exact point checkers, whose word is final.
 
 
-def _screen_matching_upper(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_matching_upper(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     applicable = data.mindeg >= 1
-    lt1, _ = counts_pair(data, 1, jobs)
+    lt1, _ = counts_pair(data, 1)
     return applicable, lt1 <= data.nu
 
 
@@ -326,25 +385,25 @@ def _kc5_flags(data: SweepData) -> np.ndarray:
     return flags
 
 
-def _screen_delta2(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_delta2(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     applicable = (data.mindeg >= 2) & ~_kc5_flags(data)
-    lt1, _ = counts_pair(data, 1, jobs)
+    lt1, _ = counts_pair(data, 1)
     return applicable, lt1 <= data.nu - 1
 
 
-def _screen_domination(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_domination(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     applicable = data.mindeg >= 1
-    lt1, _ = counts_pair(data, 1, jobs)
+    lt1, _ = counts_pair(data, 1)
     return applicable, lt1 <= data.gamma
 
 
-def _screen_m02(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_m02(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     applicable = data.mindeg >= 1
-    lt2, _ = counts_pair(data, 2, jobs)
+    lt2, _ = counts_pair(data, 2)
     return applicable, lt2 <= data.n - data.nu
 
 
-def _screen_alpha(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_alpha(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     n = data.n
     applicable = np.ones((data.count,), dtype=bool)
     high = np.zeros((data.count,), dtype=np.int16)  # count in [delta, 2n-2]
@@ -354,28 +413,28 @@ def _screen_alpha(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
     for dv in range(0, n):
         sel = mindeg == dv
         if sel.any():
-            lt, _ = counts_pair(data, dv, jobs)
+            lt, _ = counts_pair(data, dv)
             high[sel] = n - lt[sel]
         sel = maxdeg == dv
         if sel.any():
-            _, le = counts_pair(data, dv, jobs)
+            _, le = counts_pair(data, dv)
             low[sel] = le[sel]
     return applicable, (data.alpha <= high) & (data.alpha <= low)
 
 
-def _screen_longest_path(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_longest_path(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     applicable = data.conn.copy()
-    _, le2 = counts_pair(data, 2, jobs)
+    _, le2 = counts_pair(data, 2)
     above2 = data.n - le2
     # ell <= n-1 always, so this certifies without computing ell
     return applicable, above2 >= (data.n - 1) // 2
 
 
-def _screen_diameter_main(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_diameter_main(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     n = data.n
     applicable = data.conn.copy()
     d = data.diam.astype(np.int32)
-    lt, _ = counts_pair(data, n - 2, jobs)
+    lt, _ = counts_pair(data, n - 2)
     ok = lt >= d - 1
     second = applicable & (d >= 3) & (d <= n - 3)
     for dv in range(3, n - 2):
@@ -383,31 +442,31 @@ def _screen_diameter_main(data: SweepData, jobs: int) -> tuple[np.ndarray, np.nd
         if not sel.any():
             continue
         required = dv if dv <= n - 5 else dv - 1
-        lt2, _ = counts_pair(data, n - dv + 1, jobs)
+        lt2, _ = counts_pair(data, n - dv + 1)
         sub = ok[sel]
         sub &= lt2[sel] >= required
         ok[sel] = sub
     return applicable, ok
 
 
-def _screen_diameter3(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_diameter3(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     n = data.n
     applicable = data.conn & (data.diam == 3) & (np.full(data.count, n >= 7))
     if not applicable.any():
         return applicable, np.ones((data.count,), dtype=bool)
-    lt, _ = counts_pair(data, n - 3, jobs)
+    lt, _ = counts_pair(data, n - 3)
     return applicable, lt >= 2
 
 
-def _screen_tail_bound(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_tail_bound(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     n = data.n
     applicable = data.conn & (data.mindeg + 2 <= n - 1)
-    _, le = counts_pair(data, n - 3, jobs)
+    _, le = counts_pair(data, n - 3)
     above = data.n - le
     return applicable, above <= data.mindeg + 1
 
 
-def _screen_edge_interlacing(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_edge_interlacing(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     n = data.n
     masks = _masks(data)
     applicable = masks != 0
@@ -424,7 +483,7 @@ def _screen_edge_interlacing(data: SweepData, jobs: int) -> tuple[np.ndarray, np
         if bad.any():
             ok[gi[bad]] = False
     for t in range(0, 2 * n - 1):
-        lt, _ = counts_pair(data, t, jobs)
+        lt, _ = counts_pair(data, t)
         for k in range(nbits):
             gi = np.flatnonzero((masks >> k) & 1)
             hi = gi ^ (1 << k)
@@ -435,7 +494,7 @@ def _screen_edge_interlacing(data: SweepData, jobs: int) -> tuple[np.ndarray, np
     return applicable, ok
 
 
-def _screen_vertex_deletion(data: SweepData, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_vertex_deletion(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
     n = data.n
     if n < 2:
         return np.zeros((data.count,), dtype=bool), np.ones((data.count,), dtype=bool)
@@ -458,7 +517,7 @@ def _screen_vertex_deletion(data: SweepData, jobs: int) -> tuple[np.ndarray, np.
     return applicable, ok
 
 
-_SCREENS: dict[str, Callable[[SweepData, int], tuple[np.ndarray, np.ndarray]]] = {
+_SCREENS: dict[str, Callable[[SweepData], tuple[np.ndarray, np.ndarray]]] = {
     "edge-interlacing": _screen_edge_interlacing,
     "vertex-deletion": _screen_vertex_deletion,
     "matching-upper": _screen_matching_upper,
@@ -471,6 +530,17 @@ _SCREENS: dict[str, Callable[[SweepData, int], tuple[np.ndarray, np.ndarray]]] =
     "diameter-3": _screen_diameter3,
     "tail-eigenvalue-bound": _screen_tail_bound,
 }
+
+
+def _pool_map(fn: Callable, tasks: list, jobs: int):
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with Pool(processes=min(jobs, len(tasks))) as pool:
+        return pool.map(fn, tasks)
+
+
+def _chunked(seq, size: int) -> list:
+    return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
 def _run_point_checker(args: tuple[str, int, Sequence[int]]) -> list[TheoremReport]:
@@ -508,7 +578,7 @@ def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> Swe
         raise KeyError(f"{theorem_id!r} is not a per-graph theorem")
     jobs = jobs or default_jobs()
     data = sweep_data(n)
-    applicable, verdict = _SCREENS[tid](data, jobs)
+    applicable, verdict = _SCREENS[tid](data)
     escalate = np.flatnonzero(applicable & ~verdict)
     tasks = [(tid, n, [int(m) for m in chunk]) for chunk in _chunked(escalate, ESCALATE_CHUNK)]
     failures: list[TheoremReport] = []
@@ -520,50 +590,71 @@ def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> Swe
 # -- float-vs-exact agreement (solver oracle) ----------------------------------------
 
 
+AGREEMENT_SAMPLE = 1024  # out-of-band graphs per threshold rechecked by exact inertia
+
+
 @dataclass
 class AgreementResult:
     n: int
     thresholds: list
-    checked: int
+    checked: int  # (graph, threshold) pairs: every labeled graph at every threshold
     inband_pairs: int
-    mismatches: list[tuple[int, str, int, int]]  # (mask, threshold, float count, exact count)
+    rechecked: int  # (graph, threshold) pairs recounted by exact inertia
+    # (mask, threshold, route, (lt, le) by that route, (lt, le) of the count table)
+    mismatches: list[tuple[int, str, str, tuple[int, int], tuple[int, int]]]
+
+
+def _exact_counts_chunk(args: tuple[int, Sequence[int], int, int]) -> np.ndarray:
+    """(lt, le) counts at num/den by exact congruence inertia for each mask;
+    returns (len, 2) int16."""
+    n, masks, num, den = args
+    out = np.zeros((len(masks), 2), dtype=np.int16)
+    for i, mask in enumerate(masks):
+        neg, zero, _ = exact._inertia_int(exact.q_shift_rows(graph_from_mask(n, int(mask)), num, den))
+        out[i] = neg, neg + zero
+    return out
 
 
 def eig_inertia_agreement(n: int, thresholds: Iterable | None = None, jobs: int | None = None) -> AgreementResult:
-    """Compare float-derived below-threshold counts against exact inertia on
-    every labeled n-vertex graph; disagreement is only tolerated (and the
-    exact value authoritative) when an eigenvalue sits inside the guard band."""
+    """Check the exact count tables of every labeled n-vertex graph against
+    two independent routes. The float counts must equal them wherever every
+    eigenvalue clears the guard band. Exact congruence inertia (run over the
+    process pool) must equal them wherever an eigenvalue lies inside the
+    band, and on a seeded sample of AGREEMENT_SAMPLE other graphs per
+    threshold. Any disagreement is a mismatch."""
     jobs = jobs or default_jobs()
     data = sweep_data(n)
     if thresholds is None:
         thresholds = sorted({Fraction(0), Fraction(1), Fraction(2), Fraction(n - 3), Fraction(n - 2)})
     ths = [Fraction(t) for t in thresholds]
-    masks = _masks(data)
-    todo = [t for t in ths if t not in data.counts_full_exact]
-    exact_cols: dict[Fraction, np.ndarray] = {}
-    if todo:
-        tasks = [
-            (n, [int(m) for m in chunk], [(t.numerator, t.denominator) for t in todo])
-            for chunk in _chunked(masks, 8192)
-        ]
-        parts = _pool_map(_exact_counts_chunk, tasks, jobs)
-        stacked = np.concatenate(parts) if parts else np.zeros((0, len(todo), 2), dtype=np.int16)
-        for j, t in enumerate(todo):
-            exact_cols[t] = stacked[:, j, :]
-            data.counts[t] = (stacked[:, j, 0].copy(), stacked[:, j, 1].copy())
-            data.counts_full_exact.add(t)
+    rng = np.random.default_rng(n)
     mismatches = []
     inband_total = 0
+    tasks, picks = [], []
     for t in ths:
+        lt, le = counts_pair(data, t)
         tf = float(t)
-        fc = (data.vals < tf - GUARD_BAND).sum(axis=1).astype(np.int16)
+        flt = (data.vals < tf - GUARD_BAND).sum(axis=1)
+        fle = (data.vals < tf + GUARD_BAND).sum(axis=1)
         inband = inband_flags(data, t)
         inband_total += int(inband.sum())
-        exact_lt = exact_cols[t][:, 0] if t in exact_cols else data.counts[t][0]
-        bad = np.flatnonzero(~inband & (fc != exact_lt))
-        for mask in bad:
-            mismatches.append((int(mask), str(t), int(fc[mask]), int(exact_lt[mask])))
-    return AgreementResult(n, [str(t) for t in ths], data.count * len(ths), inband_total, mismatches)
+        for mask in np.flatnonzero(~inband & ((flt != lt) | (fle != le))):
+            mismatches.append(
+                (int(mask), str(t), "float", (int(flt[mask]), int(fle[mask])), (int(lt[mask]), int(le[mask])))
+            )
+        sample = rng.permutation(np.flatnonzero(~inband))[:AGREEMENT_SAMPLE]
+        for chunk in _chunked(np.concatenate([np.flatnonzero(inband), sample]), CHUNK):
+            tasks.append((n, [int(m) for m in chunk], t.numerator, t.denominator))
+            picks.append((t, chunk))
+    for (t, chunk), got in zip(picks, _pool_map(_exact_counts_chunk, tasks, jobs)):
+        lt, le = counts_pair(data, t)
+        for i in np.flatnonzero((got[:, 0] != lt[chunk]) | (got[:, 1] != le[chunk])):
+            mask = int(chunk[i])
+            mismatches.append(
+                (mask, str(t), "inertia", (int(got[i, 0]), int(got[i, 1])), (int(lt[mask]), int(le[mask])))
+            )
+    rechecked = sum(len(chunk) for _, chunk in picks)
+    return AgreementResult(n, [str(t) for t in ths], data.count * len(ths), inband_total, rechecked, mismatches)
 
 
 # -- auxiliary exhaustive properties ---------------------------------------------------
@@ -573,14 +664,14 @@ def edge_deletion_count_violations(
     n: int, thresholds: Sequence[int] = (1, 2, 3), jobs: int | None = None
 ) -> list[tuple[int, int, int]]:
     """Exact check of count(G-e, x) >= count(G, x) - 1 over all graphs and
-    edges; returns failing (mask, edge bit, threshold) triples."""
-    jobs = jobs or default_jobs()
+    edges; returns failing (mask, edge bit, threshold) triples. The counts
+    need no worker processes, so jobs is accepted and unused."""
     data = sweep_data(n)
     masks = _masks(data)
     nbits = n * (n - 1) // 2
     bad: list[tuple[int, int, int]] = []
     for t in thresholds:
-        lt, _ = counts_pair(data, t, jobs)
+        lt, _ = counts_pair(data, t)
         for k in range(nbits):
             gi = np.flatnonzero((masks >> k) & 1)
             hi = gi ^ (1 << k)
@@ -591,13 +682,13 @@ def edge_deletion_count_violations(
 
 def intro_bound_failures(n: int, jobs: int | None = None) -> list[tuple[int, str]]:
     """The two opening bounds: at most one eigenvalue above n-2; and for
-    non-complete graphs at least two eigenvalues at or above the minimum degree."""
-    jobs = jobs or default_jobs()
+    non-complete graphs at least two eigenvalues at or above the minimum
+    degree. The counts need no worker processes, so jobs is accepted and unused."""
     data = sweep_data(n)
     failures: list[tuple[int, str]] = []
     if n < 2:
         return failures
-    _, le = counts_pair(data, n - 2, jobs)
+    _, le = counts_pair(data, n - 2)
     for mask in np.flatnonzero(data.n - le > 1):
         failures.append((int(mask), "q2<=n-2"))
     full = (1 << n * (n - 1) // 2) - 1
@@ -607,7 +698,7 @@ def intro_bound_failures(n: int, jobs: int | None = None) -> list[tuple[int, str
         sel = noncomplete & (data.mindeg == dv)
         if not sel.any():
             continue
-        lt, _ = counts_pair(data, dv, jobs)
+        lt, _ = counts_pair(data, dv)
         at_least[sel] = (data.n - lt[sel]) >= 2
     for mask in np.flatnonzero(noncomplete & ~at_least):
         failures.append((int(mask), "q2>=delta"))

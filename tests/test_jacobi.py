@@ -14,7 +14,9 @@ from qdist.jacobi import (
     jacobi_batch,
     weyl_check,
 )
+from qdist.exact import RationalMatrix, count_lt
 from qdist.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
+from qdist.jacobi import GUARD_BAND
 from qdist.spectral import q_float
 
 
@@ -47,13 +49,23 @@ def test_residual_bound_holds():
 
 
 def test_matches_lapack():
+    # LAPACK's spectra against exact congruence inertia: at every integer
+    # threshold that every eigenvalue clears by the guard band, the float
+    # count below it must be the exact one
     rng = np.random.default_rng(11)
-    A = rng.normal(size=(64, 8, 8))
-    A = A + A.transpose(0, 2, 1)
-    vals, res = jacobi_batch(A)
-    ref = np.linalg.eigvalsh(A)[:, ::-1]
-    assert np.abs(vals - ref).max() < 1e-10
-    assert (res <= 1e-12 * (1 + np.linalg.norm(A, axis=(1, 2)))).all()
+    compared = 0
+    for n in range(1, 9):
+        A = rng.integers(-3, 4, size=(24, n, n))
+        A = np.triu(A) + np.triu(A, 1).transpose(0, 2, 1)
+        vals, res = jacobi_batch(A)
+        assert (res <= 1e-12 * (1 + np.linalg.norm(A, axis=(1, 2)))).all()
+        for mat, row in zip(A, vals):
+            M = RationalMatrix(mat.tolist())
+            for t in range(-3 * n, 3 * n + 1):
+                if np.abs(row - t).min() > GUARD_BAND:
+                    assert int((row < t).sum()) == count_lt(M, t), (mat.tolist(), t)
+                    compared += 1
+    assert compared > 4000
 
 
 def test_rejects_asymmetric():
@@ -195,16 +207,42 @@ def test_certificate_failure_is_reported(monkeypatch, spoil, mat, match):
         eigenvalues_sym(mat)
 
 
+def _all_graph_q(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    masks = np.arange(1 << len(pairs))
+    A = np.zeros((masks.size, n, n))
+    for k, (u, v) in enumerate(pairs):
+        A[:, u, v] = A[:, v, u] = (masks >> k) & 1
+    A[:, np.arange(n), np.arange(n)] = A.sum(axis=2)
+    return A
+
+
 def test_certified_bound_on_small_graphs():
     for n in range(1, 7):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        masks = np.arange(1 << len(pairs))
-        A = np.zeros((masks.size, n, n))
-        for k, (u, v) in enumerate(pairs):
-            A[:, u, v] = A[:, v, u] = (masks >> k) & 1
-        A[:, np.arange(n), np.arange(n)] = A.sum(axis=2)
-        _, bounds = jacobi_batch(A)
+        _, bounds = jacobi_batch(_all_graph_q(n))
         assert bounds.max() <= 1e-10, n
+
+
+def test_spread_bound_not_above_max_modulus_bound():
+    # eta·(max λ - min λ) in place of 2·eta·max|λ|: both the accepted
+    # fraction and the reported bound may only shrink
+    u = np.finfo(float).eps / 2
+    for n in range(1, 7):
+        A = _all_graph_q(n)
+        fro = np.sqrt((A * A).sum(axis=(1, 2)))
+        lam, V = np.linalg.eigh(A)
+        computed, bound, eta = jacobi._certified_bounds(A, fro, lam, V)
+        g = (n + 2) * u / (1 - (n + 2) * u)
+        R = A @ V - V * lam[:, None, :]
+        r = np.sqrt((R * R).sum(axis=(1, 2)))
+        lam_max = np.abs(lam).max(axis=1)
+        w2 = n * (1.0 + eta)
+        r_up = r + g * np.sqrt(w2) * (fro + lam_max)
+        eta_up = eta + g * w2
+        old_computed = (r + 2.0 * eta * lam_max) / (1.0 - eta)
+        old_bound = (r_up + 2.0 * eta_up * lam_max) / (1.0 - eta_up) * (1 + (n * n + 4) * u)
+        assert (computed <= old_computed).all(), n
+        assert (bound <= old_bound).all(), n
 
 
 def test_certified_bound_covers_closed_forms():
