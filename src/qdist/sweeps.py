@@ -11,11 +11,16 @@ it: the number of eigenvalues below a rational threshold t is the number of
 sign variations in the coefficients of the shifted polynomial, and the
 multiplicity of t is the order of its zero there. Every eigenvalue count in
 the sweeps comes from this one exact kernel. The spectra feed the
-interlacing-chain screens, which compare eigenvalues and not counts.
+interlacing-chain statements, which compare eigenvalues and not counts.
 Invariants that admit a subset formulation (matching, independence,
 domination) are evaluated exactly for all graphs at once by scanning the
-2^n vertex subsets. The point checkers re-verify every graph a screen
-rejects, so a reported failure never rests on the vectorized route alone.
+2^n vertex subsets.
+
+SweepTable presents these tables to the statement predicates of verify,
+the same predicates the point checkers evaluate on one graph.
+exhaustive_failures evaluates a predicate on every graph of an order at
+once and hands each row that does not pass to the point checker, so a
+reported failure never rests on the vectorized route alone.
 
 Count tables are cached per (order, threshold) and shared across theorems
 and with the agreement gate, which compares them against the floats and,
@@ -28,6 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
@@ -35,10 +41,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import exact, verify
-from .jacobi import GUARD_BAND, INEQ_SLACK, jacobi_batch
+from .jacobi import GUARD_BAND, jacobi_batch
 from .verify import TheoremReport, graph_from_mask, mask_pairs
 
 CHUNK = 1 << 12
+TABLE_CHUNK = 1 << 16  # rows per predicate evaluation, which bounds its temporaries
 ESCALATE_CHUNK = 2048
 
 
@@ -69,14 +76,6 @@ class SweepData:
     @property
     def count(self) -> int:
         return self.vals.shape[0]
-
-    @property
-    def mindeg(self) -> np.ndarray:
-        return self.degs.min(axis=1)
-
-    @property
-    def maxdeg(self) -> np.ndarray:
-        return self.degs.max(axis=1)
 
 
 _DATA: dict[int, SweepData] = {}
@@ -247,10 +246,6 @@ def sweep_data(n: int) -> SweepData:
     return _DATA[n]
 
 
-def _masks(data: SweepData) -> np.ndarray:
-    return np.arange(data.count, dtype=np.int64)
-
-
 # -- exact count tables --------------------------------------------------------------
 #
 # Both kernels below do integer arithmetic in float64, which is exact only
@@ -365,171 +360,62 @@ def inband_flags(data: SweepData, threshold) -> np.ndarray:
     return ((data.vals > tf - GUARD_BAND) & (data.vals < tf + GUARD_BAND)).any(axis=1)
 
 
-# -- theorem screens -----------------------------------------------------------------
-#
-# Each screen returns (applicable, verdict) arrays. Verdicts on count-based
-# statements are exact (see counts_pair); graphs that fail or that the
-# screen cannot certify go to the exact point checkers, whose word is final.
+# -- the statements' table over the sweep data ---------------------------------------
 
 
-def _screen_matching_upper(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    applicable = data.mindeg >= 1
-    lt1, _ = counts_pair(data, 1)
-    return applicable, lt1 <= data.nu
+class SweepTable:
+    """The rows masks of a SweepData as the statement predicates read them
+    (the table contract is in verify). The row of a labeled graph is its
+    edge mask, so G-e is the row mask ^ (1 << k) and G-v a row of
+    sweep_data(n-1). Counts come from counts_pair. ell is the upper bound
+    n-1: only longest-path reads it, and that predicate is monotone in ell,
+    so every row it passes here passes with the true longest path too."""
 
+    def __init__(self, data: SweepData, masks: np.ndarray):
+        self.data, self.masks, self.n, self.count = data, masks, data.n, masks.size
 
-def _kc5_flags(data: SweepData) -> np.ndarray:
-    flags = np.zeros((data.count,), dtype=bool)
-    if data.n == 5:
-        flags = (data.degs == 2).all(axis=1) & data.conn
-    return flags
+    mindeg = cached_property(lambda self: self.data.degs[self.masks].min(axis=1).astype(np.int16))
+    maxdeg = cached_property(lambda self: self.data.degs[self.masks].max(axis=1).astype(np.int16))
+    # for n <= 7 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
+    kc5 = cached_property(lambda self: (self.n == 5) & (self.data.degs[self.masks] == 2).all(axis=1) & self.conn)
+    ell = cached_property(lambda self: np.full((self.count,), self.n - 1, dtype=np.int16))
+    conn = cached_property(lambda self: self.data.conn[self.masks])
+    diam = cached_property(lambda self: self.data.diam[self.masks])
+    nu = cached_property(lambda self: self.data.nu[self.masks])
+    alpha = cached_property(lambda self: self.data.alpha[self.masks])
+    gamma = cached_property(lambda self: self.data.gamma[self.masks])
+    vals = cached_property(lambda self: self.data.vals[self.masks])
 
+    def _count(self, which: int, t, where: np.ndarray | None) -> np.ndarray:
+        on = np.ones((self.count,), dtype=bool) if where is None else where
+        if not on.any():
+            return np.zeros((self.count,), dtype=np.int16)
+        if np.ndim(t) == 0:
+            return counts_pair(self.data, t)[which][self.masks]
+        out = np.zeros((self.count,), dtype=np.int16)
+        for tv in np.unique(t[on]):
+            sel = on & (t == tv)
+            out[sel] = counts_pair(self.data, int(tv))[which][self.masks[sel]]
+        return out
 
-def _screen_delta2(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    applicable = (data.mindeg >= 2) & ~_kc5_flags(data)
-    lt1, _ = counts_pair(data, 1)
-    return applicable, lt1 <= data.nu - 1
+    def lt(self, t, where: np.ndarray | None = None) -> np.ndarray:
+        return self._count(0, t, where)
 
+    def le(self, t, where: np.ndarray | None = None) -> np.ndarray:
+        return self._count(1, t, where)
 
-def _screen_domination(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    applicable = data.mindeg >= 1
-    lt1, _ = counts_pair(data, 1)
-    return applicable, lt1 <= data.gamma
+    def without_edge(self, k: int) -> tuple[np.ndarray, "SweepTable"]:
+        rows = np.flatnonzero((self.masks >> k) & 1)
+        return rows, SweepTable(self.data, self.masks[rows] ^ (1 << k))
 
-
-def _screen_m02(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    applicable = data.mindeg >= 1
-    lt2, _ = counts_pair(data, 2)
-    return applicable, lt2 <= data.n - data.nu
-
-
-def _screen_alpha(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    n = data.n
-    applicable = np.ones((data.count,), dtype=bool)
-    high = np.zeros((data.count,), dtype=np.int16)  # count in [delta, 2n-2]
-    low = np.zeros((data.count,), dtype=np.int16)  # count in [0, Delta]
-    mindeg = data.mindeg
-    maxdeg = data.maxdeg
-    for dv in range(0, n):
-        sel = mindeg == dv
-        if sel.any():
-            lt, _ = counts_pair(data, dv)
-            high[sel] = n - lt[sel]
-        sel = maxdeg == dv
-        if sel.any():
-            _, le = counts_pair(data, dv)
-            low[sel] = le[sel]
-    return applicable, (data.alpha <= high) & (data.alpha <= low)
-
-
-def _screen_longest_path(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    applicable = data.conn.copy()
-    _, le2 = counts_pair(data, 2)
-    above2 = data.n - le2
-    # ell <= n-1 always, so this certifies without computing ell
-    return applicable, above2 >= (data.n - 1) // 2
-
-
-def _screen_diameter_main(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    n = data.n
-    applicable = data.conn.copy()
-    d = data.diam.astype(np.int32)
-    lt, _ = counts_pair(data, n - 2)
-    ok = lt >= d - 1
-    second = applicable & (d >= 3) & (d <= n - 3)
-    for dv in range(3, n - 2):
-        sel = second & (d == dv)
-        if not sel.any():
-            continue
-        required = dv if dv <= n - 5 else dv - 1
-        lt2, _ = counts_pair(data, n - dv + 1)
-        sub = ok[sel]
-        sub &= lt2[sel] >= required
-        ok[sel] = sub
-    return applicable, ok
-
-
-def _screen_diameter3(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    n = data.n
-    applicable = data.conn & (data.diam == 3) & (np.full(data.count, n >= 7))
-    if not applicable.any():
-        return applicable, np.ones((data.count,), dtype=bool)
-    lt, _ = counts_pair(data, n - 3)
-    return applicable, lt >= 2
-
-
-def _screen_tail_bound(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    n = data.n
-    applicable = data.conn & (data.mindeg + 2 <= n - 1)
-    _, le = counts_pair(data, n - 3)
-    above = data.n - le
-    return applicable, above <= data.mindeg + 1
-
-
-def _screen_edge_interlacing(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    n = data.n
-    masks = _masks(data)
-    applicable = masks != 0
-    ok = np.ones((data.count,), dtype=bool)
-    nbits = n * (n - 1) // 2
-    for k in range(nbits):
-        gi = np.flatnonzero((masks >> k) & 1)
-        hi = gi ^ (1 << k)
-        A = data.vals[gi]
-        B = data.vals[hi]
-        chain = (A + INEQ_SLACK >= B).all(axis=1)
-        chain &= (B[:, : n - 1] + INEQ_SLACK >= A[:, 1:]).all(axis=1)
-        bad = ~chain
-        if bad.any():
-            ok[gi[bad]] = False
-    for t in range(0, 2 * n - 1):
-        lt, _ = counts_pair(data, t)
-        for k in range(nbits):
-            gi = np.flatnonzero((masks >> k) & 1)
-            hi = gi ^ (1 << k)
-            diff = lt[hi].astype(np.int32) - lt[gi].astype(np.int32)
-            bad = (diff < -1) | (diff > 1)
-            if bad.any():
-                ok[gi[bad]] = False
-    return applicable, ok
-
-
-def _screen_vertex_deletion(data: SweepData) -> tuple[np.ndarray, np.ndarray]:
-    n = data.n
-    if n < 2:
-        return np.zeros((data.count,), dtype=bool), np.ones((data.count,), dtype=bool)
-    sub = sweep_data(n - 1)
-    masks = _masks(data)
-    applicable = np.ones((data.count,), dtype=bool)
-    ok = np.ones((data.count,), dtype=bool)
-    pairs = mask_pairs(n)
-    sub_index = {pq: i for i, pq in enumerate(mask_pairs(n - 1))}
-    for v in range(n):
-        submask = np.zeros_like(masks)
-        for k, (a, b) in enumerate(pairs):
-            if v in (a, b):
-                continue
-            a2 = a - (a > v)
-            b2 = b - (b > v)
-            submask |= ((masks >> k) & 1) << sub_index[(a2, b2)]
-        B = sub.vals[submask]
-        ok &= (data.vals[:, 1:] <= B[:, : n - 1] + 1 + INEQ_SLACK).all(axis=1)
-    return applicable, ok
-
-
-_SCREENS: dict[str, Callable[[SweepData], tuple[np.ndarray, np.ndarray]]] = {
-    "edge-interlacing": _screen_edge_interlacing,
-    "vertex-deletion": _screen_vertex_deletion,
-    "matching-upper": _screen_matching_upper,
-    "delta2": _screen_delta2,
-    "domination-bound": _screen_domination,
-    "m02-bound": _screen_m02,
-    "alpha-sandwich": _screen_alpha,
-    "longest-path": _screen_longest_path,
-    "diameter-main": _screen_diameter_main,
-    "diameter-3": _screen_diameter3,
-    "tail-eigenvalue-bound": _screen_tail_bound,
-}
+    def without_vertex(self, v: int) -> "SweepTable":
+        n = self.n
+        sub_index = {pq: i for i, pq in enumerate(mask_pairs(n - 1))}
+        submask = np.zeros_like(self.masks)
+        for k, (a, b) in enumerate(mask_pairs(n)):
+            if v not in (a, b):
+                submask |= ((self.masks >> k) & 1) << sub_index[(a - (a > v), b - (b > v))]
+        return SweepTable(sweep_data(n - 1), submask)
 
 
 def _pool_map(fn: Callable, tasks: list, jobs: int):
@@ -571,15 +457,22 @@ class SweepResult:
 
 
 def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> SweepResult:
-    """Screen every labeled n-vertex graph; the point checkers re-verify
-    everything the screen cannot certify or marks as failing."""
+    """Evaluate the statement's predicate on every labeled n-vertex graph at
+    once; the point checkers (over the pool) re-verify every row that does
+    not pass, and only their failures are reported."""
     tid = verify.canonical_theorem_id(theorem_id)
-    if tid not in _SCREENS:
+    if tid not in verify.GRAPH_THEOREMS:
         raise KeyError(f"{theorem_id!r} is not a per-graph theorem")
     jobs = jobs or default_jobs()
     data = sweep_data(n)
-    applicable, verdict = _SCREENS[tid](data)
-    escalate = np.flatnonzero(applicable & ~verdict)
+    predicate = verify.GRAPH_THEOREMS[tid].predicate
+    applicable = np.empty((data.count,), dtype=bool)
+    passed = np.empty((data.count,), dtype=bool)
+    for lo in range(0, data.count, TABLE_CHUNK):
+        masks = np.arange(lo, min(lo + TABLE_CHUNK, data.count), dtype=np.int64)
+        verdict = predicate(SweepTable(data, masks))
+        applicable[masks], passed[masks] = verdict.applicable, verdict.passed
+    escalate = np.flatnonzero(applicable & ~passed)
     tasks = [(tid, n, [int(m) for m in chunk]) for chunk in _chunked(escalate, ESCALATE_CHUNK)]
     failures: list[TheoremReport] = []
     for part in _pool_map(_run_point_checker, tasks, jobs):
@@ -660,46 +553,32 @@ def eig_inertia_agreement(n: int, thresholds: Iterable | None = None, jobs: int 
 # -- auxiliary exhaustive properties ---------------------------------------------------
 
 
-def edge_deletion_count_violations(
-    n: int, thresholds: Sequence[int] = (1, 2, 3), jobs: int | None = None
-) -> list[tuple[int, int, int]]:
-    """Exact check of count(G-e, x) >= count(G, x) - 1 over all graphs and
-    edges; returns failing (mask, edge bit, threshold) triples. The counts
-    need no worker processes, so jobs is accepted and unused."""
+def _whole_table(n: int) -> SweepTable:
     data = sweep_data(n)
-    masks = _masks(data)
-    nbits = n * (n - 1) // 2
+    return SweepTable(data, np.arange(data.count, dtype=np.int64))
+
+
+def edge_deletion_count_violations(n: int, thresholds: Sequence[int] = (1, 2, 3)) -> list[tuple[int, int, int]]:
+    """Exact check of count(G-e, x) >= count(G, x) - 1 over all graphs and
+    edges; returns failing (mask, edge bit, threshold) triples."""
+    tab = _whole_table(n)
     bad: list[tuple[int, int, int]] = []
     for t in thresholds:
-        lt, _ = counts_pair(data, t)
-        for k in range(nbits):
-            gi = np.flatnonzero((masks >> k) & 1)
-            hi = gi ^ (1 << k)
-            viol = lt[hi].astype(np.int32) < lt[gi].astype(np.int32) - 1
-            bad.extend((int(m), k, t) for m in gi[viol])
+        lt = tab.lt(t)
+        for k in range(n * (n - 1) // 2):
+            rows, sub = tab.without_edge(k)
+            bad.extend((int(m), k, t) for m in rows[sub.lt(t) < lt[rows] - 1])
     return bad
 
 
-def intro_bound_failures(n: int, jobs: int | None = None) -> list[tuple[int, str]]:
+def intro_bound_failures(n: int) -> list[tuple[int, str]]:
     """The two opening bounds: at most one eigenvalue above n-2; and for
     non-complete graphs at least two eigenvalues at or above the minimum
-    degree. The counts need no worker processes, so jobs is accepted and unused."""
-    data = sweep_data(n)
-    failures: list[tuple[int, str]] = []
+    degree."""
+    tab = _whole_table(n)
     if n < 2:
-        return failures
-    _, le = counts_pair(data, n - 2)
-    for mask in np.flatnonzero(data.n - le > 1):
-        failures.append((int(mask), "q2<=n-2"))
-    full = (1 << n * (n - 1) // 2) - 1
-    noncomplete = _masks(data) != full
-    at_least = np.ones((data.count,), dtype=bool)
-    for dv in range(0, n):
-        sel = noncomplete & (data.mindeg == dv)
-        if not sel.any():
-            continue
-        lt, _ = counts_pair(data, dv)
-        at_least[sel] = (data.n - lt[sel]) >= 2
-    for mask in np.flatnonzero(noncomplete & ~at_least):
-        failures.append((int(mask), "q2>=delta"))
-    return failures
+        return []
+    failures = [(int(mask), "q2<=n-2") for mask in np.flatnonzero(n - tab.le(n - 2) > 1)]
+    noncomplete = tab.masks != (1 << n * (n - 1) // 2) - 1
+    below_two = noncomplete & (n - tab.lt(tab.mindeg, noncomplete) < 2)
+    return failures + [(int(mask), "q2>=delta") for mask in np.flatnonzero(below_two)]

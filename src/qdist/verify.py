@@ -1,11 +1,17 @@
-"""The theorem catalog: one checker per statement under test, exhaustive
-small-graph enumeration, seeded sampling, and counterexample search.
+"""The theorem catalog: every per-graph statement written once, as a
+predicate over a table of graphs; the point checkers, the family checkers,
+exhaustive small-graph enumeration, seeded sampling, and counterexample
+search.
 
-Every checker is exact where it counts: interval counts come from integer
-congruence inertia, never from rounded floats. Floating spectra appear only
-in the interlacing-chain checks (with a fixed 1e-8 slack) and as screening
-inside the mass sweeps. Hypothesis failures report "not applicable" rather
-than "pass" so pass counts measure real coverage.
+A point checker is its statement's predicate on the one-row GraphTable of
+one graph, whose columns come from the per-graph kernels. The exhaustive
+sweeps evaluate the same predicates on sweeps.SweepTable and hand the rows
+that do not pass to the point checkers, so a reported failure always rests
+on the per-graph kernels. Interval counts are exact (integer congruence
+inertia here, integer characteristic polynomials in the sweeps), never
+rounded floats; floating spectra appear only in the interlacing-chain
+statements, with a fixed 1e-8 slack. Hypothesis failures report "not
+applicable" rather than "pass" so pass counts measure real coverage.
 """
 
 from __future__ import annotations
@@ -14,8 +20,11 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from . import exact
 from .graph6 import graph6_encode
@@ -179,104 +188,309 @@ def is_k_c5(g: Graph) -> bool:
     return True
 
 
-# -- per-graph checkers -----------------------------------------------------------
+# -- statements as predicates over a graph table ----------------------------------
+#
+# Each per-graph statement is written once, as a predicate over a table whose
+# rows are graphs of one order n: GraphTable below (Graph objects and the
+# per-graph kernels; a point checker is the predicate on a one-row table) or
+# sweeps.SweepTable (the exhaustive sweep tables). A table has n, count and
+#   mindeg, maxdeg, conn (False at n = 0), diam and ell (diameter and longest
+#   path where conn), nu, alpha, gamma, kc5: (count,) columns;
+#   vals: (count, n) spectra, nonincreasing rows;
+#   lt(t, where), le(t, where): exact counts below / at most the integer
+#   threshold t, a scalar or a (count,) column; rows outside where are not
+#   needed and their values are unspecified;
+#   without_edge(k): the rows holding edge bit k of mask_pairs(n), and the
+#   table of those graphs minus that edge; without_vertex(v): the table of
+#   the graphs minus vertex v.
 
 
-def check_edge_interlacing(g: Graph, e: tuple[int, int] | None = None) -> TheoremReport:
+@dataclass
+class Verdict:
+    """A predicate's result over the rows of a table. Rows where the
+    statement does not apply count as passed, with the note as witness."""
+
+    applicable: np.ndarray  # (count,) bool
+    passed: np.ndarray  # (count,) bool
+    note: str | Callable[[int], str]  # why row i does not apply
+    witness: Callable[[int], dict]  # witness of an applicable row i
+
+    @classmethod
+    def columns(cls, applicable, holds, note, **cols) -> "Verdict":
+        """The witness of row i holds every column (or scalar) of cols at row i."""
+
+        def witness(i: int) -> dict:
+            return {k: c[i] if isinstance(c, np.ndarray) else c for k, c in cols.items()}
+
+        return cls(applicable, ~applicable | holds, note, witness)
+
+    @classmethod
+    def first_failures(cls, applicable, found: dict[int, dict], note, passing: Callable[[int], dict]) -> "Verdict":
+        """found holds the witness of every failing row; passing(i) is that of a passing row."""
+        passed = np.ones(applicable.shape, dtype=bool)
+        passed[list(found)] = False
+        return cls(applicable, passed, note, lambda i: found.get(i) or passing(i))
+
+
+def _record_first(found: dict[int, dict], rows: np.ndarray, fail: np.ndarray, witness: Callable) -> None:
+    """For each row of fail (a (len(rows), m) bool array) with a failure and
+    no witness yet, store witness(j, position of its first failure)."""
+    for j in np.flatnonzero(fail.any(axis=1)):
+        if int(rows[j]) not in found:
+            found[int(rows[j])] = witness(j, int(fail[j].argmax()))
+
+
+def edge_interlacing(tab, edges: Sequence[int] | None = None) -> Verdict:
     """Eigenvalues of G and G-e interlace: q_i(G) >= q_i(G-e) >= q_{i+1}(G).
 
     Checks the floating chain with 1e-8 slack and, exactly, that the count
     below every integer threshold moves by at most one when the edge goes.
+    edges: the edge bits to delete (default: every edge of each graph).
     """
+    n = tab.n
+    thresholds = range(0, 2 * n - 1)
+    checked = np.zeros(tab.count, dtype=np.int64)
+    found: dict[int, dict] = {}
+    lt_g = None
+    for k in range(n * (n - 1) // 2) if edges is None else edges:
+        rows, sub = tab.without_edge(k)
+        if not rows.size:
+            continue
+        lt_g = lt_g or [tab.lt(t) for t in thresholds]
+        checked[rows] += 1
+        A, B = tab.vals[rows], sub.vals
+        cg = [lt[rows] for lt in lt_g]
+        ch = [sub.lt(t) for t in thresholds]
+        # failures in checking order: the chain at i = 1..n (the upper link
+        # before the lower), then the counts at every threshold
+        fail = np.empty((rows.size, 4 * n - 2), dtype=bool)
+        fail[:, 0 : 2 * n : 2] = ~(A >= B - INEQ_SLACK)
+        fail[:, 1 : 2 * n - 1 : 2] = ~(B[:, : n - 1] >= A[:, 1:] - INEQ_SLACK)
+        for t in thresholds:
+            fail[:, 2 * n - 1 + t] = np.abs(ch[t] - cg[t]) > 1
+
+        def witness(j: int, pos: int) -> dict:
+            edge, (i, lower) = list(mask_pairs(n)[k]), divmod(pos, 2)
+            if pos >= 2 * n - 1:
+                t = pos - (2 * n - 1)
+                return {"edge": edge, "threshold": t, "count_G": cg[t][j], "count_Ge": ch[t][j]}
+            if not lower:
+                return {"edge": edge, "i": i + 1, "qi_G": A[j, i], "qi_Ge": B[j, i]}
+            return {"edge": edge, "i": i + 1, "qi_Ge": B[j, i], "qnext_G": A[j, i + 1]}
+
+        _record_first(found, rows, fail, witness)
+    return Verdict.first_failures(checked > 0, found, "no edges", lambda i: {"edges_checked": checked[i]})
+
+
+def vertex_deletion(tab, vertices: Sequence[int] | None = None) -> Verdict:
+    """q_{i+1}(G) <= q_i(G-v) + 1 for i = 1..n-1, floating with 1e-8 slack.
+    vertices: the vertices to delete (default: every vertex)."""
+    n = tab.n
+    found: dict[int, dict] = {}
+    if n >= 2:
+        vals = tab.vals
+        for w in range(n) if vertices is None else vertices:
+            B = tab.without_vertex(w).vals
+            fail = ~(vals[:, 1:] <= B[:, : n - 1] + 1 + INEQ_SLACK)
+
+            def witness(j: int, pos: int) -> dict:
+                return {"vertex": w, "i": pos + 1, "q_next_G": vals[j, pos + 1], "q_i_Gv": B[j, pos]}
+
+            _record_first(found, np.arange(tab.count), fail, witness)
+    return Verdict.first_failures(np.full(tab.count, n >= 2), found, "n < 2", lambda i: {})
+
+
+def _delta2_hypothesis(tab) -> np.ndarray:
+    """Minimum degree at least two and not every component a 5-cycle."""
+    return (tab.mindeg >= 2) & ~tab.kc5
+
+
+def matching_upper(tab) -> Verdict:
+    """Count below 1 is at most the matching number; with minimum degree two
+    and no component a 5-cycle, at most the matching number minus one."""
+    applicable = tab.mindeg >= 1
+    strengthened = _delta2_hypothesis(tab)
+    m01 = tab.lt(1, applicable)
+    holds = m01 <= tab.nu - strengthened
+    return Verdict.columns(applicable, holds, "isolated vertex", m01=m01, nu=tab.nu, strengthened=strengthened)
+
+
+def delta2(tab) -> Verdict:
+    """The strengthened bound alone: delta >= 2 and not kC5 imply count below 1 <= nu - 1."""
+    applicable = _delta2_hypothesis(tab)
+    m01 = tab.lt(1, applicable)
+    return Verdict.columns(applicable, m01 <= tab.nu - 1, "hypothesis fails", m01=m01, nu=tab.nu)
+
+
+def domination_bound(tab) -> Verdict:
+    """Count below 1 is at most the domination number (no isolated vertices)."""
+    applicable = tab.mindeg >= 1
+    m01 = tab.lt(1, applicable)
+    return Verdict.columns(applicable, m01 <= tab.gamma, "isolated vertex", m01=m01, gamma=tab.gamma)
+
+
+def m02_bound(tab) -> Verdict:
+    """Count below 2 is at most n minus the matching number (no isolated vertices)."""
+    applicable = tab.mindeg >= 1
+    m02 = tab.lt(2, applicable)
+    return Verdict.columns(applicable, m02 <= tab.n - tab.nu, "isolated vertex", m02=m02, nu=tab.nu, n=tab.n)
+
+
+def alpha_sandwich(tab) -> Verdict:
+    """Independence number at most both closed-interval counts
+    [delta, 2n-2] and [0, Delta]."""
+    applicable = np.full(tab.count, tab.n >= 1)
+    high = tab.n - tab.lt(tab.mindeg, applicable)  # eigenvalues >= delta
+    low = tab.le(tab.maxdeg, applicable)  # eigenvalues <= Delta
+    holds = (tab.alpha <= high) & (tab.alpha <= low)
+    return Verdict.columns(applicable, holds, "empty", alpha=tab.alpha, m_delta_up=high, m_0_Delta=low)
+
+
+def longest_path(tab) -> Verdict:
+    """Count above 2 is at least floor(longest path length / 2) for connected graphs."""
+    applicable = tab.conn
+    above2 = tab.n - tab.le(2, applicable)
+    return Verdict.columns(applicable, above2 >= tab.ell // 2, "disconnected", ell=tab.ell, m_2_up=above2)
+
+
+def diameter_main(tab) -> Verdict:
+    """Diameter forces counts: below n-2 at least d-1; for 3 <= d <= n-3,
+    below n-d+1 at least d (d <= n-5) or d-1 (d in {n-4, n-3})."""
+    n = tab.n
+    applicable = tab.conn
+    d = tab.diam
+    below = tab.lt(n - 2, applicable)
+    holds = below >= d - 1
+    second = applicable & holds & (d >= 3) & (d <= n - 3)
+    required = np.where(d <= n - 5, d, d - 1)
+    below2 = tab.lt(n - d + 1, second)
+    holds &= ~second | (below2 >= required)
+
+    def witness(i: int) -> dict:
+        w = {"d": d[i], "m_below_n-2": below[i]}
+        if second[i]:
+            w.update({"m_below_n-d+1": below2[i], "required": required[i]})
+        return w
+
+    return Verdict(applicable, ~applicable | holds, "disconnected", witness)
+
+
+def diameter3(tab) -> Verdict:
+    """Connected diameter-3 graphs on n >= 7 vertices have at least two
+    eigenvalues below n-3."""
+    applicable = tab.conn & (tab.n >= 7) & (tab.diam == 3)
+    below = tab.lt(tab.n - 3, applicable)
+    witness = {"m_below_n-3": below, "equality": below == 2}
+    return Verdict.columns(applicable, below >= 2, "hypothesis fails", **witness)
+
+
+def tail_eigenvalue_bound(tab) -> Verdict:
+    """q_i <= n-3 for all delta+2 <= i <= n-1 on connected graphs.
+
+    The q_i are nonincreasing, so this says exactly that at most delta+1
+    eigenvalues exceed n-3, which the exact count at n-3 decides.
+    """
+    n = tab.n
+    conn, delta = tab.conn, tab.mindeg
+    applicable = conn & (delta + 2 <= n - 1)
+    above = n - tab.le(n - 3, applicable)
+    note = lambda i: "index range empty" if conn[i] else "disconnected"  # noqa: E731
+    return Verdict.columns(applicable, above <= delta + 1, note, **{"delta": delta, "count_above_n-3": above})
+
+
+class GraphTable:
+    """The statements' table over Graph objects of one order. Each column
+    comes on first use from the per-graph kernels: Bareiss inertia for the
+    counts, the invariants module (looked up here at call time), and
+    single-matrix eigenvalues_sym for the spectra."""
+
+    def __init__(self, n: int, graphs: Sequence[Graph]):
+        self.n, self.graphs, self.count = n, list(graphs), len(graphs)
+
+    def _column(self, f: Callable[[Graph], int], where: np.ndarray | None = None) -> np.ndarray:
+        on = [True] * self.count if where is None else where.tolist()
+        return np.array([f(g) if w else 0 for g, w in zip(self.graphs, on)], dtype=np.int64)
+
+    mindeg = cached_property(lambda self: self._column(lambda g: min(degrees(g), default=0)))
+    maxdeg = cached_property(lambda self: self._column(lambda g: max(degrees(g), default=0)))
+    conn = cached_property(lambda self: self._column(lambda g: g.n > 0 and is_connected(g)).astype(bool))
+    diam = cached_property(lambda self: self._column(diameter, self.conn))
+    ell = cached_property(lambda self: self._column(longest_path_length, self.conn))
+    nu = cached_property(lambda self: self._column(matching_number))
+    alpha = cached_property(lambda self: self._column(independence_number))
+    gamma = cached_property(lambda self: self._column(domination_number))
+    kc5 = cached_property(lambda self: self._column(is_k_c5).astype(bool))
+
+    @cached_property
+    def vals(self) -> np.ndarray:
+        spectra = [eigenvalues_sym(q_float(g)).values for g in self.graphs]
+        return np.array(spectra, dtype=np.float64).reshape(self.count, self.n)
+
+    def _count(self, kernel: Callable, t, where: np.ndarray | None) -> np.ndarray:
+        ts = t.tolist() if isinstance(t, np.ndarray) else [t] * self.count
+        on = [True] * self.count if where is None else where.tolist()
+        return np.array([kernel(g, x) if w else 0 for g, x, w in zip(self.graphs, ts, on)], dtype=np.int64)
+
+    def lt(self, t, where: np.ndarray | None = None) -> np.ndarray:
+        return self._count(exact.graph_count_lt, t, where)
+
+    def le(self, t, where: np.ndarray | None = None) -> np.ndarray:
+        return self._count(exact.graph_count_le, t, where)
+
+    def without_edge(self, k: int) -> tuple[np.ndarray, "GraphTable"]:
+        u, v = mask_pairs(self.n)[k]
+        rows = np.array([i for i, g in enumerate(self.graphs) if g.has_edge(u, v)], dtype=np.intp)
+        return rows, GraphTable(self.n, [remove_edge(self.graphs[i], u, v) for i in rows])
+
+    def without_vertex(self, v: int) -> "GraphTable":
+        return GraphTable(self.n - 1, [delete_vertex(g, v) for g in self.graphs])
+
+
+def evaluate(theorem_id: str, predicate: Callable[..., Verdict], g: Graph, **options) -> TheoremReport:
+    """The predicate on the one-row table of g, as a report."""
     t0 = time.perf_counter()
-    edges = [e] if e is not None else g.edges()
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise GraphError(f"edge ({u},{v}) not present")
-    n = g.n
-    instance = graph6_encode(g)
-    if not edges:
-        return _report("edge-interlacing", instance, True, {"note": "no edges"}, t0, applicable=False)
-    spec_g = eigenvalues_sym(q_float(g)).values
-    counts_g = [exact.graph_count_lt(g, t) for t in range(0, 2 * n - 1)]
-    for u, v in edges:
-        h = remove_edge(g, u, v)
-        spec_h = eigenvalues_sym(q_float(h)).values
-        for i in range(n):
-            if not spec_g[i] >= spec_h[i] - INEQ_SLACK:
-                return _report(
-                    "edge-interlacing",
-                    instance,
-                    False,
-                    {"edge": [u, v], "i": i + 1, "qi_G": spec_g[i], "qi_Ge": spec_h[i]},
-                    t0,
-                )
-            if i + 1 < n and not spec_h[i] >= spec_g[i + 1] - INEQ_SLACK:
-                return _report(
-                    "edge-interlacing",
-                    instance,
-                    False,
-                    {"edge": [u, v], "i": i + 1, "qi_Ge": spec_h[i], "qnext_G": spec_g[i + 1]},
-                    t0,
-                )
-        for t in range(0, 2 * n - 1):
-            lt_h = exact.graph_count_lt(h, t)
-            if not counts_g[t] - 1 <= lt_h <= counts_g[t] + 1:
-                return _report(
-                    "edge-interlacing",
-                    instance,
-                    False,
-                    {"edge": [u, v], "threshold": t, "count_G": counts_g[t], "count_Ge": lt_h},
-                    t0,
-                )
-    return _report("edge-interlacing", instance, True, {"edges_checked": len(edges)}, t0)
+    verdict = predicate(GraphTable(g.n, [g]), **options)
+    applicable = bool(verdict.applicable[0])
+    if applicable:
+        witness = {k: v.item() if isinstance(v, np.generic) else v for k, v in verdict.witness(0).items()}
+    else:
+        witness = {"note": verdict.note if isinstance(verdict.note, str) else verdict.note(0)}
+    return _report(theorem_id, graph6_encode(g), bool(verdict.passed[0]), witness, t0, applicable)
+
+
+def _checker(theorem_id: str, predicate: Callable[[object], Verdict]) -> Callable[[Graph], TheoremReport]:
+    def check(g: Graph) -> TheoremReport:
+        return evaluate(theorem_id, predicate, g)
+
+    check.__doc__ = predicate.__doc__
+    return check
+
+
+def check_edge_interlacing(g: Graph, e: tuple[int, int] | None = None) -> TheoremReport:
+    """edge_interlacing on g, over every edge or the one edge e."""
+    if e is not None and not g.has_edge(*e):
+        raise GraphError(f"edge ({e[0]},{e[1]}) not present")
+    edges = None if e is None else [mask_pairs(g.n).index(tuple(sorted(e)))]
+    return evaluate("edge-interlacing", edge_interlacing, g, edges=edges)
 
 
 def check_vertex_deletion(g: Graph, v: int | None = None) -> TheoremReport:
-    """q_{i+1}(G) <= q_i(G-v) + 1 for i = 1..n-1, floating with 1e-8 slack."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n < 2:
-        return _report("vertex-deletion", instance, True, {"note": "n < 2"}, t0, applicable=False)
-    spec_g = eigenvalues_sym(q_float(g)).values
-    for w in [v] if v is not None else range(g.n):
-        spec_h = eigenvalues_sym(q_float(delete_vertex(g, w))).values
-        for i in range(1, g.n):
-            if not spec_g[i] <= spec_h[i - 1] + 1 + INEQ_SLACK:
-                return _report(
-                    "vertex-deletion",
-                    instance,
-                    False,
-                    {"vertex": w, "i": i, "q_next_G": spec_g[i], "q_i_Gv": spec_h[i - 1]},
-                    t0,
-                )
-    return _report("vertex-deletion", instance, True, {}, t0)
+    """vertex_deletion on g, over every vertex or the one vertex v."""
+    return evaluate("vertex-deletion", vertex_deletion, g, vertices=None if v is None else [v])
 
 
-def check_matching_upper(g: Graph) -> TheoremReport:
-    """Count below 1 is at most the matching number; with minimum degree two
-    and no component a 5-cycle, at most the matching number minus one."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n == 0 or min(degrees(g)) < 1:
-        return _report("matching-upper", instance, True, {"note": "isolated vertex"}, t0, applicable=False)
-    m01 = exact.graph_count_lt(g, 1)
-    nu = matching_number(g)
-    strengthened = min(degrees(g)) >= 2 and not is_k_c5(g)
-    bound = nu - 1 if strengthened else nu
-    witness = {"m01": m01, "nu": nu, "strengthened": strengthened}
-    return _report("matching-upper", instance, m01 <= bound, witness, t0)
+check_matching_upper = _checker("matching-upper", matching_upper)
+check_delta2 = _checker("delta2", delta2)
+check_domination_bound = _checker("domination-bound", domination_bound)
+check_m02_bound = _checker("m02-bound", m02_bound)
+check_alpha_sandwich = _checker("alpha-sandwich", alpha_sandwich)
+check_longest_path = _checker("longest-path", longest_path)
+check_diameter_main = _checker("diameter-main", diameter_main)
+check_diameter3 = _checker("diameter-3", diameter3)
+check_tail_eigenvalue_bound = _checker("tail-eigenvalue-bound", tail_eigenvalue_bound)
 
 
-def check_delta2(g: Graph) -> TheoremReport:
-    """The strengthened bound alone: delta >= 2 and not kC5 imply count below 1 <= nu - 1."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n == 0 or min(degrees(g)) < 2 or is_k_c5(g):
-        return _report("delta2", instance, True, {"note": "hypothesis fails"}, t0, applicable=False)
-    m01 = exact.graph_count_lt(g, 1)
-    nu = matching_number(g)
-    return _report("delta2", instance, m01 <= nu - 1, {"m01": m01, "nu": nu}, t0)
+# -- family checkers ---------------------------------------------------------------
 
 
 def check_cycle_matching(n: int) -> TheoremReport:
@@ -290,110 +504,6 @@ def check_cycle_matching(n: int) -> TheoremReport:
     nu = n // 2
     ok = m == expected and (n == 5 or m <= nu - 1)
     return _report("cycle-matching", f"cycle(n={n})", ok, {"m01": m, "formula": expected, "nu": nu}, t0)
-
-
-def check_domination_bound(g: Graph) -> TheoremReport:
-    """Count below 1 is at most the domination number (no isolated vertices)."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n == 0 or min(degrees(g)) < 1:
-        return _report("domination-bound", instance, True, {"note": "isolated vertex"}, t0, applicable=False)
-    m01 = exact.graph_count_lt(g, 1)
-    gamma = domination_number(g)
-    return _report("domination-bound", instance, m01 <= gamma, {"m01": m01, "gamma": gamma}, t0)
-
-
-def check_m02_bound(g: Graph) -> TheoremReport:
-    """Count below 2 is at most n minus the matching number (no isolated vertices)."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n == 0 or min(degrees(g)) < 1:
-        return _report("m02-bound", instance, True, {"note": "isolated vertex"}, t0, applicable=False)
-    m02 = exact.graph_count_lt(g, 2)
-    nu = matching_number(g)
-    return _report("m02-bound", instance, m02 <= g.n - nu, {"m02": m02, "nu": nu, "n": g.n}, t0)
-
-
-def check_alpha_sandwich(g: Graph) -> TheoremReport:
-    """Independence number at most both closed-interval counts
-    [delta, 2n-2] and [0, Delta]."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n == 0:
-        return _report("alpha-sandwich", instance, True, {"note": "empty"}, t0, applicable=False)
-    degs = degrees(g)
-    alpha = independence_number(g)
-    n = g.n
-    high = n - exact.graph_count_lt(g, min(degs))  # eigenvalues >= delta
-    low = exact.graph_count_le(g, max(degs))  # eigenvalues <= Delta
-    ok = alpha <= high and alpha <= low
-    return _report(
-        "alpha-sandwich", instance, ok, {"alpha": alpha, "m_delta_up": high, "m_0_Delta": low}, t0
-    )
-
-
-def check_longest_path(g: Graph) -> TheoremReport:
-    """Count above 2 is at least floor(longest path length / 2) for connected graphs."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if not is_connected(g) or g.n == 0:
-        return _report("longest-path", instance, True, {"note": "disconnected"}, t0, applicable=False)
-    ell = longest_path_length(g)
-    above2 = g.n - exact.graph_count_le(g, 2)
-    return _report("longest-path", instance, above2 >= ell // 2, {"ell": ell, "m_2_up": above2}, t0)
-
-
-def check_diameter_main(g: Graph) -> TheoremReport:
-    """Diameter forces counts: below n-2 at least d-1; for 3 <= d <= n-3,
-    below n-d+1 at least d (d <= n-5) or d-1 (d in {n-4, n-3})."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n == 0 or not is_connected(g):
-        return _report("diameter-main", instance, True, {"note": "disconnected"}, t0, applicable=False)
-    n = g.n
-    d = diameter(g)
-    below_nm2 = exact.graph_count_lt(g, n - 2)
-    witness: dict = {"d": d, "m_below_n-2": below_nm2}
-    ok = below_nm2 >= d - 1
-    if ok and 3 <= d <= n - 3:
-        required = d if d <= n - 5 else d - 1
-        below = exact.graph_count_lt(g, n - d + 1)
-        witness.update({"m_below_n-d+1": below, "required": required})
-        ok = below >= required
-    return _report("diameter-main", instance, ok, witness, t0)
-
-
-def check_diameter3(g: Graph) -> TheoremReport:
-    """Connected diameter-3 graphs on n >= 7 vertices have at least two
-    eigenvalues below n-3."""
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    if g.n < 7 or not is_connected(g) or diameter(g) != 3:
-        return _report("diameter-3", instance, True, {"note": "hypothesis fails"}, t0, applicable=False)
-    below = exact.graph_count_lt(g, g.n - 3)
-    return _report("diameter-3", instance, below >= 2, {"m_below_n-3": below, "equality": below == 2}, t0)
-
-
-def check_tail_eigenvalue_bound(g: Graph) -> TheoremReport:
-    """q_i <= n-3 for all delta+2 <= i <= n-1 on connected graphs.
-
-    The q_i are nonincreasing, so this says exactly that at most delta+1
-    eigenvalues exceed n-3, which the exact count at n-3 decides.
-    """
-    t0 = time.perf_counter()
-    instance = graph6_encode(g)
-    n = g.n
-    if n == 0 or not is_connected(g):
-        return _report("tail-eigenvalue-bound", instance, True, {"note": "disconnected"}, t0, applicable=False)
-    delta = min(degrees(g))
-    if delta + 2 > n - 1:
-        return _report("tail-eigenvalue-bound", instance, True, {"note": "index range empty"}, t0, applicable=False)
-    above = n - exact.graph_count_le(g, n - 3)
-    ok = above <= delta + 1
-    return _report("tail-eigenvalue-bound", instance, ok, {"delta": delta, "count_above_n-3": above}, t0)
-
-
-# -- family checkers ---------------------------------------------------------------
 
 
 def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> TheoremReport:
@@ -491,27 +601,29 @@ def check_gndt_laplacian_count(n: int, d: int, t: int) -> TheoremReport:
 
 @dataclass(frozen=True)
 class GraphTheorem:
-    """A per-graph statement: hypothesis filter plus checker."""
+    """A per-graph statement: its predicate over a graph table, and the
+    point checker that evaluates it on one graph."""
 
     theorem_id: str
     check: Callable[[Graph], TheoremReport]
     description: str
+    predicate: Callable[..., Verdict] | None = None
 
 
 GRAPH_THEOREMS: dict[str, GraphTheorem] = {
     t.theorem_id: t
     for t in [
-        GraphTheorem("edge-interlacing", check_edge_interlacing, "edge deletion interlaces eigenvalues"),
-        GraphTheorem("vertex-deletion", check_vertex_deletion, "vertex deletion shifts eigenvalues by at most 1"),
-        GraphTheorem("matching-upper", check_matching_upper, "count below 1 bounded by matching number"),
-        GraphTheorem("delta2", check_delta2, "min degree 2, no 5-cycle components: count below 1 <= nu-1"),
-        GraphTheorem("domination-bound", check_domination_bound, "count below 1 bounded by domination number"),
-        GraphTheorem("m02-bound", check_m02_bound, "count below 2 bounded by n - nu"),
-        GraphTheorem("alpha-sandwich", check_alpha_sandwich, "independence number under both interval counts"),
-        GraphTheorem("longest-path", check_longest_path, "count above 2 at least half the longest path"),
-        GraphTheorem("diameter-main", check_diameter_main, "diameter lower-bounds interval counts"),
-        GraphTheorem("diameter-3", check_diameter3, "diameter 3: at least 2 eigenvalues below n-3"),
-        GraphTheorem("tail-eigenvalue-bound", check_tail_eigenvalue_bound, "q_i <= n-3 for i >= delta+2"),
+        GraphTheorem("edge-interlacing", check_edge_interlacing, "edge deletion interlaces eigenvalues", edge_interlacing),
+        GraphTheorem("vertex-deletion", check_vertex_deletion, "vertex deletion shifts eigenvalues by at most 1", vertex_deletion),
+        GraphTheorem("matching-upper", check_matching_upper, "count below 1 bounded by matching number", matching_upper),
+        GraphTheorem("delta2", check_delta2, "min degree 2, no 5-cycle components: count below 1 <= nu-1", delta2),
+        GraphTheorem("domination-bound", check_domination_bound, "count below 1 bounded by domination number", domination_bound),
+        GraphTheorem("m02-bound", check_m02_bound, "count below 2 bounded by n - nu", m02_bound),
+        GraphTheorem("alpha-sandwich", check_alpha_sandwich, "independence number under both interval counts", alpha_sandwich),
+        GraphTheorem("longest-path", check_longest_path, "count above 2 at least half the longest path", longest_path),
+        GraphTheorem("diameter-main", check_diameter_main, "diameter lower-bounds interval counts", diameter_main),
+        GraphTheorem("diameter-3", check_diameter3, "diameter 3: at least 2 eigenvalues below n-3", diameter3),
+        GraphTheorem("tail-eigenvalue-bound", check_tail_eigenvalue_bound, "q_i <= n-3 for i >= delta+2", tail_eigenvalue_bound),
     ]
 }
 
@@ -528,7 +640,7 @@ ALL_THEOREM_IDS = tuple(GRAPH_THEOREMS) + FAMILY_THEOREM_IDS
 
 def canonical_theorem_id(theorem_id: str) -> str:
     tid = theorem_id.strip().lower().replace("_", "-")
-    if tid not in ALL_THEOREM_IDS:
+    if tid not in GRAPH_THEOREMS and tid not in FAMILY_THEOREM_IDS:
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {', '.join(ALL_THEOREM_IDS)}")
     return tid
 
@@ -579,6 +691,8 @@ def search_counterexamples(
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise GraphError(f"empty vertex range {n_range}")
+    if budget < 1:
+        raise GraphError(f"budget must be at least 1, got {budget}")
     if tid in FAMILY_THEOREM_IDS:
         return [r for r in family_grid_reports(tid, n_lo, n_hi) if r.applicable and not r.passed]
     if n_hi > SAMPLE_LIMIT:

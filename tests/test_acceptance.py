@@ -241,8 +241,8 @@ def test_criterion_7_laplacian_family_counts():
 def test_supplement_intro_bounds_and_edge_counts_n7():
     # the opening bounds and the edge-deletion count consequence, at the full
     # exhaustive order (cheap here: the count tables are already cached)
-    assert sweeps.intro_bound_failures(7, jobs=JOBS) == []
-    assert sweeps.edge_deletion_count_violations(6, jobs=JOBS) == []
+    assert sweeps.intro_bound_failures(7) == []
+    assert sweeps.edge_deletion_count_violations(6) == []
     note("SUPPLEMENT: PASS opening bounds at n<=7 and edge-deletion count stability at n<=6")
 
 

@@ -101,6 +101,7 @@ def test_search_cli(capsys):
 def test_usage_errors_exit_two():
     assert main(["count", "--graph6", "Dhc", "--interval", "[5,1)"]) == 2
     assert main(["verify", "--theorem", "no-such-theorem"]) == 2
+    assert main(["search", "--theorem", "delta2", "--n-min", "8", "--n-max", "8", "--budget", "-5"]) == 2
     proc = run_cli(["family", "--kind", "nope"])
     assert proc.returncode == 2
 

@@ -1,0 +1,105 @@
+"""The per-graph statements as predicates over a graph table: the sweep
+route (SweepTable) and the point-checker route (GraphTable) must agree, and
+a deliberately false statement must be caught with rechecked witnesses."""
+
+import numpy as np
+import pytest
+
+from qdist import exact, sweeps, verify
+from qdist.cli import main
+from qdist.graph6 import graph6_decode
+from qdist.graphs import cycle_graph
+from qdist.invariants import matching_number
+from qdist.verify import EnumerationFilter, enumerate_graphs, graph_from_mask, graph_to_mask
+
+FALSE_ID = "false-delta1"
+
+
+def false_delta1(tab):
+    """delta2 without its hypothesis: delta >= 1 implies count below 1 <= nu - 1.
+    False: K2 and C5 are counterexamples."""
+    applicable = tab.mindeg >= 1
+    m01 = tab.lt(1, applicable)
+    return verify.Verdict.columns(applicable, m01 <= tab.nu - 1, "isolated vertex", m01=m01, nu=tab.nu)
+
+
+@pytest.fixture
+def false_statement(monkeypatch):
+    def check(g):
+        return verify.evaluate(FALSE_ID, false_delta1, g)
+
+    theorem = verify.GraphTheorem(FALSE_ID, check, "negative control", false_delta1)
+    monkeypatch.setitem(verify.GRAPH_THEOREMS, FALSE_ID, theorem)
+
+
+def test_negative_control_is_caught(false_statement, capsys):
+    found = set()
+    for n in range(1, 6):
+        res = sweeps.exhaustive_failures(FALSE_ID, n, jobs=1)
+        got = sorted(graph_to_mask(graph6_decode(rep.instance)) for rep in res.failures)
+        want = sorted(
+            graph_to_mask(g)
+            for g in enumerate_graphs(EnumerationFilter(n, min_degree_at_least=1))
+            if exact.graph_count_lt(g, 1) > matching_number(g) - 1
+        )
+        assert got == want
+        assert res.escalated == len(want)
+        found.update((n, mask) for mask in got)
+        for rep in res.failures:
+            capsys.readouterr()
+            assert main(["count", "--graph6", rep.instance, "--interval", "[0,1)"]) == 0
+            count = int(capsys.readouterr().out)
+            assert count == rep.witness["m01"] > rep.witness["nu"] - 1
+    assert (2, 1) in found  # K2
+    assert (5, graph_to_mask(cycle_graph(5))) in found
+
+
+ROUTE_SAMPLE = 200
+
+
+def _tables(n):
+    """Every labeled graph for n <= 5, else ROUTE_SAMPLE seeded ones, from both sources."""
+    data = sweeps.sweep_data(n)
+    if n <= 5:
+        masks = np.arange(data.count, dtype=np.int64)
+    else:
+        masks = np.sort(np.random.default_rng(n).choice(data.count, ROUTE_SAMPLE, replace=False))
+    return sweeps.SweepTable(data, masks), verify.GraphTable(n, [graph_from_mask(n, int(m)) for m in masks])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_sweep_and_graph_routes_agree(n, false_statement):
+    by_masks, by_graphs = _tables(n)
+    for tid, theorem in verify.GRAPH_THEOREMS.items():
+        a, b = theorem.predicate(by_masks), theorem.predicate(by_graphs)
+        assert np.array_equal(a.applicable, b.applicable), tid
+        if tid == "longest-path":  # the mask route reads the bound n-1 for the longest path
+            assert not (a.passed & ~b.passed).any(), tid
+        else:
+            assert np.array_equal(a.passed, b.passed), tid
+
+
+def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma", "kc5")):
+    for name in names:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    if "conn" in names:
+        assert np.array_equal(a.diam[a.conn], b.diam[b.conn])
+    assert np.abs(a.vals - b.vals).max(initial=0.0) < 1e-9
+    for t in range(0, 2 * a.n - 1):
+        assert np.array_equal(a.lt(t), b.lt(t)), t
+        assert np.array_equal(a.le(t), b.le(t)), t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_table_sources_agree_on_columns(n):
+    """The columns and sub-tables every predicate reads, from the sweep
+    kernels and from the per-graph kernels (ell excepted: the sweep reads n-1)."""
+    by_masks, by_graphs = _tables(n)
+    _same_columns(by_masks, by_graphs)
+    for k in range(n * (n - 1) // 2):
+        (rows_m, sub_m), (rows_g, sub_g) = by_masks.without_edge(k), by_graphs.without_edge(k)
+        assert np.array_equal(rows_m, rows_g), k
+        _same_columns(sub_m, sub_g, names=())
+    for v in range(n) if n >= 2 else ():
+        sub_m, sub_g = by_masks.without_vertex(v), by_graphs.without_vertex(v)
+        assert np.abs(sub_m.vals - sub_g.vals).max(initial=0.0) < 1e-9, v

@@ -299,12 +299,12 @@ def test_sweep_agreement_small():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_edge_deletion_count_consequence(n):
-    assert sweeps.edge_deletion_count_violations(n, jobs=2) == []
+    assert sweeps.edge_deletion_count_violations(n) == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_intro_bounds(n):
-    assert sweeps.intro_bound_failures(n, jobs=2) == []
+    assert sweeps.intro_bound_failures(n) == []
 
 
 def test_jobs_env_override(monkeypatch):
