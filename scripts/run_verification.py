@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Full verification campaign: every theorem, exhaustive n <= LIMIT plus all
-family grids, with JSONL and CSV reports.
+"""Full verification campaign: the steps of ``qdist verify --theorem all``
+(every per-graph sweep for n <= LIMIT, then every family grid), each timed,
+with JSONL and CSV reports.
 
 Usage:
     python scripts/run_verification.py [--exhaustive 7] [--family-max 12]
                                        [--jobs N] [--out report]
 
 Writes <out>.jsonl (one report line per failure; empty file means clean) and
-<out>.csv (per-sweep summary). Exit code 1 if any failure was found.
+<out>.csv (per step: theorem, the summary line qdist verify prints, failure
+count, seconds). Exit code 1 if any failure was found.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qdist import sweeps, verify  # noqa: E402
+from qdist import cli, sweeps  # noqa: E402
 
 
 def main() -> int:
@@ -31,43 +33,28 @@ def main() -> int:
     ap.add_argument("--out", default="verification_report")
     args = ap.parse_args()
     jobs = args.jobs or sweeps.default_jobs()
+    steps = cli.verify_steps("all", args.exhaustive, args.family_max, jobs)
     print(f"# run_verification --exhaustive {args.exhaustive} --family-max {args.family_max} --jobs {jobs}")
 
     rows = []
     failures = []
-    for tid in verify.GRAPH_THEOREMS:
-        for n in range(2, args.exhaustive + 1):
-            t0 = time.perf_counter()
-            res = sweeps.exhaustive_failures(tid, n, jobs=jobs)
-            dt = time.perf_counter() - t0
-            rows.append(
-                dict(theorem=tid, scope=f"exhaustive n={n}", instances=res.applicable,
-                     failures=len(res.failures), seconds=round(dt, 2))
-            )
-            failures.extend(res.failures)
-            print(f"  {res.summary()} ({dt:.1f}s)")
-    for tid in verify.FAMILY_THEOREM_IDS:
-        t0 = time.perf_counter()
-        reports = verify.family_grid_reports(tid, 3 if tid == "cycle-matching" else 7, args.family_max)
-        bad = [r for r in reports if r.applicable and not r.passed]
+    t0 = time.perf_counter()
+    for tid, line, bad in steps:
         dt = time.perf_counter() - t0
-        rows.append(
-            dict(theorem=tid, scope=f"grid n<={args.family_max}", instances=len(reports),
-                 failures=len(bad), seconds=round(dt, 2))
-        )
+        rows.append(dict(theorem=tid, summary=line, failures=len(bad), seconds=round(dt, 2)))
         failures.extend(bad)
-        print(f"  {tid} grid: {len(reports)} instances, {len(bad)} failures ({dt:.1f}s)")
+        print(f"  {line} ({dt:.1f}s)")
+        t0 = time.perf_counter()
 
     with open(f"{args.out}.jsonl", "w") as fh:
         for rep in failures:
             fh.write(rep.to_json_line() + "\n")
     with open(f"{args.out}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["theorem", "scope", "instances", "failures", "seconds"])
+        writer = csv.DictWriter(fh, fieldnames=["theorem", "summary", "failures", "seconds"])
         writer.writeheader()
         writer.writerows(rows)
-    total_bad = len(failures)
-    print(f"# total failures: {total_bad}; reports in {args.out}.jsonl / {args.out}.csv")
-    return 1 if total_bad else 0
+    print(f"# total failures: {len(failures)}; reports in {args.out}.jsonl / {args.out}.csv")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import exact, jacobi, spectral, sweeps, verify
 from .graph6 import graph6_decode, graph6_encode
@@ -147,25 +148,41 @@ def _theorem_list(name: str) -> list[str]:
     return [verify.canonical_theorem_id(name)]
 
 
+def verify_steps(
+    theorem: str, exhaustive: int, family_max: int, jobs: int
+) -> Iterator[tuple[str, str, list[verify.TheoremReport]]]:
+    """The steps of a verify run, each computed when it is asked for: every
+    exhaustive sweep for n = 1..exhaustive and every family grid, as its
+    theorem id, its summary line and its failures. The arguments are checked
+    before any step runs."""
+    if not 0 <= exhaustive <= verify.EXHAUSTIVE_LIMIT:
+        raise ValueError(f"--exhaustive must lie in 0..{verify.EXHAUSTIVE_LIMIT}, got {exhaustive}")
+    theorem_ids = _theorem_list(theorem)
+
+    def steps():
+        for tid in theorem_ids:
+            if tid in verify.GRAPH_THEOREMS:
+                for n in range(1, exhaustive + 1):
+                    result = sweeps.exhaustive_failures(tid, n, jobs=jobs)
+                    yield tid, result.summary(), result.failures
+            else:
+                reports = verify.family_grid_reports(tid, 7, family_max)
+                bad = [r for r in reports if r.applicable and not r.passed]
+                yield tid, f"{tid} grid n<={family_max}: {len(reports)} instances, {len(bad)} failures", bad
+
+    return steps()
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 0 <= args.exhaustive <= verify.EXHAUSTIVE_LIMIT:
-        raise ValueError(f"--exhaustive must lie in 0..{verify.EXHAUSTIVE_LIMIT}, got {args.exhaustive}")
     jobs = args.jobs or sweeps.default_jobs()
+    steps = verify_steps(args.theorem, args.exhaustive, args.family_max, jobs)
     print(f"# qdist verify --theorem {args.theorem} --exhaustive {args.exhaustive} "
           f"--family-max {args.family_max} --jobs {jobs}", file=sys.stderr)
     failures: list[verify.TheoremReport] = []
     lines: list[str] = []
-    for tid in _theorem_list(args.theorem):
-        if tid in verify.GRAPH_THEOREMS:
-            for n in range(1, args.exhaustive + 1):
-                result = sweeps.exhaustive_failures(tid, n, jobs=jobs)
-                lines.append(result.summary())
-                failures.extend(result.failures)
-        else:
-            reports = verify.family_grid_reports(tid, 7, args.family_max)
-            bad = [r for r in reports if r.applicable and not r.passed]
-            lines.append(f"{tid} grid n<={args.family_max}: {len(reports)} instances, {len(bad)} failures")
-            failures.extend(bad)
+    for _, line, bad in steps:
+        lines.append(line)
+        failures.extend(bad)
     if args.output == "csv":
         print("theorem,instance,passed")
         for rep in failures:
@@ -235,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, help="theorem id or 'all'")
     p.add_argument("--exhaustive", type=int, default=6, help="max n for exhaustive sweeps")
     p.add_argument("--family-max", type=int, default=12, help="max n for family grids")
-    p.add_argument("--jobs", type=int, help="worker processes (default: QDIST_JOBS or cpu count)")
+    p.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
     p.add_argument("--output", choices=["text", "jsonl", "csv"], default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -7,6 +7,9 @@ changes nothing). That turns "how many eigenvalues of Q(G) lie below the
 rational threshold x" into an exact integer computation, which is the
 authoritative counter everywhere the theorems compare counts against
 integer thresholds.
+
+graph_shift_rows is the one per-graph builder of Q(G) and L(G): every
+other per-graph form of either matrix (rational, float) converts its rows.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows!r})"
-
-    def as_float_array(self):
-        import numpy as np
-
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
     def to_json(self) -> str:
         import json
@@ -351,28 +349,18 @@ def is_equitable(g: Graph, partition: Partition) -> bool:
     return True
 
 
-# -- fast paths for graph eigenvalue counting --------------------------------
+# -- graph matrices and their eigenvalue counts -------------------------------
 
 
-def q_shift_rows(g: Graph, num: int, den: int) -> list[list[int]]:
-    """Integer rows of den*Q(G) - num*I."""
-    n = g.n
+def graph_shift_rows(g: Graph, matrix: str = "Q", num: int = 0, den: int = 1) -> list[list[int]]:
+    """Integer rows of den*M(G) - num*I, with M(G) the signless Laplacian
+    Q(G) = D + A or the Laplacian L(G) = D - A."""
+    if matrix not in ("Q", "L"):
+        raise ValueError(f"matrix must be 'Q' or 'L', got {matrix!r}")
+    off = den if matrix == "Q" else -den
     rows = []
-    for u in range(n):
-        adj = g.adj[u]
-        row = [den if adj >> v & 1 else 0 for v in range(n)]
-        row[u] = den * adj.bit_count() - num
-        rows.append(row)
-    return rows
-
-
-def l_shift_rows(g: Graph, num: int, den: int) -> list[list[int]]:
-    """Integer rows of den*L(G) - num*I."""
-    n = g.n
-    rows = []
-    for u in range(n):
-        adj = g.adj[u]
-        row = [-den if adj >> v & 1 else 0 for v in range(n)]
+    for u, adj in enumerate(g.adj):
+        row = [off if adj >> v & 1 else 0 for v in range(g.n)]
         row[u] = den * adj.bit_count() - num
         rows.append(row)
     return rows
@@ -381,13 +369,11 @@ def l_shift_rows(g: Graph, num: int, den: int) -> list[list[int]]:
 def graph_count_lt(g: Graph, x: Fraction | int, matrix: str = "Q") -> int:
     """Exact count of eigenvalues of Q(G) (or L(G)) strictly below x."""
     x = Fraction(x)
-    rows = (q_shift_rows if matrix == "Q" else l_shift_rows)(g, x.numerator, x.denominator)
-    neg, _, _ = _inertia_int(rows)
+    neg, _, _ = _inertia_int(graph_shift_rows(g, matrix, x.numerator, x.denominator))
     return neg
 
 
 def graph_count_le(g: Graph, x: Fraction | int, matrix: str = "Q") -> int:
     x = Fraction(x)
-    rows = (q_shift_rows if matrix == "Q" else l_shift_rows)(g, x.numerator, x.denominator)
-    neg, zero, _ = _inertia_int(rows)
+    neg, zero, _ = _inertia_int(graph_shift_rows(g, matrix, x.numerator, x.denominator))
     return neg + zero

@@ -52,9 +52,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
 
-    def neighbors(self, u: int) -> list[int]:
-        return list(_bits(self.adj[u]))
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):

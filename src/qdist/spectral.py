@@ -1,5 +1,6 @@
-"""Signless Laplacian and Laplacian builders, interval eigenvalue counting,
-and closed-form spectra for the special families, kept symbolic where exact.
+"""Signless Laplacian and Laplacian matrices (rational and float64
+conversions of exact.graph_shift_rows), interval eigenvalue counting, and
+closed-form spectra for the special families, kept symbolic where exact.
 
 Interval counts go through the exact congruence counter, never through
 floats: the statements under test compare counts at integer or rational
@@ -8,12 +9,13 @@ thresholds where eigenvalues can land exactly.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, isqrt, pi, sqrt
 from typing import Sequence
+
+import numpy as np
 
 from . import exact
 from .exact import RationalMatrix, char_poly, poly_eval
@@ -142,47 +144,17 @@ def parse_interval(text: str) -> SymbolicInterval:
 
 def signless_laplacian(g: Graph) -> RationalMatrix:
     """Q(G): degree diagonal plus adjacency."""
-    rows = []
-    for u in range(g.n):
-        adj = g.adj[u]
-        row = [1 if adj >> v & 1 else 0 for v in range(g.n)]
-        row[u] = adj.bit_count()
-        rows.append(row)
-    return RationalMatrix(rows)
+    return RationalMatrix(exact.graph_shift_rows(g, "Q"))
 
 
 def laplacian(g: Graph) -> RationalMatrix:
     """L(G): degree diagonal minus adjacency; row sums are zero."""
-    rows = []
-    for u in range(g.n):
-        adj = g.adj[u]
-        row = [-1 if adj >> v & 1 else 0 for v in range(g.n)]
-        row[u] = adj.bit_count()
-        rows.append(row)
-    return RationalMatrix(rows)
+    return RationalMatrix(exact.graph_shift_rows(g, "L"))
 
 
-def q_float(g: Graph):
-    import numpy as np
-
-    n = g.n
-    a = np.zeros((n, n))
-    for u in range(n):
-        adj = g.adj[u]
-        for v in range(n):
-            if adj >> v & 1:
-                a[u, v] = 1.0
-        a[u, u] = adj.bit_count()
-    return a
-
-
-def l_float(g: Graph):
-    import numpy as np
-
-    a = -q_float(g)
-    for u in range(g.n):
-        a[u, u] = -a[u, u]
-    return a
+def q_float(g: Graph) -> np.ndarray:
+    """Q(G) as a float64 array."""
+    return np.array(exact.graph_shift_rows(g), dtype=np.float64).reshape(g.n, g.n)
 
 
 def m_count(g: Graph, iv: Interval, matrix: str = "Q") -> int:
@@ -449,10 +421,7 @@ def path_q1_below_four(n: int) -> bool:
 
 def spectrum_report(g: Graph, matrix: str = "Q", thresholds: Sequence[Fraction | int] = ()) -> dict:
     """JSON-able report: graph6, eigenvalues, and exact counts below thresholds."""
-    if matrix not in ("Q", "L"):
-        raise ValueError(f"matrix must be 'Q' or 'L', got {matrix!r}")
-    mat = q_float(g) if matrix == "Q" else l_float(g)
-    spec = eigenvalues_sym(mat)
+    spec = eigenvalues_sym(np.array(exact.graph_shift_rows(g, matrix), dtype=np.float64).reshape(g.n, g.n))
     counts = {str(Fraction(t)): exact.graph_count_lt(g, Fraction(t), matrix) for t in thresholds}
     return {
         "graph": graph6_encode(g),
@@ -460,7 +429,3 @@ def spectrum_report(g: Graph, matrix: str = "Q", thresholds: Sequence[Fraction |
         "eigenvalues": list(spec.values),
         "exact_counts": counts,
     }
-
-
-def spectrum_report_json(g: Graph, matrix: str = "Q", thresholds: Sequence[Fraction | int] = ()) -> str:
-    return json.dumps(spectrum_report(g, matrix, thresholds))

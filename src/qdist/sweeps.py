@@ -50,9 +50,6 @@ ESCALATE_CHUNK = 2048
 
 
 def default_jobs() -> int:
-    env = os.environ.get("QDIST_JOBS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -368,8 +365,9 @@ class SweepTable:
     (the table contract is in verify). The row of a labeled graph is its
     edge mask, so G-e is the row mask ^ (1 << k) and G-v a row of
     sweep_data(n-1). Counts come from counts_pair. ell is the upper bound
-    n-1: only longest-path reads it, and that predicate is monotone in ell,
-    so every row it passes here passes with the true longest path too."""
+    min(n-1, 2 nu) (every other edge of a path is a matching): only
+    longest-path reads it, and that predicate is monotone in ell, so every
+    row it passes here passes with the true longest path too."""
 
     def __init__(self, data: SweepData, masks: np.ndarray):
         self.data, self.masks, self.n, self.count = data, masks, data.n, masks.size
@@ -378,7 +376,7 @@ class SweepTable:
     maxdeg = cached_property(lambda self: self.data.degs[self.masks].max(axis=1).astype(np.int16))
     # for n <= 7 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
     kc5 = cached_property(lambda self: (self.n == 5) & (self.data.degs[self.masks] == 2).all(axis=1) & self.conn)
-    ell = cached_property(lambda self: np.full((self.count,), self.n - 1, dtype=np.int16))
+    ell = cached_property(lambda self: np.minimum(self.n - 1, 2 * self.nu).astype(np.int16))
     conn = cached_property(lambda self: self.data.conn[self.masks])
     diam = cached_property(lambda self: self.data.diam[self.masks])
     nu = cached_property(lambda self: self.data.nu[self.masks])
@@ -503,7 +501,7 @@ def _exact_counts_chunk(args: tuple[int, Sequence[int], int, int]) -> np.ndarray
     n, masks, num, den = args
     out = np.zeros((len(masks), 2), dtype=np.int16)
     for i, mask in enumerate(masks):
-        neg, zero, _ = exact._inertia_int(exact.q_shift_rows(graph_from_mask(n, int(mask)), num, den))
+        neg, zero, _ = exact._inertia_int(exact.graph_shift_rows(graph_from_mask(n, int(mask)), "Q", num, den))
         out[i] = neg, neg + zero
     return out
 
@@ -553,29 +551,12 @@ def eig_inertia_agreement(n: int, thresholds: Iterable | None = None, jobs: int 
 # -- auxiliary exhaustive properties ---------------------------------------------------
 
 
-def _whole_table(n: int) -> SweepTable:
-    data = sweep_data(n)
-    return SweepTable(data, np.arange(data.count, dtype=np.int64))
-
-
-def edge_deletion_count_violations(n: int, thresholds: Sequence[int] = (1, 2, 3)) -> list[tuple[int, int, int]]:
-    """Exact check of count(G-e, x) >= count(G, x) - 1 over all graphs and
-    edges; returns failing (mask, edge bit, threshold) triples."""
-    tab = _whole_table(n)
-    bad: list[tuple[int, int, int]] = []
-    for t in thresholds:
-        lt = tab.lt(t)
-        for k in range(n * (n - 1) // 2):
-            rows, sub = tab.without_edge(k)
-            bad.extend((int(m), k, t) for m in rows[sub.lt(t) < lt[rows] - 1])
-    return bad
-
-
 def intro_bound_failures(n: int) -> list[tuple[int, str]]:
     """The two opening bounds: at most one eigenvalue above n-2; and for
     non-complete graphs at least two eigenvalues at or above the minimum
     degree."""
-    tab = _whole_table(n)
+    data = sweep_data(n)
+    tab = SweepTable(data, np.arange(data.count, dtype=np.int64))
     if n < 2:
         return []
     failures = [(int(mask), "q2<=n-2") for mask in np.flatnonzero(n - tab.le(n - 2) > 1)]

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from qdist.cli import main
 from qdist.graph6 import graph6_decode, graph6_encode
 from qdist.graphs import cycle_graph, gndt
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+REPO = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO / "docs" / "schemas"
 
 
 def load_schema(name):
@@ -92,6 +94,29 @@ def test_verify_exit_zero(capsys):
 
 def test_verify_family_theorem(capsys):
     assert main(["verify", "--theorem", "diameter-3-equality", "--family-max", "9"]) == 0
+
+
+def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
+    """scripts/run_verification.py runs the steps qdist verify prints, one CSV row each."""
+    out = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_verification.py"),
+         "--exhaustive", "4", "--family-max", "8", "--jobs", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    capsys.readouterr()
+    assert main(["verify", "--theorem", "all", "--exhaustive", "4", "--family-max", "8", "--jobs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(f"{out}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["summary"] for row in rows] == lines
+    assert len(lines) == 4 * len(verify.GRAPH_THEOREMS) + len(verify.FAMILY_THEOREM_IDS)
+    for row in rows:
+        assert row["summary"].startswith(row["theorem"] + " ") and row["failures"] == "0"
+        assert float(row["seconds"]) >= 0
+    assert Path(f"{out}.jsonl").read_text() == ""
 
 
 def test_search_cli(capsys):

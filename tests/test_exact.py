@@ -16,6 +16,7 @@ from qdist.exact import (
     count_le,
     count_lt,
     det,
+    graph_shift_rows,
     inertia,
     is_equitable,
     poly_eval,
@@ -81,6 +82,14 @@ def test_count_examples():
     assert count_lt(q, Fraction(1, 2)) == 0
     # eigenvalue n-2 = 3 has multiplicity n-2 = 3
     assert count_le(q, 3) - count_lt(q, 3) == 3
+
+
+def test_graph_shift_rows():
+    # den*M(G) - num*I for the path 0-1-2, at the threshold 1/2
+    assert graph_shift_rows(path_graph(3), "Q", 1, 2) == [[1, 2, 0], [2, 3, 2], [0, 2, 1]]
+    assert graph_shift_rows(path_graph(3), "L", 1, 2) == [[1, -2, 0], [-2, 3, -2], [0, -2, 1]]
+    with pytest.raises(ValueError, match="'Q' or 'L'"):
+        graph_shift_rows(path_graph(3), "A")
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))

@@ -30,7 +30,6 @@ from qdist.spectral import (
     interval,
     k2_bipartite_spectrum,
     kn_minus_e_spectrum,
-    l_float,
     laplacian,
     m_count,
     parse_interval,
@@ -76,6 +75,10 @@ def test_trace_is_twice_edges(g):
     assert sum(q.entry(i, i) for i in range(g.n)) == 2 * g.edge_count()
     for u in range(g.n):
         assert sum(q.rows[u]) == 2 * g.degree(u)
+
+
+def l_float(g):
+    return np.array(exact.graph_shift_rows(g, "L"), dtype=float)
 
 
 def test_bipartite_q_and_l_spectra_coincide():

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from qdist import exact, sweeps
-from qdist.graphs import complete_graph
+from qdist.graphs import complete_graph, is_connected
+from qdist.invariants import diameter, domination_number, independence_number, matching_number
 from qdist.spectral import q_float
 from qdist.verify import graph_from_mask
 
 
 def _bareiss(n, mask, t):
     t = Fraction(t)
-    neg, zero, _ = exact._inertia_int(exact.q_shift_rows(graph_from_mask(n, mask), t.numerator, t.denominator))
+    neg, zero, _ = exact._inertia_int(exact.graph_shift_rows(graph_from_mask(n, mask), "Q", t.numerator, t.denominator))
     return neg, neg + zero
 
 
@@ -100,3 +101,19 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
         lt, le = sweeps.counts_pair(data, t)
         assert lt.dtype == le.dtype == np.int16
         assert data.counts[Fraction(t)][0] is lt
+
+
+def test_table_invariants_match_per_graph_kernels():
+    """On every labeled graph with n <= 6: the subset-scan matching,
+    independence and domination numbers and the vectorized connectivity and
+    diameter of sweep_data against blossom, branch-and-bound and BFS."""
+    for n in range(1, 7):
+        data = sweeps.sweep_data(n)
+        graphs = [graph_from_mask(n, m) for m in range(data.count)]
+        for name, kernel in [("nu", matching_number), ("alpha", independence_number), ("gamma", domination_number)]:
+            want = np.array([kernel(g) for g in graphs])
+            assert np.array_equal(getattr(data, name), want), (n, name, np.flatnonzero(getattr(data, name) != want)[:5])
+        conn = np.array([is_connected(g) for g in graphs])
+        assert np.array_equal(data.conn, conn), (n, np.flatnonzero(data.conn != conn)[:5])
+        diam = np.array([diameter(g) if c else 0 for g, c in zip(graphs, conn)])
+        assert np.array_equal(data.diam[conn], diam[conn]), n

@@ -268,7 +268,8 @@ def test_search_rejects_unsampled_order_before_checking(monkeypatch):
         raise AssertionError("a checker ran before the range check")
 
     for tid, theorem in verify.GRAPH_THEOREMS.items():
-        monkeypatch.setitem(verify.GRAPH_THEOREMS, tid, verify.GraphTheorem(tid, called, theorem.description))
+        replaced = verify.GraphTheorem(tid, called, theorem.description, theorem.predicate)
+        monkeypatch.setitem(verify.GRAPH_THEOREMS, tid, replaced)
     monkeypatch.setattr(sweeps, "exhaustive_failures", called)
     with pytest.raises(GraphError, match="got 17"):
         search_counterexamples("delta2", (8, 17), budget=1)
@@ -297,18 +298,7 @@ def test_sweep_agreement_small():
     assert res.checked == 64 * 3  # thresholds {0,1,2} after dedup at n=4
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_edge_deletion_count_consequence(n):
-    assert sweeps.edge_deletion_count_violations(n) == []
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_intro_bounds(n):
     assert sweeps.intro_bound_failures(n) == []
 
-
-def test_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("QDIST_JOBS", "3")
-    assert sweeps.default_jobs() == 3
-    monkeypatch.delenv("QDIST_JOBS")
-    assert sweeps.default_jobs() >= 1
