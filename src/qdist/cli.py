@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Iterator
 
 from . import exact, jacobi, spectral, sweeps, verify
@@ -92,7 +91,7 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    thresholds = [Fraction(t) for t in args.threshold or []]
+    thresholds = [spectral.parse_rational(t) for t in args.threshold or []]
     for g in _input_graphs(args):
         rep = spectral.spectrum_report(g, args.matrix, thresholds)
         if args.format == "json":

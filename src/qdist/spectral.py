@@ -95,19 +95,28 @@ class SymbolicBound:
         return f"{cn}{sign}{abs(self.const)}"
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational literal such as "3" or "-7/2". A zero denominator raises
+    IntervalError, a usage error, and not ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise IntervalError(f"zero denominator in {text!r}") from None
+
+
 def _parse_bound(text: str) -> SymbolicBound:
     m = _BOUND_RE.match(text)
     if not m:
         raise IntervalError(f"cannot parse interval endpoint {text!r}")
     if m.group("const") is not None:
-        return SymbolicBound(Fraction(0), Fraction(m.group("const")))
+        return SymbolicBound(Fraction(0), parse_rational(m.group("const")))
     coef = m.group("coef")
     if coef in ("", "+"):
         coef = "1"
     elif coef == "-":
         coef = "-1"
     rest = (m.group("rest") or "0").replace(" ", "")
-    return SymbolicBound(Fraction(coef), Fraction(rest))
+    return SymbolicBound(parse_rational(coef), parse_rational(rest))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
-"""Exhaustive labeled-graph sweeps at desk scale (n <= 7), vectorized.
+"""Exhaustive sweeps at desk scale (n <= 7), one isomorphism class at a time.
 
-One pass over every labeled graph on n vertices, CHUNK matrices at a time,
-builds Q(G) once and takes from it two things: the floating spectra
+Every statement the sweeps check is invariant under relabeling, so the
+tables hold one row per isomorphism class, not per labeled graph. The class
+map (``class_map``) assigns every labeled edge mask on n vertices the id of
+its class by orbit enumeration: the least mask with no class yet is the
+next representative, and its images under all n! vertex permutations are
+its orbit. SweepData carries the map (``class_of``), the representatives
+and the orbit sizes, and computes every column for the representatives
+only: from Q(G), built once per representative, the floating spectra
 (stacked LAPACK ``eigh`` calls, ``jacobi.jacobi_batch``, each with a
 certified eigenvalue error bound) and the integer coefficients of the
 characteristic polynomial det(xI - Q) (batched Faddeev-LeVerrier in
@@ -13,19 +19,22 @@ multiplicity of t is the order of its zero there. Every eigenvalue count in
 the sweeps comes from this one exact kernel. The spectra feed the
 interlacing-chain statements, which compare eigenvalues and not counts.
 Invariants that admit a subset formulation (matching, independence,
-domination) are evaluated exactly for all graphs at once by scanning the
-2^n vertex subsets.
+domination) are evaluated exactly for all representatives at once by
+scanning the 2^n vertex subsets.
 
 SweepTable presents these tables to the statement predicates of verify,
-the same predicates the point checkers evaluate on one graph.
-exhaustive_failures evaluates a predicate on every graph of an order at
-once and hands each row that does not pass to the point checker, so a
-reported failure never rests on the vectorized route alone.
+the same predicates the point checkers evaluate on one graph. Its rows are
+labeled masks, read through the class map, so an edited mask (G-e, G-v)
+is looked up like any other. exhaustive_failures evaluates a predicate once
+per class and hands every labeled member of a class that does not pass to
+the point checker, so a reported failure never rests on the vectorized
+route alone, and totals and failures stay per labeled graph.
 
-Count tables are cached per (order, threshold) and shared across theorems
-and with the agreement gate, which compares them against the floats and,
-wherever an eigenvalue lies in the 1e-6 guard band (and on a seeded sample
-elsewhere), against exact congruence inertia over a process pool.
+Count tables are cached per (order, threshold) as labeled arrays and shared
+across theorems and with the agreement gate, which compares each class's
+counts with its float spectrum wherever every eigenvalue clears the
+threshold by its certified bound, and with exact congruence inertia at
+every (class, threshold) pair.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations
 from math import comb
 from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
@@ -45,7 +55,6 @@ from .jacobi import GUARD_BAND, jacobi_batch
 from .verify import TheoremReport, graph_from_mask, mask_pairs
 
 CHUNK = 1 << 12
-TABLE_CHUNK = 1 << 16  # rows per predicate evaluation, which bounds its temporaries
 ESCALATE_CHUNK = 2048
 
 
@@ -53,29 +62,71 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-# -- per-order sweep tables -------------------------------------------------------
+# -- per-order class tables -------------------------------------------------------
 
 
 @dataclass
 class SweepData:
+    """Columns over the isomorphism classes of graphs on n vertices (C of
+    them), and the map from every labeled edge mask to its class."""
+
     n: int
-    rows: np.ndarray  # (N, n) uint8 adjacency bitmasks
-    vals: np.ndarray  # (N, n) float64, nonincreasing rows
-    poly: np.ndarray  # (N, n+1) int32, coefficients c_0..c_n of det(xI - Q), ascending
-    degs: np.ndarray  # (N, n) uint8
-    conn: np.ndarray  # (N,) bool
-    diam: np.ndarray  # (N,) int16; only meaningful where conn
-    nu: np.ndarray  # (N,) int16, exact matching number
-    alpha: np.ndarray  # (N,) int16, exact independence number
-    gamma: np.ndarray  # (N,) int16, exact domination number
+    class_of: np.ndarray  # (2^C(n,2),) int32, the class id of every labeled mask
+    reps: np.ndarray  # (C,) int64, the least mask of each class, ascending
+    orbit: np.ndarray  # (C,) int64, labeled graphs in each class
+    vals: np.ndarray  # (C, n) float64, nonincreasing rows
+    bound: np.ndarray  # (C,) float64, certified bound on every error of the row of vals
+    poly: np.ndarray  # (C, n+1) int32, coefficients c_0..c_n of det(xI - Q), ascending
+    degs: np.ndarray  # (C, n) uint8
+    conn: np.ndarray  # (C,) bool
+    diam: np.ndarray  # (C,) int16; only meaningful where conn
+    nu: np.ndarray  # (C,) int16, exact matching number
+    alpha: np.ndarray  # (C,) int16, exact independence number
+    gamma: np.ndarray  # (C,) int16, exact domination number
+    # threshold -> (count below, count at most), (2^C(n,2),) int16 each, per labeled mask
     counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
-        return self.vals.shape[0]
+        """Labeled graphs on n vertices, 2^C(n,2)."""
+        return self.class_of.size
 
 
 _DATA: dict[int, SweepData] = {}
+
+
+def class_map(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(class_of, reps, orbit) of the labeled graphs on n vertices.
+
+    image[p, k] is the edge bit that vertex permutation p sends edge bit k
+    to, so the images of a mask are one OR per edge over a column of image.
+    The least mask without a class is the least of its orbit, so it is the
+    next representative; its orbit is the set of its n! images, and every
+    mask in the orbit gets its class id.
+    """
+    pairs = mask_pairs(n)
+    index = {pq: k for k, pq in enumerate(pairs)}
+    image = np.array(
+        [[1 << index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in pairs] for p in permutations(range(n))],
+        dtype=np.int64,
+    )
+    class_of = np.full(1 << len(pairs), -1, dtype=np.int32)
+    reps: list[int] = []
+    orbit: list[int] = []
+    lo = 0
+    while lo < class_of.size:
+        free = np.flatnonzero(class_of[lo : lo + CHUNK] < 0)
+        if not free.size:
+            lo += CHUNK
+            continue
+        rep = lo + int(free[0])
+        bits = [k for k in range(len(pairs)) if rep >> k & 1]
+        images = np.unique(np.bitwise_or.reduce(image[:, bits], axis=1))
+        class_of[images] = len(reps)
+        reps.append(rep)
+        orbit.append(images.size)
+        lo = rep + 1
+    return class_of, np.array(reps, dtype=np.int64), np.array(orbit, dtype=np.int64)
 
 
 def _adjacency_rows(n: int, masks: np.ndarray) -> np.ndarray:
@@ -88,24 +139,29 @@ def _adjacency_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _spectra_for_masks(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra and characteristic-polynomial coefficients of Q(G) for every mask."""
+def q_batch(n: int, masks: np.ndarray) -> np.ndarray:
+    """Q(G) = D + A of the graph of every mask, as a (len(masks), n, n) float64 stack."""
+    Q = np.zeros((masks.size, n, n), dtype=np.float64)
+    for k, (u, v) in enumerate(mask_pairs(n)):
+        bit = ((masks >> k) & 1).astype(np.float64)
+        Q[:, u, v] = bit
+        Q[:, v, u] = bit
+    idx = np.arange(n)
+    Q[:, idx, idx] = Q.sum(axis=2)
+    return Q
+
+
+def _spectra_for_masks(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectra, their certified error bounds and characteristic-polynomial
+    coefficients of Q(G) for every mask."""
     vals = np.empty((masks.size, n), dtype=np.float64)
+    bound = np.empty((masks.size,), dtype=np.float64)
     poly = np.empty((masks.size, n + 1), dtype=np.int32)
-    pairs = mask_pairs(n)
     for lo in range(0, masks.size, CHUNK):
-        hi = min(lo + CHUNK, masks.size)
-        sub = masks[lo:hi]
-        A = np.zeros((sub.size, n, n), dtype=np.float64)
-        for k, (u, v) in enumerate(pairs):
-            bit = ((sub >> k) & 1).astype(np.float64)
-            A[:, u, v] = bit
-            A[:, v, u] = bit
-        idx = np.arange(n)
-        A[:, idx, idx] = A.sum(axis=2)
-        vals[lo:hi], _ = jacobi_batch(A)
-        poly[lo:hi] = char_poly_batch(A)
-    return vals, poly
+        Q = q_batch(n, masks[lo : lo + CHUNK])
+        vals[lo : lo + CHUNK], bound[lo : lo + CHUNK] = jacobi_batch(Q)
+        poly[lo : lo + CHUNK] = char_poly_batch(Q)
+    return vals, bound, poly
 
 
 def _connectivity_and_diameter(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,14 +268,13 @@ def _vector_nu(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def sweep_data(n: int) -> SweepData:
-    """Cached tables over all 2^C(n,2) labeled graphs on n vertices."""
+    """Cached class tables of the graphs on n vertices."""
     if n not in _DATA:
         if not 1 <= n <= verify.EXHAUSTIVE_LIMIT:
             raise ValueError(f"sweep tables support 1 <= n <= {verify.EXHAUSTIVE_LIMIT}, got {n}")
-        nbits = n * (n - 1) // 2
-        masks = np.arange(1 << nbits, dtype=np.int64)
-        rows = _adjacency_rows(n, masks)
-        degs = np.zeros((masks.size, n), dtype=np.uint8)
+        class_of, reps, orbit = class_map(n)
+        rows = _adjacency_rows(n, reps)
+        degs = np.zeros((reps.size, n), dtype=np.uint8)
         for u in range(n):
             r = rows[:, u]
             c = np.zeros_like(r)
@@ -227,17 +282,20 @@ def sweep_data(n: int) -> SweepData:
                 c += (r >> v) & 1
             degs[:, u] = c
         conn, diam = _connectivity_and_diameter(n, rows)
-        vals, poly = _spectra_for_masks(n, masks)
+        vals, bound, poly = _spectra_for_masks(n, reps)
         _DATA[n] = SweepData(
             n,
-            rows,
+            class_of,
+            reps,
+            orbit,
             vals,
+            bound,
             poly,
             degs,
             conn,
             diam,
-            _vector_nu(n, masks),
-            _vector_alpha(n, masks),
+            _vector_nu(n, reps),
+            _vector_alpha(n, reps),
             _vector_gamma(n, rows),
         )
     return _DATA[n]
@@ -340,49 +398,57 @@ def descartes_counts(poly: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarra
 
 
 def counts_pair(data: SweepData, threshold) -> tuple[np.ndarray, np.ndarray]:
-    """(count-below, count-at-most) for every mask at the threshold; exact.
+    """(count-below, count-at-most) for every labeled mask at the threshold; exact.
 
-    Both come from the characteristic polynomials by Descartes' rule
+    Both come from the class polynomials by Descartes' rule
     (``descartes_counts``), with no floating comparison and no worker
-    process. Cached in data.counts as int16 arrays.
+    process, and are gathered to the labeled masks through the class map.
+    Cached in data.counts as int16 arrays.
     """
     t = Fraction(threshold)
     if t not in data.counts:
-        data.counts[t] = descartes_counts(data.poly, t)
+        lt, le = descartes_counts(data.poly, t)
+        data.counts[t] = lt[data.class_of], le[data.class_of]
     return data.counts[t]
 
 
 def inband_flags(data: SweepData, threshold) -> np.ndarray:
+    """Per labeled mask: whether an eigenvalue of its class lies within
+    GUARD_BAND of the threshold."""
     tf = float(Fraction(threshold))
-    return ((data.vals > tf - GUARD_BAND) & (data.vals < tf + GUARD_BAND)).any(axis=1)
+    near = ((data.vals > tf - GUARD_BAND) & (data.vals < tf + GUARD_BAND)).any(axis=1)
+    return near[data.class_of]
 
 
 # -- the statements' table over the sweep data ---------------------------------------
 
 
 class SweepTable:
-    """The rows masks of a SweepData as the statement predicates read them
-    (the table contract is in verify). The row of a labeled graph is its
-    edge mask, so G-e is the row mask ^ (1 << k) and G-v a row of
-    sweep_data(n-1). Counts come from counts_pair. ell is the upper bound
-    min(n-1, 2 nu) (every other edge of a path is a matching): only
-    longest-path reads it, and that predicate is monotone in ell, so every
-    row it passes here passes with the true longest path too."""
+    """The labeled masks of a SweepData as the statement predicates read
+    them (the table contract is in verify). Every column is the column of
+    the mask's class, read through data.class_of. The row of a labeled
+    graph is its edge mask, so G-e is the row mask ^ (1 << k) and G-v a
+    row of sweep_data(n-1), each looked up in the class map of its order.
+    Counts come from counts_pair. ell is the upper bound min(n-1, 2 nu)
+    (every other edge of a path is a matching): only longest-path reads it,
+    and that predicate is monotone in ell, so every row it passes here
+    passes with the true longest path too."""
 
     def __init__(self, data: SweepData, masks: np.ndarray):
         self.data, self.masks, self.n, self.count = data, masks, data.n, masks.size
 
-    mindeg = cached_property(lambda self: self.data.degs[self.masks].min(axis=1).astype(np.int16))
-    maxdeg = cached_property(lambda self: self.data.degs[self.masks].max(axis=1).astype(np.int16))
+    cls = cached_property(lambda self: self.data.class_of[self.masks])
+    mindeg = cached_property(lambda self: self.data.degs[self.cls].min(axis=1).astype(np.int16))
+    maxdeg = cached_property(lambda self: self.data.degs[self.cls].max(axis=1).astype(np.int16))
     # for n <= 7 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
-    kc5 = cached_property(lambda self: (self.n == 5) & (self.data.degs[self.masks] == 2).all(axis=1) & self.conn)
+    kc5 = cached_property(lambda self: (self.n == 5) & (self.data.degs[self.cls] == 2).all(axis=1) & self.conn)
     ell = cached_property(lambda self: np.minimum(self.n - 1, 2 * self.nu).astype(np.int16))
-    conn = cached_property(lambda self: self.data.conn[self.masks])
-    diam = cached_property(lambda self: self.data.diam[self.masks])
-    nu = cached_property(lambda self: self.data.nu[self.masks])
-    alpha = cached_property(lambda self: self.data.alpha[self.masks])
-    gamma = cached_property(lambda self: self.data.gamma[self.masks])
-    vals = cached_property(lambda self: self.data.vals[self.masks])
+    conn = cached_property(lambda self: self.data.conn[self.cls])
+    diam = cached_property(lambda self: self.data.diam[self.cls])
+    nu = cached_property(lambda self: self.data.nu[self.cls])
+    alpha = cached_property(lambda self: self.data.alpha[self.cls])
+    gamma = cached_property(lambda self: self.data.gamma[self.cls])
+    vals = cached_property(lambda self: self.data.vals[self.cls])
 
     def _count(self, which: int, t, where: np.ndarray | None) -> np.ndarray:
         on = np.ones((self.count,), dtype=bool) if where is None else where
@@ -455,111 +521,89 @@ class SweepResult:
 
 
 def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> SweepResult:
-    """Evaluate the statement's predicate on every labeled n-vertex graph at
-    once; the point checkers (over the pool) re-verify every row that does
-    not pass, and only their failures are reported."""
+    """Evaluate the statement's predicate once per isomorphism class of
+    n-vertex graphs, on the representatives. The statement is invariant
+    under relabeling, so a class's verdict is that of each of its labeled
+    members: applicable counts the labeled members of the applicable
+    classes, and every labeled member of a class that does not pass goes to
+    the point checkers (over the pool), whose failures alone are reported."""
     tid = verify.canonical_theorem_id(theorem_id)
     if tid not in verify.GRAPH_THEOREMS:
         raise KeyError(f"{theorem_id!r} is not a per-graph theorem")
     jobs = jobs or default_jobs()
     data = sweep_data(n)
-    predicate = verify.GRAPH_THEOREMS[tid].predicate
-    applicable = np.empty((data.count,), dtype=bool)
-    passed = np.empty((data.count,), dtype=bool)
-    for lo in range(0, data.count, TABLE_CHUNK):
-        masks = np.arange(lo, min(lo + TABLE_CHUNK, data.count), dtype=np.int64)
-        verdict = predicate(SweepTable(data, masks))
-        applicable[masks], passed[masks] = verdict.applicable, verdict.passed
-    escalate = np.flatnonzero(applicable & ~passed)
+    verdict = verify.GRAPH_THEOREMS[tid].predicate(SweepTable(data, data.reps))
+    escalate = np.flatnonzero((verdict.applicable & ~verdict.passed)[data.class_of])
     tasks = [(tid, n, [int(m) for m in chunk]) for chunk in _chunked(escalate, ESCALATE_CHUNK)]
     failures: list[TheoremReport] = []
     for part in _pool_map(_run_point_checker, tasks, jobs):
         failures.extend(part)
-    return SweepResult(tid, n, data.count, int(applicable.sum()), int(escalate.size), failures)
+    applicable = int(data.orbit[verdict.applicable].sum())
+    return SweepResult(tid, n, data.count, applicable, int(escalate.size), failures)
 
 
 # -- float-vs-exact agreement (solver oracle) ----------------------------------------
-
-
-AGREEMENT_SAMPLE = 1024  # out-of-band graphs per threshold rechecked by exact inertia
 
 
 @dataclass
 class AgreementResult:
     n: int
     thresholds: list
-    checked: int  # (graph, threshold) pairs: every labeled graph at every threshold
-    inband_pairs: int
-    rechecked: int  # (graph, threshold) pairs recounted by exact inertia
-    # (mask, threshold, route, (lt, le) by that route, (lt, le) of the count table)
+    checked: int  # labeled (graph, threshold) pairs covered: every labeled graph at every threshold
+    inband_pairs: int  # (class, threshold) pairs with an eigenvalue within its certified bound of t
+    rechecked: int  # (class, threshold) pairs recounted by exact inertia: all of them
+    # (representative mask, threshold, route, (lt, le) by that route, (lt, le) of the count table)
     mismatches: list[tuple[int, str, str, tuple[int, int], tuple[int, int]]]
 
 
-def _exact_counts_chunk(args: tuple[int, Sequence[int], int, int]) -> np.ndarray:
-    """(lt, le) counts at num/den by exact congruence inertia for each mask;
-    returns (len, 2) int16."""
-    n, masks, num, den = args
-    out = np.zeros((len(masks), 2), dtype=np.int16)
-    for i, mask in enumerate(masks):
-        neg, zero, _ = exact._inertia_int(exact.graph_shift_rows(graph_from_mask(n, int(mask)), "Q", num, den))
-        out[i] = neg, neg + zero
-    return out
-
-
-def eig_inertia_agreement(n: int, thresholds: Iterable | None = None, jobs: int | None = None) -> AgreementResult:
-    """Check the exact count tables of every labeled n-vertex graph against
-    two independent routes. The float counts must equal them wherever every
-    eigenvalue clears the guard band. Exact congruence inertia (run over the
-    process pool) must equal them wherever an eigenvalue lies inside the
-    band, and on a seeded sample of AGREEMENT_SAMPLE other graphs per
-    threshold. Any disagreement is a mismatch."""
-    jobs = jobs or default_jobs()
+def eig_inertia_agreement(n: int, thresholds: Iterable | None = None) -> AgreementResult:
+    """Check the exact count tables of every isomorphism class of n-vertex
+    graphs against two independent routes, at every integer threshold
+    0..2n-2 unless thresholds are given. Where every eigenvalue of a
+    representative clears t by its own certified bound (and by the rounding
+    of the comparison), its float counts must equal the table's. Exact
+    congruence inertia (Bareiss) must equal them at every (class,
+    threshold) pair. Any disagreement is a mismatch. The class tables cover
+    every labeled graph, so checked counts labeled pairs."""
     data = sweep_data(n)
-    if thresholds is None:
-        thresholds = sorted({Fraction(0), Fraction(1), Fraction(2), Fraction(n - 3), Fraction(n - 2)})
-    ths = [Fraction(t) for t in thresholds]
-    rng = np.random.default_rng(n)
+    ths = [Fraction(t) for t in (range(2 * n - 1) if thresholds is None else thresholds)]
+    graphs = [graph_from_mask(n, int(mask)) for mask in data.reps]
     mismatches = []
     inband_total = 0
-    tasks, picks = [], []
     for t in ths:
-        lt, le = counts_pair(data, t)
+        lt, le = (c[data.reps] for c in counts_pair(data, t))
         tf = float(t)
-        flt = (data.vals < tf - GUARD_BAND).sum(axis=1)
-        fle = (data.vals < tf + GUARD_BAND).sum(axis=1)
-        inband = inband_flags(data, t)
-        inband_total += int(inband.sum())
-        for mask in np.flatnonzero(~inband & ((flt != lt) | (fle != le))):
+        margin = data.bound[:, None] + 4 * np.finfo(float).eps * (abs(tf) + np.abs(data.vals))
+        clear = (np.abs(data.vals - tf) > margin).all(axis=1)
+        inband_total += int((~clear).sum())
+        below = (data.vals < tf).sum(axis=1)
+        for i in np.flatnonzero(clear & ((below != lt) | (below != le))):
             mismatches.append(
-                (int(mask), str(t), "float", (int(flt[mask]), int(fle[mask])), (int(lt[mask]), int(le[mask])))
+                (int(data.reps[i]), str(t), "float", (int(below[i]), int(below[i])), (int(lt[i]), int(le[i])))
             )
-        sample = rng.permutation(np.flatnonzero(~inband))[:AGREEMENT_SAMPLE]
-        for chunk in _chunked(np.concatenate([np.flatnonzero(inband), sample]), CHUNK):
-            tasks.append((n, [int(m) for m in chunk], t.numerator, t.denominator))
-            picks.append((t, chunk))
-    for (t, chunk), got in zip(picks, _pool_map(_exact_counts_chunk, tasks, jobs)):
-        lt, le = counts_pair(data, t)
-        for i in np.flatnonzero((got[:, 0] != lt[chunk]) | (got[:, 1] != le[chunk])):
-            mask = int(chunk[i])
-            mismatches.append(
-                (mask, str(t), "inertia", (int(got[i, 0]), int(got[i, 1])), (int(lt[mask]), int(le[mask])))
-            )
-    rechecked = sum(len(chunk) for _, chunk in picks)
-    return AgreementResult(n, [str(t) for t in ths], data.count * len(ths), inband_total, rechecked, mismatches)
+        for i, g in enumerate(graphs):
+            neg, zero, _ = exact._inertia_int(exact.graph_shift_rows(g, "Q", t.numerator, t.denominator))
+            if (neg, neg + zero) != (lt[i], le[i]):
+                mismatches.append((int(data.reps[i]), str(t), "inertia", (neg, neg + zero), (int(lt[i]), int(le[i]))))
+    return AgreementResult(
+        n, [str(t) for t in ths], data.count * len(ths), inband_total, data.reps.size * len(ths), mismatches
+    )
 
 
 # -- auxiliary exhaustive properties ---------------------------------------------------
 
 
 def intro_bound_failures(n: int) -> list[tuple[int, str]]:
-    """The two opening bounds: at most one eigenvalue above n-2; and for
-    non-complete graphs at least two eigenvalues at or above the minimum
-    degree."""
-    data = sweep_data(n)
-    tab = SweepTable(data, np.arange(data.count, dtype=np.int64))
+    """The two opening bounds, per labeled graph: at most one eigenvalue
+    above n-2; and for non-complete graphs at least two eigenvalues at or
+    above the minimum degree. Evaluated once per class."""
     if n < 2:
         return []
-    failures = [(int(mask), "q2<=n-2") for mask in np.flatnonzero(n - tab.le(n - 2) > 1)]
+    data = sweep_data(n)
+    tab = SweepTable(data, data.reps)
+    above = n - tab.le(n - 2) > 1
     noncomplete = tab.masks != (1 << n * (n - 1) // 2) - 1
     below_two = noncomplete & (n - tab.lt(tab.mindeg, noncomplete) < 2)
-    return failures + [(int(mask), "q2>=delta") for mask in np.flatnonzero(below_two)]
+    return [(int(mask), "q2<=n-2") for mask in np.flatnonzero(above[data.class_of])] + [
+        (int(mask), "q2>=delta") for mask in np.flatnonzero(below_two[data.class_of])
+    ]

@@ -119,12 +119,29 @@ def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
     assert Path(f"{out}.jsonl").read_text() == ""
 
 
+def test_family_spectra_script_prints_one_solver_line_per_member():
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "family_spectra.py"), "--max-n", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    members = [i for i, line in enumerate(lines) if not line.startswith(" ")]
+    # K_n - e for n = 5..8, C_n for n = 3..8, G(n,3,2) and G(n,3,2,a) for n = 7, 8
+    assert len(members) == 4 + 6 + (1 + 2) + (1 + 3)
+    for start, end in zip(members, members[1:] + [len(lines)]):
+        assert sum(line.startswith("  solver: ") for line in lines[start:end]) == 1, lines[start]
+
+
 def test_search_cli(capsys):
     assert main(["search", "--theorem", "cycle-matching", "--n-min", "3", "--n-max", "15"]) == 0
 
 
 def test_usage_errors_exit_two():
     assert main(["count", "--graph6", "Dhc", "--interval", "[5,1)"]) == 2
+    assert main(["count", "--graph6", "Dhc", "--interval", "[0,1/0)"]) == 2
+    assert main(["spectrum", "--graph6", "Dhc", "--threshold", "1/0"]) == 2
     assert main(["verify", "--theorem", "no-such-theorem"]) == 2
     assert main(["search", "--theorem", "delta2", "--n-min", "8", "--n-max", "8", "--budget", "-5"]) == 2
     proc = run_cli(["family", "--kind", "nope"])

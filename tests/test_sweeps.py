@@ -4,7 +4,10 @@ checked against exact congruence inertia."""
 
 import dataclasses
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from qdist import exact, sweeps
 from qdist.graphs import complete_graph, is_connected
 from qdist.invariants import diameter, domination_number, independence_number, matching_number
 from qdist.spectral import q_float
-from qdist.verify import graph_from_mask
+from qdist.verify import graph_from_mask, mask_pairs
 
 
 def _bareiss(n, mask, t):
@@ -73,7 +76,7 @@ def test_kernel_matches_inertia_on_every_small_graph():
     for n in range(1, 6):
         data = sweeps.sweep_data(n)
         for t in range(0, 2 * n - 1):
-            lt, le = sweeps.descartes_counts(data.poly, t)
+            lt, le = (c[data.class_of] for c in sweeps.descartes_counts(data.poly, t))
             for mask in range(data.count):
                 assert (int(lt[mask]), int(le[mask])) == _bareiss(n, mask, t), (n, mask, t)
 
@@ -83,7 +86,7 @@ def test_kernel_matches_inertia_on_every_inband_pair_n6():
     data = sweeps.sweep_data(n)
     checked = 0
     for t in range(0, 2 * n - 1):
-        lt, le = sweeps.descartes_counts(data.poly, t)
+        lt, le = (c[data.class_of] for c in sweeps.descartes_counts(data.poly, t))
         for mask in np.flatnonzero(sweeps.inband_flags(data, t)):
             assert (int(lt[mask]), int(le[mask])) == _bareiss(n, int(mask), t), (mask, t)
             checked += 1
@@ -106,14 +109,91 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
 def test_table_invariants_match_per_graph_kernels():
     """On every labeled graph with n <= 6: the subset-scan matching,
     independence and domination numbers and the vectorized connectivity and
-    diameter of sweep_data against blossom, branch-and-bound and BFS."""
+    diameter of sweep_data, read through the class map, against blossom,
+    branch-and-bound and BFS on the labeled graph itself."""
     for n in range(1, 7):
         data = sweeps.sweep_data(n)
         graphs = [graph_from_mask(n, m) for m in range(data.count)]
         for name, kernel in [("nu", matching_number), ("alpha", independence_number), ("gamma", domination_number)]:
+            got = getattr(data, name)[data.class_of]
             want = np.array([kernel(g) for g in graphs])
-            assert np.array_equal(getattr(data, name), want), (n, name, np.flatnonzero(getattr(data, name) != want)[:5])
+            assert np.array_equal(got, want), (n, name, np.flatnonzero(got != want)[:5])
         conn = np.array([is_connected(g) for g in graphs])
-        assert np.array_equal(data.conn, conn), (n, np.flatnonzero(data.conn != conn)[:5])
+        got_conn = data.conn[data.class_of]
+        assert np.array_equal(got_conn, conn), (n, np.flatnonzero(got_conn != conn)[:5])
         diam = np.array([diameter(g) if c else 0 for g, c in zip(graphs, conn)])
-        assert np.array_equal(data.diam[conn], diam[conn]), n
+        assert np.array_equal(data.diam[data.class_of][conn], diam[conn]), n
+
+
+# -- the class map -----------------------------------------------------------------------
+
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]  # graphs on n = 0..7 vertices up to isomorphism
+
+
+def _canonical_forms(n, masks):
+    """The least mask over the n! relabelings of each mask, computed here
+    from the permutations themselves."""
+    pairs = mask_pairs(n)
+    dest = np.array(
+        [[pairs.index(tuple(sorted((p[u], p[v])))) for u, v in pairs] for p in permutations(range(n))],
+        dtype=np.int64,
+    )
+    masks = np.asarray(masks, dtype=np.int64)
+    out = np.empty_like(masks)
+    step = max(1, (1 << 22) // len(dest))
+    for lo in range(0, masks.size, step):
+        part = masks[lo : lo + step, None]
+        image = np.zeros((part.shape[0], len(dest)), dtype=np.int64)
+        for k in range(len(pairs)):
+            image |= ((part >> k) & 1) << dest[None, :, k]
+        out[lo : lo + step] = image.min(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_map_counts_and_orbits(n):
+    """A000088 classes; every mask has a class; the orbit sizes are the
+    class sizes, divide n! (orbit-stabilizer) and sum to 2^C(n,2)."""
+    data = sweeps.sweep_data(n)
+    assert data.reps.size == A000088[n]
+    assert data.class_of.shape == (1 << n * (n - 1) // 2,) and data.class_of.min() >= 0
+    assert np.array_equal(np.bincount(data.class_of, minlength=data.reps.size), data.orbit)
+    assert int(data.orbit.sum()) == data.count
+    assert not (factorial(n) % data.orbit).any()
+    assert np.array_equal(data.class_of[data.reps], np.arange(data.reps.size))
+    assert (np.diff(data.reps) > 0).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_mask_lies_in_the_orbit_of_its_representative(n):
+    data = sweeps.sweep_data(n)
+    canon = _canonical_forms(n, np.arange(data.count))
+    assert np.array_equal(canon, data.reps[data.class_of])
+
+
+def test_representatives_match_the_atlas():
+    """The canonical forms of the representatives are those of the graphs
+    of Read and Wilson's An Atlas of Graphs (networkx.graph_atlas_g), order
+    by order; each representative is its own canonical form."""
+    atlas: dict[int, list[int]] = {}
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        index = {pq: k for k, pq in enumerate(mask_pairs(n))}
+        atlas.setdefault(n, []).append(sum(1 << index[(min(e), max(e))] for e in g.edges()))
+    assert [len(atlas[n]) for n in range(8)] == A000088
+    for n in range(1, 8):
+        reps = sweeps.sweep_data(n).reps
+        want = _canonical_forms(n, atlas[n])
+        assert np.array_equal(_canonical_forms(n, reps), reps), n
+        assert set(reps.tolist()) == set(want.tolist()), n
+
+
+def test_class_polynomials_match_every_labeled_graph():
+    """char_poly_batch of every labeled graph with n <= 7 (2^21 at n = 7)
+    equals the polynomial of its class."""
+    for n in range(1, 8):
+        data = sweeps.sweep_data(n)
+        for lo in range(0, data.count, 1 << 16):
+            masks = np.arange(lo, min(lo + (1 << 16), data.count), dtype=np.int64)
+            got = sweeps.char_poly_batch(sweeps.q_batch(n, masks))
+            assert np.array_equal(got, data.poly[data.class_of[masks]]), (n, lo)

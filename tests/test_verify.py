@@ -293,9 +293,9 @@ def test_sweep_summary_counts():
 
 
 def test_sweep_agreement_small():
-    res = sweeps.eig_inertia_agreement(4, jobs=1)
+    res = sweeps.eig_inertia_agreement(4)
     assert res.mismatches == []
-    assert res.checked == 64 * 3  # thresholds {0,1,2} after dedup at n=4
+    assert res.checked == 64 * 7  # thresholds 0..2n-2 at n=4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
