@@ -2,32 +2,39 @@
 """Interleaved parent/change benchmark pairs, written as one BENCH_*.json.
 
 Usage:
-    python scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_label.json [--pairs 10] [--seed 1]
+    python scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_label.json
 
-Each DIR is a checkout of the repository: the parent commit and the
+Each DIR is a git checkout of the repository: the parent commit and the
 change, each with its own perfbench/ and src/. For every workload of the
-change's BENCHMARK.json, the script runs `perfbench/run.py --trace 0` for
-the benchmark's run_seconds in both checkouts, PAIRS times, alternating
-which side runs first. For every end-to-end metric it records each side's
+change's BENCHMARK.json, the script runs `perfbench/run.py --seed SEED
+--trace 0` for the benchmark's run_seconds in both checkouts, PAIRS times,
+alternating which side runs first. For every end-to-end metric it records each side's
 median and quartiles over its runs and how many pairs the change won (ties
 count for neither side). It then times `qdist verify --theorem all
 --exhaustive 7 --family-max 12 --jobs 2` (wall, CPU and peak RSS of the
 process and the workers it waited for) in VERIFY_PAIRS interleaved pairs,
-and one run of the tier-1 test suite on each side.
+one traced run (`--trace 1`) of TRACED on each side for its per-layer
+counters, and one run of the tier-1 test suite on each side. The record
+also names the machine and the two commits.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+PAIRS = 10  # the fewest interleaved pairs that can support a claimed gain
+SEED = 1
 VERIFY_PAIRS = 3
+TRACED = "exhaustive-n6"
 VERIFY = ["verify", "--theorem", "all", "--exhaustive", "7", "--family-max", "12", "--jobs", "2"]
 SIDES = ("parent", "change")
 
@@ -79,23 +86,31 @@ def main() -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
-    record: dict = {"pairs": args.pairs, "seed": args.seed, "run_seconds": bench["run_seconds"], "workloads": {}}
+    commits = {side: subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=dirs[side], check=True,
+                                    capture_output=True, text=True).stdout.strip() for side in SIDES}
+    record: dict = {
+        "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
+                   f"numpy {importlib.metadata.version('numpy')}",
+        "commits": commits, "pairs": PAIRS, "seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {},
+    }
+
+    def perfbench(side: str, name: str, trace: int) -> dict:
+        cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
+               "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
+        res = json.loads(spawn(cmd, dirs[side])["stdout"].strip().splitlines()[-1])
+        print(f"{name} trace {trace} {side}: {json.dumps(res)}", file=sys.stderr, flush=True)
+        return res
 
     for w in bench["workloads"]:
         def one(side: str, name=w["name"]) -> dict:
-            cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(args.seed),
-                   "--seconds", str(bench["run_seconds"]), "--trace", "0"]
-            res = json.loads(spawn(cmd, dirs[side])["stdout"].strip().splitlines()[-1])
-            print(f"{name} {side}: {json.dumps(res)}", file=sys.stderr, flush=True)
+            res = perfbench(side, name, 0)
             return {"correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
                     **{k: v["value"] for k, v in res["metrics"].items()}}
 
-        got = pairs_of(args.pairs, one)
+        got = pairs_of(PAIRS, one)
         record["workloads"][w["name"]] = {
             "metrics": compare(got, bench["end_to_end"]),
             **{f"{side}_correct": all(r["correct"] for r in got[side]) for side in SIDES},
@@ -116,6 +131,12 @@ def main() -> int:
         "metrics": compare(got, [{"name": k, "unit": u} for k, u in
                                  (("wall_s", "s"), ("cpu_s", "s"), ("peak_rss_mb", "MB"))]),
     }
+
+    record["traced"] = {"workload": TRACED}
+    for side in SIDES:
+        res = perfbench(side, TRACED, 1)
+        record["traced"][side] = {"correct": res["correct"], "failed": res["failed"],
+                                  **{k: v["value"] for k, v in res["metrics"].items()}}
 
     record["tier1"] = {}
     for side in SIDES:

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import permutations
 from math import comb
 from multiprocessing import Pool
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -556,17 +556,17 @@ class AgreementResult:
     mismatches: list[tuple[int, str, str, tuple[int, int], tuple[int, int]]]
 
 
-def eig_inertia_agreement(n: int, thresholds: Iterable | None = None) -> AgreementResult:
+def eig_inertia_agreement(n: int) -> AgreementResult:
     """Check the exact count tables of every isomorphism class of n-vertex
     graphs against two independent routes, at every integer threshold
-    0..2n-2 unless thresholds are given. Where every eigenvalue of a
+    0..2n-2. Where every eigenvalue of a
     representative clears t by its own certified bound (and by the rounding
     of the comparison), its float counts must equal the table's. Exact
     congruence inertia (Bareiss) must equal them at every (class,
     threshold) pair. Any disagreement is a mismatch. The class tables cover
     every labeled graph, so checked counts labeled pairs."""
     data = sweep_data(n)
-    ths = [Fraction(t) for t in (range(2 * n - 1) if thresholds is None else thresholds)]
+    ths = [Fraction(t) for t in range(2 * n - 1)]
     graphs = [graph_from_mask(n, int(mask)) for mask in data.reps]
     mismatches = []
     inband_total = 0
