@@ -11,11 +11,10 @@ change's BENCHMARK.json, the script runs `perfbench/run.py --seed SEED
 alternating which side runs first. For every end-to-end metric it records each side's
 median and quartiles over its runs and how many pairs the change won (ties
 count for neither side). It then times `qdist verify --theorem all
---exhaustive 7 --family-max 12 --jobs 2` (wall, CPU and peak RSS of the
-process and the workers it waited for) in VERIFY_PAIRS interleaved pairs,
-one traced run (`--trace 1`) of TRACED on each side for its per-layer
-counters, and one run of the tier-1 test suite on each side. The record
-also names the machine and the two commits.
+--exhaustive 7 --family-max 12` (wall, CPU and peak RSS of the process) in
+VERIFY_PAIRS interleaved pairs, one traced run (`--trace 1`) of TRACED on
+each side for its per-layer counters, and one run of the tier-1 test suite
+on each side. The record also names the machine and the two commits.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ PAIRS = 10  # the fewest interleaved pairs that can support a claimed gain
 SEED = 1
 VERIFY_PAIRS = 3
 TRACED = "exhaustive-n6"
-VERIFY = ["verify", "--theorem", "all", "--exhaustive", "7", "--family-max", "12", "--jobs", "2"]
+VERIFY = ["verify", "--theorem", "all", "--exhaustive", "7", "--family-max", "12"]
 SIDES = ("parent", "change")
 
 

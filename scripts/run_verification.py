@@ -4,8 +4,7 @@
 with JSONL and CSV reports.
 
 Usage:
-    python scripts/run_verification.py [--exhaustive 7] [--family-max 12]
-                                       [--jobs N] [--out report]
+    python scripts/run_verification.py [--exhaustive 7] [--family-max 12] [--out report]
 
 Writes <out>.jsonl (one report line per failure; empty file means clean) and
 <out>.csv (per step: theorem, the summary line qdist verify prints, failure
@@ -22,19 +21,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qdist import cli, sweeps  # noqa: E402
+from qdist import cli  # noqa: E402
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--exhaustive", type=int, default=7)
     ap.add_argument("--family-max", type=int, default=12)
-    ap.add_argument("--jobs", type=int, default=None)
     ap.add_argument("--out", default="verification_report")
     args = ap.parse_args()
-    jobs = args.jobs or sweeps.default_jobs()
-    steps = cli.verify_steps("all", args.exhaustive, args.family_max, jobs)
-    print(f"# run_verification --exhaustive {args.exhaustive} --family-max {args.family_max} --jobs {jobs}")
+    steps = cli.verify_steps("all", args.exhaustive, args.family_max)
+    print(f"# run_verification --exhaustive {args.exhaustive} --family-max {args.family_max}")
 
     rows = []
     failures = []

@@ -54,7 +54,11 @@ def _input_graphs(args: argparse.Namespace) -> list[Graph]:
     if getattr(args, "graph6", None):
         return [graph6_decode(args.graph6)]
     if getattr(args, "file", None):
-        with open(args.file) as fh:
+        try:
+            fh = open(args.file)
+        except OSError as err:
+            raise GraphError(f"cannot read --file: {err}") from err
+        with fh:
             return [graph6_decode(line) for line in fh if line.strip()]
     if getattr(args, "family", None):
         return [make_family(_parse_family_string(args.family))]
@@ -148,7 +152,7 @@ def _theorem_list(name: str) -> list[str]:
 
 
 def verify_steps(
-    theorem: str, exhaustive: int, family_max: int, jobs: int
+    theorem: str, exhaustive: int, family_max: int
 ) -> Iterator[tuple[str, str, list[verify.TheoremReport]]]:
     """The steps of a verify run, each computed when it is asked for: every
     exhaustive sweep for n = 1..exhaustive and every family grid, as its
@@ -162,7 +166,7 @@ def verify_steps(
         for tid in theorem_ids:
             if tid in verify.GRAPH_THEOREMS:
                 for n in range(1, exhaustive + 1):
-                    result = sweeps.exhaustive_failures(tid, n, jobs=jobs)
+                    result = sweeps.exhaustive_failures(tid, n)
                     yield tid, result.summary(), result.failures
             else:
                 reports = verify.family_grid_reports(tid, 7, family_max)
@@ -173,10 +177,9 @@ def verify_steps(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    jobs = args.jobs or sweeps.default_jobs()
-    steps = verify_steps(args.theorem, args.exhaustive, args.family_max, jobs)
+    steps = verify_steps(args.theorem, args.exhaustive, args.family_max)
     print(f"# qdist verify --theorem {args.theorem} --exhaustive {args.exhaustive} "
-          f"--family-max {args.family_max} --jobs {jobs}", file=sys.stderr)
+          f"--family-max {args.family_max}", file=sys.stderr)
     failures: list[verify.TheoremReport] = []
     lines: list[str] = []
     for _, line, bad in steps:
@@ -198,11 +201,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    jobs = args.jobs or sweeps.default_jobs()
     print(f"# qdist search --theorem {args.theorem} --n-min {args.n_min} --n-max {args.n_max} "
-          f"--budget {args.budget} --seed {args.seed} --jobs {jobs}", file=sys.stderr)
+          f"--budget {args.budget} --seed {args.seed}", file=sys.stderr)
     failures = verify.search_counterexamples(
-        args.theorem, (args.n_min, args.n_max), budget=args.budget, seed=args.seed, jobs=jobs
+        args.theorem, (args.n_min, args.n_max), budget=args.budget, seed=args.seed
     )
     for rep in failures:
         print(rep.to_json_line())
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, help="theorem id or 'all'")
     p.add_argument("--exhaustive", type=int, default=6, help="max n for exhaustive sweeps")
     p.add_argument("--family-max", type=int, default=12, help="max n for family grids")
-    p.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
+    p.add_argument("--jobs", type=int, help="ignored: every check runs in this process")
     p.add_argument("--output", choices=["text", "jsonl", "csv"], default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -261,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--budget", type=int, default=2000, help="samples per order for n >= 8")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_search)
 
     return ap

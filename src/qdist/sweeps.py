@@ -27,8 +27,9 @@ the same predicates the point checkers evaluate on one graph. Its rows are
 labeled masks, read through the class map, so an edited mask (G-e, G-v)
 is looked up like any other. exhaustive_failures evaluates a predicate once
 per class and hands every labeled member of a class that does not pass to
-the point checker, so a reported failure never rests on the vectorized
-route alone, and totals and failures stay per labeled graph.
+the point checker, in the same process, so a reported failure never rests
+on the vectorized route alone, and totals and failures stay per labeled
+graph.
 
 Count tables are cached per (order, threshold) as labeled arrays and shared
 across theorems and with the agreement gate, which compares each class's
@@ -39,14 +40,11 @@ every (class, threshold) pair.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import comb
-from multiprocessing import Pool
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,12 +52,7 @@ from . import exact, verify
 from .jacobi import GUARD_BAND, jacobi_batch
 from .verify import TheoremReport, graph_from_mask, mask_pairs
 
-CHUNK = 1 << 12
-ESCALATE_CHUNK = 2048
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1
+CHUNK = 1 << 12  # masks per step of class_map's scan for the next representative
 
 
 # -- per-order class tables -------------------------------------------------------
@@ -149,19 +142,6 @@ def q_batch(n: int, masks: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     Q[:, idx, idx] = Q.sum(axis=2)
     return Q
-
-
-def _spectra_for_masks(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectra, their certified error bounds and characteristic-polynomial
-    coefficients of Q(G) for every mask."""
-    vals = np.empty((masks.size, n), dtype=np.float64)
-    bound = np.empty((masks.size,), dtype=np.float64)
-    poly = np.empty((masks.size, n + 1), dtype=np.int32)
-    for lo in range(0, masks.size, CHUNK):
-        Q = q_batch(n, masks[lo : lo + CHUNK])
-        vals[lo : lo + CHUNK], bound[lo : lo + CHUNK] = jacobi_batch(Q)
-        poly[lo : lo + CHUNK] = char_poly_batch(Q)
-    return vals, bound, poly
 
 
 def _connectivity_and_diameter(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +262,9 @@ def sweep_data(n: int) -> SweepData:
                 c += (r >> v) & 1
             degs[:, u] = c
         conn, diam = _connectivity_and_diameter(n, rows)
-        vals, bound, poly = _spectra_for_masks(n, reps)
+        Q = q_batch(n, reps)
+        vals, bound = jacobi_batch(Q)
+        poly = char_poly_batch(Q)
         _DATA[n] = SweepData(
             n,
             class_of,
@@ -377,33 +359,27 @@ def descartes_counts(poly: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarra
     N, m = poly.shape
     T = _taylor_shift(m - 1, t)
     _require(max(abs(x) for row in T for x in row) < _FLOAT_EXACT, f"Taylor shift to {t} exceeds 2^53")
-    shift = np.array(T, dtype=np.float64)
-    lt = np.empty((N,), dtype=np.int16)
-    le = np.empty((N,), dtype=np.int16)
-    for lo in range(0, N, CHUNK):
-        part = poly[lo : lo + CHUNK].astype(np.float64)
-        pmax = [int(v) for v in np.abs(part).max(axis=0)]
-        bound = max(sum(pmax[k] * abs(T[k][j]) for k in range(m)) for j in range(m))
-        _require(bound < _FLOAT_EXACT, f"Taylor shift to {t} exceeds 2^53")
-        signs = np.sign(part @ shift)
-        nonzero = signs != 0
-        variations = np.zeros((part.shape[0],), dtype=np.int16)
-        last = signs[:, 0]
-        for j in range(1, m):
-            variations += last * signs[:, j] < 0
-            last = np.where(nonzero[:, j], signs[:, j], last)
-        lt[lo : lo + CHUNK] = variations
-        le[lo : lo + CHUNK] = variations + nonzero.argmax(axis=1)
-    return lt, le
+    part = poly.astype(np.float64)
+    pmax = [int(v) for v in np.abs(part).max(axis=0, initial=0)]
+    bound = max(sum(pmax[k] * abs(T[k][j]) for k in range(m)) for j in range(m))
+    _require(bound < _FLOAT_EXACT, f"Taylor shift to {t} exceeds 2^53")
+    signs = np.sign(part @ np.array(T, dtype=np.float64))
+    nonzero = signs != 0
+    lt = np.zeros((N,), dtype=np.int16)
+    last = signs[:, 0]
+    for j in range(1, m):
+        lt += last * signs[:, j] < 0
+        last = np.where(nonzero[:, j], signs[:, j], last)
+    return lt, lt + nonzero.argmax(axis=1).astype(np.int16)
 
 
 def counts_pair(data: SweepData, threshold) -> tuple[np.ndarray, np.ndarray]:
     """(count-below, count-at-most) for every labeled mask at the threshold; exact.
 
     Both come from the class polynomials by Descartes' rule
-    (``descartes_counts``), with no floating comparison and no worker
-    process, and are gathered to the labeled masks through the class map.
-    Cached in data.counts as int16 arrays.
+    (``descartes_counts``), with no floating comparison, and are gathered
+    to the labeled masks through the class map. Cached in data.counts as
+    int16 arrays.
     """
     t = Fraction(threshold)
     if t not in data.counts:
@@ -482,28 +458,6 @@ class SweepTable:
         return SweepTable(sweep_data(n - 1), submask)
 
 
-def _pool_map(fn: Callable, tasks: list, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(fn, tasks)
-
-
-def _chunked(seq, size: int) -> list:
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _run_point_checker(args: tuple[str, int, Sequence[int]]) -> list[TheoremReport]:
-    tid, n, masks = args
-    checker = verify.GRAPH_THEOREMS[tid].check
-    out = []
-    for mask in masks:
-        rep = checker(graph_from_mask(n, int(mask)))
-        if rep.applicable and not rep.passed:
-            out.append(rep)
-    return out
-
-
 @dataclass
 class SweepResult:
     theorem_id: str
@@ -526,18 +480,20 @@ def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> Swe
     under relabeling, so a class's verdict is that of each of its labeled
     members: applicable counts the labeled members of the applicable
     classes, and every labeled member of a class that does not pass goes to
-    the point checkers (over the pool), whose failures alone are reported."""
+    the point checker, whose failures alone are reported. jobs is ignored:
+    the point checks run in this process."""
     tid = verify.canonical_theorem_id(theorem_id)
     if tid not in verify.GRAPH_THEOREMS:
         raise KeyError(f"{theorem_id!r} is not a per-graph theorem")
-    jobs = jobs or default_jobs()
     data = sweep_data(n)
-    verdict = verify.GRAPH_THEOREMS[tid].predicate(SweepTable(data, data.reps))
+    theorem = verify.GRAPH_THEOREMS[tid]
+    verdict = theorem.predicate(SweepTable(data, data.reps))
     escalate = np.flatnonzero((verdict.applicable & ~verdict.passed)[data.class_of])
-    tasks = [(tid, n, [int(m) for m in chunk]) for chunk in _chunked(escalate, ESCALATE_CHUNK)]
     failures: list[TheoremReport] = []
-    for part in _pool_map(_run_point_checker, tasks, jobs):
-        failures.extend(part)
+    for mask in escalate:
+        rep = theorem.check(graph_from_mask(n, int(mask)))
+        if rep.applicable and not rep.passed:
+            failures.append(rep)
     applicable = int(data.orbit[verdict.applicable].sum())
     return SweepResult(tid, n, data.count, applicable, int(escalate.size), failures)
 

@@ -684,7 +684,6 @@ def search_counterexamples(
     n_range: tuple[int, int],
     budget: int = 2000,
     seed: int = 0,
-    jobs: int | None = None,
 ) -> list[TheoremReport]:
     """Run the named checker exhaustively (n <= 7) and on seeded samples
     (n >= 8); return only genuine failures, deterministically."""
@@ -704,7 +703,7 @@ def search_counterexamples(
     failures: list[TheoremReport] = []
     for n in range(n_lo, n_hi + 1):
         if n <= EXHAUSTIVE_LIMIT:
-            failures.extend(sweeps.exhaustive_failures(tid, n, jobs=jobs).failures)
+            failures.extend(sweeps.exhaustive_failures(tid, n).failures)
         else:
             checker = GRAPH_THEOREMS[tid].check
             for g in sample_graphs(n, budget, seed + n):

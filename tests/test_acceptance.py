@@ -34,7 +34,6 @@ from qdist.spectral import (
 )
 from qdist.verify import check_diameter_main, graph_from_mask, sample_graphs
 
-JOBS = sweeps.default_jobs()
 _AGREEMENTS: dict[int, sweeps.AgreementResult] = {}
 
 
@@ -159,11 +158,11 @@ def test_criterion_3_exhaustive_sweeps():
     agreement(7)  # seeds the exact count tables the sweeps reuse
     for tid in theorem_ids:
         for n in range(2, 8):
-            res = sweeps.exhaustive_failures(tid, n, jobs=JOBS)
+            res = sweeps.exhaustive_failures(tid, n)
             assert res.failures == [], res.summary()
             assert res.escalated == 0, res.summary()  # the sweep passes every graph by itself
     # the delta2 hypothesis excludes exactly the 12 5-cycle labelings at n=5
-    res5 = sweeps.exhaustive_failures("delta2", 5, jobs=JOBS)
+    res5 = sweeps.exhaustive_failures("delta2", 5)
     data5 = sweeps.sweep_data(5)
     base5 = int((data5.degs[data5.class_of].min(axis=1) >= 2).sum())
     assert base5 - res5.applicable == 12

@@ -89,7 +89,10 @@ def test_quotient_json(capsys):
 
 
 def test_verify_exit_zero(capsys):
-    assert main(["verify", "--theorem", "delta2", "--exhaustive", "5", "--jobs", "1"]) == 0
+    assert main(["verify", "--theorem", "delta2", "--exhaustive", "5"]) == 0
+    out = capsys.readouterr().out
+    assert main(["verify", "--theorem", "delta2", "--exhaustive", "5", "--jobs", "2"]) == 0  # accepted, ignored
+    assert capsys.readouterr().out == out
 
 
 def test_verify_family_theorem(capsys):
@@ -101,13 +104,13 @@ def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
     out = tmp_path / "report"
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_verification.py"),
-         "--exhaustive", "4", "--family-max", "8", "--jobs", "1", "--out", str(out)],
+         "--exhaustive", "4", "--family-max", "8", "--out", str(out)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     capsys.readouterr()
-    assert main(["verify", "--theorem", "all", "--exhaustive", "4", "--family-max", "8", "--jobs", "1"]) == 0
+    assert main(["verify", "--theorem", "all", "--exhaustive", "4", "--family-max", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     with open(f"{out}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -144,6 +147,7 @@ def test_usage_errors_exit_two():
     assert main(["spectrum", "--graph6", "Dhc", "--threshold", "1/0"]) == 2
     assert main(["verify", "--theorem", "no-such-theorem"]) == 2
     assert main(["search", "--theorem", "delta2", "--n-min", "8", "--n-max", "8", "--budget", "-5"]) == 2
+    assert main(["count", "--file", "/nonexistent", "--interval", "[0,1)"]) == 2
     proc = run_cli(["family", "--kind", "nope"])
     assert proc.returncode == 2
 
@@ -159,8 +163,8 @@ def test_out_of_range_orders_exit_two_before_any_work(monkeypatch):
     _forbid(monkeypatch, sweeps, "exhaustive_failures")
     _forbid(monkeypatch, sweeps, "sweep_data")
     _forbid(monkeypatch, verify, "family_grid_reports")
-    assert main(["verify", "--theorem", "all", "--exhaustive", "8", "--jobs", "1"]) == 2
-    assert main(["verify", "--theorem", "delta2", "--exhaustive", "-1", "--jobs", "1"]) == 2
+    assert main(["verify", "--theorem", "all", "--exhaustive", "8"]) == 2
+    assert main(["verify", "--theorem", "delta2", "--exhaustive", "-1"]) == 2
 
 
 def test_failed_certificate_exits_two(monkeypatch, capsys):

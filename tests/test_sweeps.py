@@ -3,6 +3,8 @@ polynomials by Faddeev-LeVerrier and counts by Descartes' rule of signs,
 checked against exact congruence inertia."""
 
 import dataclasses
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -98,12 +100,20 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
         raise AssertionError("the count path must not call this")
 
     monkeypatch.setattr(exact, "_inertia_int", forbidden)
-    monkeypatch.setattr(sweeps, "Pool", forbidden)
     data = dataclasses.replace(sweeps.sweep_data(5), counts={})
     for t in [*range(0, 9), Fraction(7, 2)]:
         lt, le = sweeps.counts_pair(data, t)
         assert lt.dtype == le.dtype == np.int16
         assert data.counts[Fraction(t)][0] is lt
+    # a whole verify run, in a fresh interpreter, never imports multiprocessing
+    code = (
+        "import sys\n"
+        "from qdist.cli import main\n"
+        "assert main(['verify', '--theorem', 'all', '--exhaustive', '5', '--family-max', '7']) == 0\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_table_invariants_match_per_graph_kernels():

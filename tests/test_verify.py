@@ -254,8 +254,8 @@ def test_unknown_theorem_id():
 
 
 def test_search_exhaustive_small():
-    assert search_counterexamples("delta2", (2, 5), jobs=1) == []
-    assert search_counterexamples("edge-interlacing", (2, 4), jobs=1) == []
+    assert search_counterexamples("delta2", (2, 5)) == []
+    assert search_counterexamples("edge-interlacing", (2, 4)) == []
 
 
 def test_search_family_grids():
@@ -283,7 +283,7 @@ def test_search_sampled():
 
 
 def test_sweep_summary_counts():
-    res = sweeps.exhaustive_failures("matching-upper", 4, jobs=1)
+    res = sweeps.exhaustive_failures("matching-upper", 4)
     assert res.total == 64
     assert res.failures == []
     # graphs with an isolated vertex are not applicable
