@@ -14,7 +14,9 @@ count for neither side). It then times `qdist verify --theorem all
 --exhaustive 7 --family-max 12` (wall, CPU and peak RSS of the process) in
 VERIFY_PAIRS interleaved pairs, one traced run (`--trace 1`) of TRACED on
 each side for its per-layer counters, and one run of the tier-1 test suite
-on each side. The record also names the machine and the two commits.
+on each side. The record also names the machine and the two commits, and
+counts each side's source lines (src/qdist/*.py plus scripts/*.py, as
+`wc -l` counts them).
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ def spawn(cmd: list[str], cwd: Path) -> dict:
     }
 
 
+def source_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for glob in ("src/qdist/*.py", "scripts/*.py") for p in root.glob(glob))
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -93,7 +99,8 @@ def main() -> int:
     record: dict = {
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {importlib.metadata.version('numpy')}",
-        "commits": commits, "pairs": PAIRS, "seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {},
+        "commits": commits, "source_lines": {side: source_lines(dirs[side]) for side in SIDES},
+        "pairs": PAIRS, "seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {},
     }
 
     def perfbench(side: str, name: str, trace: int) -> dict:

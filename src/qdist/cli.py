@@ -160,6 +160,8 @@ def verify_steps(
     before any step runs."""
     if not 0 <= exhaustive <= verify.EXHAUSTIVE_LIMIT:
         raise ValueError(f"--exhaustive must lie in 0..{verify.EXHAUSTIVE_LIMIT}, got {exhaustive}")
+    if family_max > verify.FAMILY_LIMIT:
+        raise ValueError(f"--family-max must be at most {verify.FAMILY_LIMIT}, got {family_max}")
     theorem_ids = _theorem_list(theorem)
 
     def steps():

@@ -36,9 +36,10 @@ the cyclic Jacobi solver they replace, because ``sweeps``, ``verify`` and
 outside callers import them by those names.
 
 Tolerance ledger: certified eigenvalue error <= 1e-12 * scale plus the
-rounding margin (for Q(G) of order n <= 16, scale <= 63, so under 7e-11:
-at least four decades inside the guard band), inequality checks 1e-8
-slack, interval guard band 1e-6.
+rounding margin (for Q(G) of order n <= 16, scale <= 63, so under 7e-11),
+inequality checks 1e-8 slack. No verdict and no gate reads GUARD_BAND
+(1e-6): only sweeps.inband_flags does, to report which graphs have an
+eigenvalue within it of a threshold.
 """
 
 from __future__ import annotations

@@ -189,9 +189,6 @@ class Rat:
     def exact_value(self) -> Fraction | None:
         return self.value
 
-    def describe(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class Surd:
@@ -211,9 +208,6 @@ class Surd:
         if root * root == self.q:
             return Fraction(self.p + self.sign * root, self.r)
         return None
-
-    def describe(self) -> str:
-        return f"({self.p}{'+' if self.sign > 0 else '-'}sqrt({self.q}))/{self.r}"
 
 
 @dataclass(frozen=True)
@@ -240,9 +234,6 @@ class Cosine:
             Fraction(1, 2): Fraction(0),
         }.get(frac)
 
-    def describe(self) -> str:
-        return f"2+2cos(2pi*{self.j}/{self.n})"
-
 
 @dataclass(frozen=True)
 class PolyRoot:
@@ -259,9 +250,6 @@ class PolyRoot:
 
     def exact_value(self) -> Fraction | None:
         return None
-
-    def describe(self) -> str:
-        return f"root of {[str(c) for c in self.coeffs]} in ({self.lo},{self.hi})"
 
 
 Entry = Rat | Surd | Cosine | PolyRoot

@@ -7,9 +7,13 @@ its class by orbit enumeration: the least mask with no class yet is the
 next representative, and its images under all n! vertex permutations are
 its orbit. SweepData carries the map (``class_of``), the representatives
 and the orbit sizes, and computes every column for the representatives
-only: from Q(G), built once per representative, the floating spectra
-(stacked LAPACK ``eigh`` calls, ``jacobi.jacobi_batch``, each with a
-certified eigenvalue error bound) and the integer coefficients of the
+only. One stack of Q(G) matrices (``q_batch``, the only decoder of masks
+into matrices) gives every vertex-level column: the degrees are its
+diagonal; connectivity and diameter come from Boolean powers of the
+closed adjacency pattern (Q != 0) | I, and the domination numbers from
+unions of its rows. The same stack gives the floating spectra (stacked
+LAPACK ``eigh`` calls, ``jacobi.jacobi_batch``, each with a certified
+eigenvalue error bound) and the integer coefficients of the
 characteristic polynomial det(xI - Q) (batched Faddeev-LeVerrier in
 float64, exact under asserted bounds). Q(G) is symmetric, so that
 polynomial has only real roots and Descartes' rule of signs is exact for
@@ -122,16 +126,6 @@ def class_map(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return class_of, np.array(reps, dtype=np.int64), np.array(orbit, dtype=np.int64)
 
 
-def _adjacency_rows(n: int, masks: np.ndarray) -> np.ndarray:
-    pairs = mask_pairs(n)
-    rows = np.zeros((masks.size, n), dtype=np.uint8)
-    for k, (u, v) in enumerate(pairs):
-        bit = ((masks >> k) & 1).astype(np.uint8)
-        rows[:, u] |= bit << v
-        rows[:, v] |= bit << u
-    return rows
-
-
 def q_batch(n: int, masks: np.ndarray) -> np.ndarray:
     """Q(G) = D + A of the graph of every mask, as a (len(masks), n, n) float64 stack."""
     Q = np.zeros((masks.size, n, n), dtype=np.float64)
@@ -144,28 +138,18 @@ def q_batch(n: int, masks: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _connectivity_and_diameter(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    N = rows.shape[0]
-    full = (1 << n) - 1
-    ecc = np.zeros((N,), dtype=np.int16)
-    reach0 = np.full((N,), 1, dtype=np.uint16)
-    for src in range(n):
-        reach = np.full((N,), 1 << src, dtype=np.uint16)
-        ecc_src = np.zeros((N,), dtype=np.int16)
-        for step in range(1, n):
-            nxt = reach.copy()
-            for u in range(n):
-                sel = ((reach >> u) & 1).astype(np.uint16)
-                nxt |= rows[:, u].astype(np.uint16) * sel
-            changed = nxt != reach
-            if not changed.any():
-                break
-            ecc_src[changed] = step
-            reach = nxt
-        ecc = np.maximum(ecc, ecc_src)
-        if src == 0:
-            reach0 = reach
-    return reach0 == full, ecc
+def _closure_and_diameter(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From Boolean powers of the closed adjacency pattern (C, n, n): power k
+    holds the pairs at distance at most k, and the diameter is the last power
+    that reaches a new pair (the largest eccentricity within a component)."""
+    n = closed.shape[1]
+    reach = np.broadcast_to(np.eye(n, dtype=bool), closed.shape)
+    diam = np.zeros((closed.shape[0],), dtype=np.int16)
+    for k in range(1, n):
+        nxt = reach @ closed
+        diam[(nxt != reach).any(axis=(1, 2))] = k
+        reach = nxt
+    return reach.all(axis=(1, 2)), diam
 
 
 def _subset_edge_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,28 +178,15 @@ def _vector_alpha(n: int, masks: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _vector_gamma(n: int, rows: np.ndarray) -> np.ndarray:
-    """Exact domination numbers: scan subsets by size, union closed neighborhoods."""
-    N = rows.shape[0]
-    full = np.uint16((1 << n) - 1)
-    closed = [rows[:, v].astype(np.uint16) | np.uint16(1 << v) for v in range(n)]
-    gamma = np.full((N,), n, dtype=np.int16)
-    by_size: dict[int, list[int]] = {}
+def _vector_gamma(closed: np.ndarray) -> np.ndarray:
+    """Exact domination numbers from the closed adjacency pattern (C, n, n):
+    a subset dominates iff the union of its members' rows covers every vertex."""
+    n = closed.shape[1]
+    gamma = np.full((closed.shape[0],), n, dtype=np.int16)
     for s in range(1, 1 << n):
-        by_size.setdefault(bin(s).count("1"), []).append(s)
-    undecided = np.ones((N,), dtype=bool)
-    for size in range(1, n + 1):
-        if not undecided.any():
-            break
-        for s in by_size.get(size, []):
-            cover = np.zeros((N,), dtype=np.uint16)
-            for v in range(n):
-                if s >> v & 1:
-                    cover |= closed[v]
-            hit = undecided & (cover == full)
-            if hit.any():
-                gamma[hit] = size
-                undecided &= ~hit
+        members = [v for v in range(n) if s >> v & 1]
+        dominates = closed[:, members, :].any(axis=1).all(axis=1)
+        gamma[dominates & (gamma > len(members))] = len(members)
     return gamma
 
 
@@ -253,18 +224,10 @@ def sweep_data(n: int) -> SweepData:
         if not 1 <= n <= verify.EXHAUSTIVE_LIMIT:
             raise ValueError(f"sweep tables support 1 <= n <= {verify.EXHAUSTIVE_LIMIT}, got {n}")
         class_of, reps, orbit = class_map(n)
-        rows = _adjacency_rows(n, reps)
-        degs = np.zeros((reps.size, n), dtype=np.uint8)
-        for u in range(n):
-            r = rows[:, u]
-            c = np.zeros_like(r)
-            for v in range(n):
-                c += (r >> v) & 1
-            degs[:, u] = c
-        conn, diam = _connectivity_and_diameter(n, rows)
         Q = q_batch(n, reps)
+        closed = (Q != 0) | np.eye(n, dtype=bool)  # Q's diagonal is 0 at an isolated vertex
+        conn, diam = _closure_and_diameter(closed)
         vals, bound = jacobi_batch(Q)
-        poly = char_poly_batch(Q)
         _DATA[n] = SweepData(
             n,
             class_of,
@@ -272,13 +235,13 @@ def sweep_data(n: int) -> SweepData:
             orbit,
             vals,
             bound,
-            poly,
-            degs,
+            char_poly_batch(Q),
+            np.diagonal(Q, axis1=1, axis2=2).astype(np.uint8),
             conn,
             diam,
             _vector_nu(n, reps),
             _vector_alpha(n, reps),
-            _vector_gamma(n, rows),
+            _vector_gamma(closed),
         )
     return _DATA[n]
 

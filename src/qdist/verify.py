@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil
@@ -56,8 +55,6 @@ class TheoremReport:
     """Outcome of one checker on one instance.
 
     A failed report carries a witness complete enough to recheck by hand.
-    ``elapsed`` is excluded from the canonical serialization so that sweep
-    outputs are byte-identical across runs.
     """
 
     theorem_id: str
@@ -65,9 +62,8 @@ class TheoremReport:
     passed: bool
     applicable: bool = True
     witness: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
-    def to_json_line(self, include_elapsed: bool = False) -> str:
+    def to_json_line(self) -> str:
         obj = {
             "theorem": self.theorem_id,
             "instance": self.instance,
@@ -75,13 +71,7 @@ class TheoremReport:
             "applicable": self.applicable,
             "witness": self.witness,
         }
-        if include_elapsed:
-            obj["elapsed"] = self.elapsed
         return json.dumps(obj, sort_keys=True)
-
-
-def _report(theorem_id: str, instance: str, passed: bool, witness: dict, t0: float, applicable: bool = True) -> TheoremReport:
-    return TheoremReport(theorem_id, instance, passed, applicable, witness, time.perf_counter() - t0)
 
 
 # -- enumeration and sampling ---------------------------------------------------
@@ -89,6 +79,7 @@ def _report(theorem_id: str, instance: str, passed: bool, witness: dict, t0: flo
 
 EXHAUSTIVE_LIMIT = 7
 SAMPLE_LIMIT = 16
+FAMILY_LIMIT = 32  # largest order of a family grid
 
 
 def mask_pairs(n: int) -> list[tuple[int, int]]:
@@ -449,14 +440,13 @@ class GraphTable:
 
 def evaluate(theorem_id: str, predicate: Callable[..., Verdict], g: Graph, **options) -> TheoremReport:
     """The predicate on the one-row table of g, as a report."""
-    t0 = time.perf_counter()
     verdict = predicate(GraphTable(g.n, [g]), **options)
     applicable = bool(verdict.applicable[0])
     if applicable:
         witness = {k: v.item() if isinstance(v, np.generic) else v for k, v in verdict.witness(0).items()}
     else:
         witness = {"note": verdict.note if isinstance(verdict.note, str) else verdict.note(0)}
-    return _report(theorem_id, graph6_encode(g), bool(verdict.passed[0]), witness, t0, applicable)
+    return TheoremReport(theorem_id, graph6_encode(g), bool(verdict.passed[0]), applicable, witness)
 
 
 def _checker(theorem_id: str, predicate: Callable[[object], Verdict]) -> Callable[[Graph], TheoremReport]:
@@ -497,14 +487,13 @@ check_tail_eigenvalue_bound = _checker("tail-eigenvalue-bound", tail_eigenvalue_
 def check_cycle_matching(n: int) -> TheoremReport:
     """Cycle count below 1 matches the ceil(n/3) residue formula and, off the
     5-cycle, stays at most the matching number minus one."""
-    t0 = time.perf_counter()
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     m = exact.graph_count_lt(cycle_graph(n), 1)
     expected = ceil(n / 3) if n % 3 == 2 else ceil(n / 3) - 1
     nu = n // 2
     ok = m == expected and (n == 5 or m <= nu - 1)
-    return _report("cycle-matching", f"cycle(n={n})", ok, {"m01": m, "formula": expected, "nu": nu}, t0)
+    return TheoremReport("cycle-matching", f"cycle(n={n})", ok, witness={"m01": m, "formula": expected, "nu": nu})
 
 
 def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> TheoremReport:
@@ -514,7 +503,6 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
     eigenvalues below n-d+1. Four-parameter family (2 <= t <= d-1 <= n-4,
     1 <= a <= n-d-2): the same bound; when d = n-3 additionally q_5 < 4.
     """
-    t0 = time.perf_counter()
     if a is None:
         if not 2 <= t <= d <= n - 3:
             raise GraphError(f"family count bound needs 2 <= t <= d <= n-3, got n={n}, d={d}, t={t}")
@@ -531,28 +519,25 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
     below = exact.graph_count_lt(g, n - d + 1)
     witness: dict = {"m_below_n-d+1": below, "required": d}
     ok = below >= d
-    if a is not None and d == n - 3:
-        below4 = exact.graph_count_lt(g, 4)
-        witness["count_below_4"] = below4
-        witness["q5_below_4"] = below4 >= n - 4
-        ok = ok and below4 >= n - 4
-    return _report("family-counts", instance, ok, witness, t0)
+    if a is not None and d == n - 3:  # then n - d + 1 = 4: below is the count below 4
+        witness["count_below_4"] = below
+        witness["q5_below_4"] = below >= n - 4
+        ok = ok and below >= n - 4
+    return TheoremReport("family-counts", instance, ok, witness=witness)
 
 
 def check_gndra_q5(n: int, t: int) -> TheoremReport:
     """q_5 < 4 for the four-parameter family at d = n-3, a = 1."""
-    t0 = time.perf_counter()
     d = n - 3
     if n < 6 or not 2 <= t <= d - 1:
         raise GraphError(f"q5 bound needs n >= 6 and 2 <= t <= n-4, got n={n}, t={t}")
     g = gndra(n, d, t, 1)
     below4 = exact.graph_count_lt(g, 4)
-    return _report(
+    return TheoremReport(
         "family-gndra-q5",
         f"gndra(n={n},d={d},r={t},a=1)",
         below4 >= n - 4,
-        {"count_below_4": below4, "required": n - 4},
-        t0,
+        witness={"count_below_4": below4, "required": n - 4},
     )
 
 
@@ -560,7 +545,6 @@ def check_diameter3_equality(n: int, a: int | None = None) -> TheoremReport:
     """Equality witnesses for the diameter-3 bound: the path-plus-clique
     families have exactly two eigenvalues below n-3, exactly n-4 equal to
     n-3, and the rest above."""
-    t0 = time.perf_counter()
     if n < 7:
         raise GraphError(f"diameter-3 equality needs n >= 7, got {n}")
     if a is None:
@@ -575,25 +559,23 @@ def check_diameter3_equality(n: int, a: int | None = None) -> TheoremReport:
     le = exact.graph_count_le(g, n - 3)
     witness = {"m_below_n-3": lt, "mult_at_n-3": le - lt}
     ok = lt == 2 and le - lt == n - 4 and diameter(g) == 3
-    return _report("diameter-3-equality", instance, ok, witness, t0)
+    return TheoremReport("diameter-3-equality", instance, ok, witness=witness)
 
 
 def check_gndt_laplacian_count(n: int, d: int, t: int) -> TheoremReport:
     """The three-parameter family has exactly d-1 Laplacian eigenvalues in
     [0, n-d+1) when d <= n-5 and 3 <= t <= d-1, against at least d signless ones."""
-    t0 = time.perf_counter()
     if not (d <= n - 5 and 3 <= t <= d - 1):
         raise GraphError(f"laplacian family count needs d <= n-5 and 3 <= t <= d-1, got n={n}, d={d}, t={t}")
     g = gndt(n, d, t)
     lap = exact.graph_count_lt(g, n - d + 1, matrix="L")
     signless = exact.graph_count_lt(g, n - d + 1, matrix="Q")
     ok = lap == d - 1 and signless >= d
-    return _report(
+    return TheoremReport(
         "gndt-laplacian-count",
         f"gndt(n={n},d={d},t={t})",
         ok,
-        {"laplacian_below": lap, "signless_below": signless, "d": d},
-        t0,
+        witness={"laplacian_below": lap, "signless_below": signless, "d": d},
     )
 
 
@@ -694,6 +676,8 @@ def search_counterexamples(
     if budget < 1:
         raise GraphError(f"budget must be at least 1, got {budget}")
     if tid in FAMILY_THEOREM_IDS:
+        if n_hi > FAMILY_LIMIT:
+            raise GraphError(f"family grids are for n <= {FAMILY_LIMIT}, got {n_hi}")
         return [r for r in family_grid_reports(tid, n_lo, n_hi) if r.applicable and not r.passed]
     if n_hi > SAMPLE_LIMIT:
         raise GraphError(f"sampling is for {EXHAUSTIVE_LIMIT + 1} <= n <= {SAMPLE_LIMIT}, got {n_hi}")

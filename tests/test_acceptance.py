@@ -98,7 +98,8 @@ def test_criterion_8_solver_and_matching_oracles():
         res = agreement(n)
         assert res.mismatches == [], f"n={n}: {res.mismatches[:5]}"
         assert res.checked == (1 << n * (n - 1) // 2) * len(res.thresholds)
-        assert res.rechecked >= res.inband_pairs  # inertia recounts every in-band pair
+        # Bareiss at every (class, threshold) pair
+        assert res.rechecked == sweeps.sweep_data(n).reps.size * len(res.thresholds)
     # matching number vs the independent exhaustive (subset recursion) oracle;
     # the full n=8 sweep is out of time budget, so 10^5 seeded samples
     def oracle(g):

@@ -165,6 +165,8 @@ def test_out_of_range_orders_exit_two_before_any_work(monkeypatch):
     _forbid(monkeypatch, verify, "family_grid_reports")
     assert main(["verify", "--theorem", "all", "--exhaustive", "8"]) == 2
     assert main(["verify", "--theorem", "delta2", "--exhaustive", "-1"]) == 2
+    assert main(["verify", "--theorem", "all", "--exhaustive", "0", "--family-max", "200"]) == 2
+    assert main(["search", "--theorem", "diameter-3-equality", "--n-min", "7", "--n-max", "300"]) == 2
 
 
 def test_failed_certificate_exits_two(monkeypatch, capsys):
@@ -201,4 +203,3 @@ def test_report_lines_match_schema():
     schema = load_schema("theorem_report.schema.json")
     for rep in (check_matching_upper(cycle_graph(5)), check_diameter_main(cycle_graph(6))):
         jsonschema.validate(json.loads(rep.to_json_line()), schema)
-        jsonschema.validate(json.loads(rep.to_json_line(include_elapsed=True)), schema)

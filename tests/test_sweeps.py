@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qdist import exact, sweeps
-from qdist.graphs import complete_graph, is_connected
+from qdist.graphs import complete_graph, degrees, is_connected
 from qdist.invariants import diameter, domination_number, independence_number, matching_number
 from qdist.spectral import q_float
 from qdist.verify import graph_from_mask, mask_pairs
@@ -117,22 +117,28 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
 
 
 def test_table_invariants_match_per_graph_kernels():
-    """On every labeled graph with n <= 6: the subset-scan matching,
-    independence and domination numbers and the vectorized connectivity and
-    diameter of sweep_data, read through the class map, against blossom,
-    branch-and-bound and BFS on the labeled graph itself."""
-    for n in range(1, 7):
+    """The subset-scan matching, independence and domination numbers and
+    the matrix-power connectivity and diameter of sweep_data against
+    blossom, branch-and-bound and BFS on the graph itself: on every labeled
+    graph with n <= 6, read through the class map, and on the 1,044 class
+    representatives at n = 7. The degree rows against the representatives'
+    own degrees, at every n <= 7."""
+    for n in range(1, 8):
         data = sweeps.sweep_data(n)
-        graphs = [graph_from_mask(n, m) for m in range(data.count)]
+        masks = np.arange(data.count) if n <= 6 else data.reps
+        cls = data.class_of[masks]
+        graphs = [graph_from_mask(n, int(m)) for m in masks]
+        rep_degs = np.array([degrees(graph_from_mask(n, int(m))) for m in data.reps], dtype=np.uint8)
+        assert data.degs.dtype == np.uint8 and np.array_equal(data.degs, rep_degs), n  # vertex by vertex
         for name, kernel in [("nu", matching_number), ("alpha", independence_number), ("gamma", domination_number)]:
-            got = getattr(data, name)[data.class_of]
+            got = getattr(data, name)[cls]
             want = np.array([kernel(g) for g in graphs])
             assert np.array_equal(got, want), (n, name, np.flatnonzero(got != want)[:5])
         conn = np.array([is_connected(g) for g in graphs])
-        got_conn = data.conn[data.class_of]
+        got_conn = data.conn[cls]
         assert np.array_equal(got_conn, conn), (n, np.flatnonzero(got_conn != conn)[:5])
         diam = np.array([diameter(g) if c else 0 for g, c in zip(graphs, conn)])
-        assert np.array_equal(data.diam[data.class_of][conn], diam[conn]), n
+        assert np.array_equal(data.diam[cls][conn], diam[conn]), n
 
 
 # -- the class map -----------------------------------------------------------------------

@@ -244,7 +244,6 @@ def test_report_serialization_is_stable():
         "witness": {"m01": 2, "nu": 2, "strengthened": False},
     }
     assert "elapsed" not in json.loads(line)
-    assert rep.elapsed >= 0
 
 
 def test_unknown_theorem_id():
