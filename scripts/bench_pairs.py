@@ -12,11 +12,11 @@ alternating which side runs first. For every end-to-end metric it records each s
 median and quartiles over its runs and how many pairs the change won (ties
 count for neither side). It then times `qdist verify --theorem all
 --exhaustive 7 --family-max 12` (wall, CPU and peak RSS of the process) in
-VERIFY_PAIRS interleaved pairs, one traced run (`--trace 1`) of TRACED on
-each side for its per-layer counters, and one run of the tier-1 test suite
-on each side. The record also names the machine and the two commits, and
-counts each side's source lines (src/qdist/*.py plus scripts/*.py, as
-`wc -l` counts them).
+VERIFY_PAIRS interleaved pairs, one traced run (`--trace 1`) of every
+workload on each side for its per-layer counters, and one run of the
+tier-1 test suite on each side. The record also names the machine and the
+two commits, and counts each side's source lines (src/qdist/*.py plus
+scripts/*.py, as `wc -l` counts them).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from pathlib import Path
 PAIRS = 10  # the fewest interleaved pairs that can support a claimed gain
 SEED = 1
 VERIFY_PAIRS = 3
-TRACED = "exhaustive-n6"
 VERIFY = ["verify", "--theorem", "all", "--exhaustive", "7", "--family-max", "12"]
 SIDES = ("parent", "change")
 
@@ -138,11 +137,13 @@ def main() -> int:
                                  (("wall_s", "s"), ("cpu_s", "s"), ("peak_rss_mb", "MB"))]),
     }
 
-    record["traced"] = {"workload": TRACED}
-    for side in SIDES:
-        res = perfbench(side, TRACED, 1)
-        record["traced"][side] = {"correct": res["correct"], "failed": res["failed"],
-                                  **{k: v["value"] for k, v in res["metrics"].items()}}
+    record["traced"] = {}
+    for w in bench["workloads"]:
+        record["traced"][w["name"]] = {}
+        for side in SIDES:
+            res = perfbench(side, w["name"], 1)
+            record["traced"][w["name"]][side] = {"correct": res["correct"], "failed": res["failed"],
+                                                 **{k: v["value"] for k, v in res["metrics"].items()}}
 
     record["tier1"] = {}
     for side in SIDES:

@@ -157,12 +157,17 @@ def verify_steps(
     """The steps of a verify run, each computed when it is asked for: every
     exhaustive sweep for n = 1..exhaustive and every family grid, as its
     theorem id, its summary line and its failures. The arguments are checked
-    before any step runs."""
+    before any step runs, and a run that would check nothing is refused."""
     if not 0 <= exhaustive <= verify.EXHAUSTIVE_LIMIT:
         raise ValueError(f"--exhaustive must lie in 0..{verify.EXHAUSTIVE_LIMIT}, got {exhaustive}")
     if family_max > verify.FAMILY_LIMIT:
         raise ValueError(f"--family-max must be at most {verify.FAMILY_LIMIT}, got {family_max}")
     theorem_ids = _theorem_list(theorem)
+    grids = [tid for tid in theorem_ids if tid in verify.FAMILY_THEOREM_IDS]
+    if grids and family_max < verify.FAMILY_MIN:
+        raise ValueError(f"--family-max must be at least {verify.FAMILY_MIN} for a family grid, got {family_max}")
+    if not grids and exhaustive == 0:
+        raise ValueError(f"--exhaustive 0 selects no instance of {theorem}")
 
     def steps():
         for tid in theorem_ids:
@@ -171,9 +176,12 @@ def verify_steps(
                     result = sweeps.exhaustive_failures(tid, n)
                     yield tid, result.summary(), result.failures
             else:
-                reports = verify.family_grid_reports(tid, 7, family_max)
-                bad = [r for r in reports if r.applicable and not r.passed]
-                yield tid, f"{tid} grid n<={family_max}: {len(reports)} instances, {len(bad)} failures", bad
+                instances, bad = 0, []
+                for rep in verify.iter_family_reports(tid, verify.FAMILY_MIN, family_max):
+                    instances += 1
+                    if rep.applicable and not rep.passed:
+                        bad.append(rep)
+                yield tid, f"{tid} grid n<={family_max}: {instances} instances, {len(bad)} failures", bad
 
     return steps()
 

@@ -287,14 +287,8 @@ def gndt(n: int, d: int, t: int) -> Graph:
         raise GraphError(f"gndt requires 2 <= d <= n-2, got d={d}, n={n}")
     if not 2 <= t <= d:
         raise GraphError(f"gndt requires 2 <= t <= d, got t={t}, d={d}")
-    edges = [(i, i + 1) for i in range(d)]
-    clique = list(range(d + 1, n))
-    for i, u in enumerate(clique):
-        for v in clique[i + 1 :]:
-            edges.append((u, v))
-        for v in (t - 2, t - 1, t):
-            edges.append((u, v))
-    return from_edges(n, edges)
+    clique = (1 << n) - (1 << (d + 1))
+    return _path_plus_clique(n, d, [(clique, 0b111 << (t - 2))])
 
 
 def gndra(n: int, d: int, r: int, a: int) -> Graph:
@@ -310,18 +304,23 @@ def gndra(n: int, d: int, r: int, a: int) -> Graph:
         raise GraphError(f"gndra requires 2 <= r <= d-1, got r={r}, d={d}")
     if not 1 <= a <= n - d - 2:
         raise GraphError(f"gndra requires 1 <= a <= n-d-2, got a={a}, n={n}, d={d}")
-    edges = [(i, i + 1) for i in range(d)]
-    clique = list(range(d + 1, n))
-    for i, u in enumerate(clique):
-        for v in clique[i + 1 :]:
-            edges.append((u, v))
-    for u in clique[:a]:
-        for v in (r - 2, r - 1, r):
-            edges.append((u, v))
-    for u in clique[a:]:
-        for v in (r - 1, r, r + 1):
-            edges.append((u, v))
-    return from_edges(n, edges)
+    left = ((1 << a) - 1) << (d + 1)
+    right = (1 << n) - (1 << (d + 1 + a))
+    return _path_plus_clique(n, d, [(left, 0b111 << (r - 2)), (right, 0b111 << (r - 1))])
+
+
+def _path_plus_clique(n: int, d: int, joins: Sequence[tuple[int, int]]) -> Graph:
+    """The path 0-1-...-d plus a clique on d+1..n-1, with every vertex of the
+    bitmask c joined to every vertex of the bitmask p for each (c, p) in joins."""
+    clique = (1 << n) - (1 << (d + 1))
+    rows = [(1 << (u - 1) if u else 0) | (1 << (u + 1) if u < d else 0) for u in range(d + 1)]
+    rows += [clique ^ (1 << u) for u in range(d + 1, n)]
+    for c, p in joins:
+        for u in _bits(c):
+            rows[u] |= p
+        for v in _bits(p):
+            rows[v] |= c
+    return Graph(n, tuple(rows))
 
 
 def _require(params: dict[str, int], names: Sequence[str], kind: FamilyKind) -> list[int]:

@@ -139,6 +139,18 @@ def jacobi_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, bounds
 
 
+def certified_below(vals: np.ndarray, bounds: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``jacobi_batch``'s (vals, bounds): the number of eigenvalues
+    below t (a scalar or one threshold per row), and whether every eigenvalue
+    clears t by its certified bound plus the rounding of the comparison.
+    Where it clears, that number is a proven count below t, and t is not an
+    eigenvalue, so it is also the count at most t."""
+    t = np.asarray(t, dtype=float).reshape(-1, 1)
+    margin = bounds[:, None] + 4 * np.finfo(float).eps * (np.abs(t) + np.abs(vals))
+    clear = (np.abs(vals - t) > margin).all(axis=1)
+    return (vals < t).sum(axis=1), clear
+
+
 def eigenvalues_sym(mat: Sequence[Sequence[float]] | np.ndarray) -> Spectrum:
     """Spectrum of one dense symmetric matrix."""
     A = np.atleast_2d(np.array(mat, dtype=float))

@@ -53,7 +53,7 @@ from math import comb
 import numpy as np
 
 from . import exact, verify
-from .jacobi import GUARD_BAND, jacobi_batch
+from .jacobi import GUARD_BAND, certified_below, jacobi_batch
 from .verify import TheoremReport, graph_from_mask, mask_pairs
 
 CHUNK = 1 << 12  # masks per step of class_map's scan for the next representative
@@ -491,11 +491,8 @@ def eig_inertia_agreement(n: int) -> AgreementResult:
     inband_total = 0
     for t in ths:
         lt, le = (c[data.reps] for c in counts_pair(data, t))
-        tf = float(t)
-        margin = data.bound[:, None] + 4 * np.finfo(float).eps * (abs(tf) + np.abs(data.vals))
-        clear = (np.abs(data.vals - tf) > margin).all(axis=1)
+        below, clear = certified_below(data.vals, data.bound, float(t))
         inband_total += int((~clear).sum())
-        below = (data.vals < tf).sum(axis=1)
         for i in np.flatnonzero(clear & ((below != lt) | (below != le))):
             mismatches.append(
                 (int(data.reps[i]), str(t), "float", (int(below[i]), int(below[i])), (int(lt[i]), int(le[i])))

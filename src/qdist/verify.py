@@ -7,11 +7,14 @@ A point checker is its statement's predicate on the one-row GraphTable of
 one graph, whose columns come from the per-graph kernels. The exhaustive
 sweeps evaluate the same predicates on sweeps.SweepTable and hand the rows
 that do not pass to the point checkers, so a reported failure always rests
-on the per-graph kernels. Interval counts are exact (integer congruence
-inertia here, integer characteristic polynomials in the sweeps), never
-rounded floats; floating spectra appear only in the interlacing-chain
-statements, with a fixed 1e-8 slack. Hypothesis failures report "not
-applicable" rather than "pass" so pass counts measure real coverage.
+on the per-graph kernels. Interval counts are exact or certified, never
+rounded floats: integer congruence inertia in the point checkers, integer
+characteristic polynomials in the sweeps, and in the family tables the
+certified floating spectrum wherever every eigenvalue clears the threshold
+by its certified bound, with congruence inertia for every other member.
+Otherwise floating spectra appear only in the interlacing-chain statements,
+with a fixed 1e-8 slack. Hypothesis failures report "not applicable" rather
+than "pass" so pass counts measure real coverage.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import ceil
 from typing import Callable, Iterator, Sequence
 
@@ -46,7 +49,7 @@ from .invariants import (
     longest_path_length,
     matching_number,
 )
-from .jacobi import INEQ_SLACK, eigenvalues_sym
+from .jacobi import INEQ_SLACK, certified_below, eigenvalues_sym, jacobi_batch
 from .spectral import q_float
 
 
@@ -482,6 +485,116 @@ check_tail_eigenvalue_bound = _checker("tail-eigenvalue-bound", tail_eigenvalue_
 
 
 # -- family checkers ---------------------------------------------------------------
+#
+# A family statement has one instance per parameter tuple, and one checker
+# that takes the tuple as its positional arguments. family_parameters lists
+# the tuples of one order; it feeds both the grid (iter_family_reports) and
+# the counts the checkers read (family_table).
+
+
+FAMILY_MIN = 7  # smallest order of a verify family grid
+FAMILY_STACK = 32  # matrices per jacobi_batch call: the certificate's temporaries grow with the stack
+
+# the (matrix, count at most t too) pairs whose counts a family checker reads
+_FAMILY_COUNTS = {
+    "cycle-matching": (("Q", False),),
+    "family-counts": (("Q", False),),
+    "family-gndra-q5": (("Q", False),),
+    "diameter-3-equality": (("Q", True),),
+    "gndt-laplacian-count": (("L", False), ("Q", False)),
+}
+
+
+def family_parameters(theorem_id: str, n: int) -> Iterator[tuple[int, ...]]:
+    """The checker arguments of every instance of the family statement at order n, in grid order."""
+    if theorem_id == "cycle-matching":
+        if n >= 3:
+            yield (n,)
+    elif theorem_id == "family-counts":
+        for d in range(2, n - 2):
+            for t in range(2, d + 1):
+                yield (n, d, t)
+        for d in range(3, n - 2):
+            for t in range(2, d):
+                for a in range(1, n - d - 1):
+                    yield (n, d, t, a)
+    elif theorem_id == "family-gndra-q5":
+        for t in range(2, n - 3):
+            yield (n, t)
+    elif theorem_id == "diameter-3-equality":
+        if n >= 7:
+            yield (n,)
+            for a in range(1, n - 4):
+                yield (n, a)
+    elif theorem_id == "gndt-laplacian-count":
+        for d in range(4, n - 4):
+            for t in range(3, d):
+                yield (n, d, t)
+    else:
+        raise KeyError(f"{theorem_id!r} is not a family theorem")
+
+
+def _family_member(theorem_id: str, n: int, *rest: int) -> tuple[Graph, int]:
+    """The graph of one family instance and the threshold of its counts."""
+    if theorem_id == "cycle-matching":
+        return cycle_graph(n), 1
+    if theorem_id == "family-counts":
+        d, t, *a = rest
+        return (gndra(n, d, t, *a) if a else gndt(n, d, t)), n - d + 1
+    if theorem_id == "family-gndra-q5":
+        return gndra(n, n - 3, rest[0], 1), 4
+    if theorem_id == "diameter-3-equality":
+        return (gndra(n, 3, 2, *rest) if rest else gndt(n, 3, 2)), n - 3
+    d, t = rest  # gndt-laplacian-count
+    return gndt(n, d, t), n - d + 1
+
+
+@dataclass(frozen=True)
+class FamilyTable:
+    """Counts of every instance of one family statement at one order.
+
+    rows maps the checker's arguments to, for each (matrix, with_le) of the
+    statement, the count below the instance's threshold (and the count at
+    most it), then for diameter-3-equality the member's diameter.
+    exact_members counts the instances with a count from Bareiss.
+    """
+
+    rows: dict[tuple[int, ...], tuple[int, ...]]
+    exact_members: int
+
+
+@lru_cache(maxsize=None)
+def family_table(theorem_id: str, n: int) -> FamilyTable:
+    """The counts of every instance at order n. Members are stacked
+    FAMILY_STACK at a time into certified eigh (jacobi_batch); a member
+    whose eigenvalues all clear its threshold by their certified bound
+    (jacobi.certified_below) takes its counts from the floats, and every
+    other member from exact congruence inertia. A failed certificate raises
+    ConvergenceError and caches nothing."""
+    params = list(family_parameters(theorem_id, n))
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    exact_members = 0
+    for s in range(0, len(params), FAMILY_STACK):
+        chunk = params[s : s + FAMILY_STACK]
+        members = [_family_member(theorem_id, *p) for p in chunk]
+        thresholds = [t for _, t in members]
+        counts = [()] * len(chunk)
+        bareiss = np.zeros(len(chunk), dtype=bool)
+        for matrix, with_le in _FAMILY_COUNTS[theorem_id]:
+            mats = np.array([exact.graph_shift_rows(g, matrix) for g, _ in members], dtype=np.float64)
+            below, clear = certified_below(*jacobi_batch(mats), thresholds)
+            for i, ((g, t), b, c) in enumerate(zip(members, below.tolist(), clear.tolist())):
+                if c:
+                    counts[i] += (b, b) if with_le else (b,)
+                else:
+                    lt = exact.graph_count_lt(g, t, matrix=matrix)
+                    counts[i] += (lt, exact.graph_count_le(g, t, matrix=matrix)) if with_le else (lt,)
+            bareiss |= ~clear
+        if theorem_id == "diameter-3-equality":
+            counts = [c + (diameter(g),) for c, (g, _) in zip(counts, members)]
+        rows.update(zip(chunk, counts))
+        exact_members += int(bareiss.sum())
+    return FamilyTable(rows, exact_members)
 
 
 def check_cycle_matching(n: int) -> TheoremReport:
@@ -489,7 +602,7 @@ def check_cycle_matching(n: int) -> TheoremReport:
     5-cycle, stays at most the matching number minus one."""
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
-    m = exact.graph_count_lt(cycle_graph(n), 1)
+    (m,) = family_table("cycle-matching", n).rows[(n,)]
     expected = ceil(n / 3) if n % 3 == 2 else ceil(n / 3) - 1
     nu = n // 2
     ok = m == expected and (n == 5 or m <= nu - 1)
@@ -506,7 +619,7 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
     if a is None:
         if not 2 <= t <= d <= n - 3:
             raise GraphError(f"family count bound needs 2 <= t <= d <= n-3, got n={n}, d={d}, t={t}")
-        g = gndt(n, d, t)
+        key = (n, d, t)
         instance = f"gndt(n={n},d={d},t={t})"
     else:
         if not (2 <= t <= d - 1 <= n - 4 and 1 <= a <= n - d - 2):
@@ -514,9 +627,9 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
                 f"family count bound needs 2 <= t <= d-1 <= n-4 and 1 <= a <= n-d-2, "
                 f"got n={n}, d={d}, t={t}, a={a}"
             )
-        g = gndra(n, d, t, a)
+        key = (n, d, t, a)
         instance = f"gndra(n={n},d={d},r={t},a={a})"
-    below = exact.graph_count_lt(g, n - d + 1)
+    (below,) = family_table("family-counts", n).rows[key]
     witness: dict = {"m_below_n-d+1": below, "required": d}
     ok = below >= d
     if a is not None and d == n - 3:  # then n - d + 1 = 4: below is the count below 4
@@ -531,8 +644,7 @@ def check_gndra_q5(n: int, t: int) -> TheoremReport:
     d = n - 3
     if n < 6 or not 2 <= t <= d - 1:
         raise GraphError(f"q5 bound needs n >= 6 and 2 <= t <= n-4, got n={n}, t={t}")
-    g = gndra(n, d, t, 1)
-    below4 = exact.graph_count_lt(g, 4)
+    (below4,) = family_table("family-gndra-q5", n).rows[(n, t)]
     return TheoremReport(
         "family-gndra-q5",
         f"gndra(n={n},d={d},r={t},a=1)",
@@ -548,17 +660,16 @@ def check_diameter3_equality(n: int, a: int | None = None) -> TheoremReport:
     if n < 7:
         raise GraphError(f"diameter-3 equality needs n >= 7, got {n}")
     if a is None:
-        g = gndt(n, 3, 2)
+        key = (n,)
         instance = f"gndt(n={n},d=3,t=2)"
     else:
         if not 1 <= a <= n - 5:
             raise GraphError(f"diameter-3 equality needs 1 <= a <= n-5, got a={a}, n={n}")
-        g = gndra(n, 3, 2, a)
+        key = (n, a)
         instance = f"gndra(n={n},d=3,r=2,a={a})"
-    lt = exact.graph_count_lt(g, n - 3)
-    le = exact.graph_count_le(g, n - 3)
+    lt, le, diam = family_table("diameter-3-equality", n).rows[key]
     witness = {"m_below_n-3": lt, "mult_at_n-3": le - lt}
-    ok = lt == 2 and le - lt == n - 4 and diameter(g) == 3
+    ok = lt == 2 and le - lt == n - 4 and diam == 3
     return TheoremReport("diameter-3-equality", instance, ok, witness=witness)
 
 
@@ -567,9 +678,7 @@ def check_gndt_laplacian_count(n: int, d: int, t: int) -> TheoremReport:
     [0, n-d+1) when d <= n-5 and 3 <= t <= d-1, against at least d signless ones."""
     if not (d <= n - 5 and 3 <= t <= d - 1):
         raise GraphError(f"laplacian family count needs d <= n-5 and 3 <= t <= d-1, got n={n}, d={d}, t={t}")
-    g = gndt(n, d, t)
-    lap = exact.graph_count_lt(g, n - d + 1, matrix="L")
-    signless = exact.graph_count_lt(g, n - d + 1, matrix="Q")
+    lap, signless = family_table("gndt-laplacian-count", n).rows[(n, d, t)]
     ok = lap == d - 1 and signless >= d
     return TheoremReport(
         "gndt-laplacian-count",
@@ -610,13 +719,14 @@ GRAPH_THEOREMS: dict[str, GraphTheorem] = {
     ]
 }
 
-FAMILY_THEOREM_IDS = (
-    "cycle-matching",
-    "family-counts",
-    "family-gndra-q5",
-    "diameter-3-equality",
-    "gndt-laplacian-count",
-)
+FAMILY_CHECKERS = {
+    "cycle-matching": "check_cycle_matching",
+    "family-counts": "check_family_counts",
+    "family-gndra-q5": "check_gndra_q5",
+    "diameter-3-equality": "check_diameter3_equality",
+    "gndt-laplacian-count": "check_gndt_laplacian_count",
+}
+FAMILY_THEOREM_IDS = tuple(FAMILY_CHECKERS)
 
 ALL_THEOREM_IDS = tuple(GRAPH_THEOREMS) + FAMILY_THEOREM_IDS
 
@@ -628,37 +738,19 @@ def canonical_theorem_id(theorem_id: str) -> str:
     return tid
 
 
-def family_grid_reports(theorem_id: str, n_lo: int, n_hi: int) -> list[TheoremReport]:
-    """Run a family checker over every legal parameter combination in the range."""
+def iter_family_reports(theorem_id: str, n_lo: int, n_hi: int) -> Iterator[TheoremReport]:
+    """Run a family checker over every instance of the grid n_lo..n_hi, one
+    report at a time. The checker is looked up on this module at each call."""
     tid = canonical_theorem_id(theorem_id)
-    out: list[TheoremReport] = []
-    for n in range(n_lo, n_hi + 1):
-        if tid == "cycle-matching":
-            if n >= 3:
-                out.append(check_cycle_matching(n))
-        elif tid == "family-counts":
-            for d in range(2, n - 2):
-                for t in range(2, d + 1):
-                    out.append(check_family_counts(n, d, t))
-            for d in range(3, n - 2):
-                for t in range(2, d):
-                    for a in range(1, n - d - 1):
-                        out.append(check_family_counts(n, d, t, a))
-        elif tid == "family-gndra-q5":
-            for t in range(2, n - 3):
-                out.append(check_gndra_q5(n, t))
-        elif tid == "diameter-3-equality":
-            if n >= 7:
-                out.append(check_diameter3_equality(n))
-                for a in range(1, n - 4):
-                    out.append(check_diameter3_equality(n, a))
-        elif tid == "gndt-laplacian-count":
-            for d in range(4, n - 4):
-                for t in range(3, d):
-                    out.append(check_gndt_laplacian_count(n, d, t))
-        else:
-            raise KeyError(f"{theorem_id!r} is not a family theorem")
-    return out
+    if tid not in FAMILY_THEOREM_IDS:
+        raise KeyError(f"{theorem_id!r} is not a family theorem")
+    name = FAMILY_CHECKERS[tid]
+    return (globals()[name](*p) for n in range(n_lo, n_hi + 1) for p in family_parameters(tid, n))
+
+
+def family_grid_reports(theorem_id: str, n_lo: int, n_hi: int) -> list[TheoremReport]:
+    """Every report of iter_family_reports, as a list."""
+    return list(iter_family_reports(theorem_id, n_lo, n_hi))
 
 
 def search_counterexamples(
@@ -676,9 +768,9 @@ def search_counterexamples(
     if budget < 1:
         raise GraphError(f"budget must be at least 1, got {budget}")
     if tid in FAMILY_THEOREM_IDS:
-        if n_hi > FAMILY_LIMIT:
-            raise GraphError(f"family grids are for n <= {FAMILY_LIMIT}, got {n_hi}")
-        return [r for r in family_grid_reports(tid, n_lo, n_hi) if r.applicable and not r.passed]
+        if not FAMILY_MIN <= n_hi <= FAMILY_LIMIT:
+            raise GraphError(f"family grids are for {FAMILY_MIN} <= n_max <= {FAMILY_LIMIT}, got {n_hi}")
+        return [r for r in iter_family_reports(tid, n_lo, n_hi) if r.applicable and not r.passed]
     if n_hi > SAMPLE_LIMIT:
         raise GraphError(f"sampling is for {EXHAUSTIVE_LIMIT + 1} <= n <= {SAMPLE_LIMIT}, got {n_hi}")
 

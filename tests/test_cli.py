@@ -97,6 +97,11 @@ def test_verify_exit_zero(capsys):
 
 def test_verify_family_theorem(capsys):
     assert main(["verify", "--theorem", "diameter-3-equality", "--family-max", "9"]) == 0
+    # the family grids alone are a valid selection
+    capsys.readouterr()
+    assert main(["verify", "--theorem", "all", "--exhaustive", "0", "--family-max", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" grid ")[0] for line in lines] == list(verify.FAMILY_THEOREM_IDS)
 
 
 def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
@@ -163,10 +168,15 @@ def test_out_of_range_orders_exit_two_before_any_work(monkeypatch):
     _forbid(monkeypatch, sweeps, "exhaustive_failures")
     _forbid(monkeypatch, sweeps, "sweep_data")
     _forbid(monkeypatch, verify, "family_grid_reports")
+    _forbid(monkeypatch, verify, "iter_family_reports")
     assert main(["verify", "--theorem", "all", "--exhaustive", "8"]) == 2
     assert main(["verify", "--theorem", "delta2", "--exhaustive", "-1"]) == 2
     assert main(["verify", "--theorem", "all", "--exhaustive", "0", "--family-max", "200"]) == 2
     assert main(["search", "--theorem", "diameter-3-equality", "--n-min", "7", "--n-max", "300"]) == 2
+    # selections that check nothing
+    assert main(["verify", "--theorem", "all", "--exhaustive", "0", "--family-max", "-5"]) == 2
+    assert main(["verify", "--theorem", "delta2", "--exhaustive", "0"]) == 2
+    assert main(["search", "--theorem", "family-counts", "--n-min", "1", "--n-max", "6"]) == 2
 
 
 def test_failed_certificate_exits_two(monkeypatch, capsys):
@@ -179,6 +189,20 @@ def test_failed_certificate_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(jacobi.np.linalg, "eigh", shifted)
     assert main(["spectrum", "--family", "complete,n=5"]) == 2
     assert "certificate failed" in capsys.readouterr().err
+
+
+def test_failed_family_certificate_exits_two_without_a_grid_line(monkeypatch, capsys):
+    real = np.linalg.eigh
+
+    def shifted(a):
+        w, v = real(a)
+        return w + 1e-10, v
+
+    verify.family_table.cache_clear()
+    monkeypatch.setattr(jacobi.np.linalg, "eigh", shifted)
+    assert main(["verify", "--theorem", "family-counts", "--family-max", "8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "certificate failed" in out.err
 
 
 def test_malformed_graph6_exit_two():

@@ -169,6 +169,52 @@ def test_gndra_connected_diametral(n, d, r, a):
     assert max(bfs_distances(g, 0)) == d
 
 
+def _gndt_reference(n, d, t):
+    # the docstring's edge list: path v1..v(d+1), the clique, each clique
+    # vertex joined to v(t-1), v(t), v(t+1)
+    clique = range(d + 1, n)
+    edges = [(i, i + 1) for i in range(d)]
+    edges += [(u, v) for u in clique for v in clique if u < v]
+    edges += [(u, v) for u in clique for v in (t - 2, t - 1, t)]
+    return from_edges(n, edges)
+
+
+def _gndra_reference(n, d, r, a):
+    clique = range(d + 1, n)
+    edges = [(i, i + 1) for i in range(d)]
+    edges += [(u, v) for u in clique for v in clique if u < v]
+    edges += [(u, v) for u in clique[:a] for v in (r - 2, r - 1, r)]
+    edges += [(u, v) for u in clique[a:] for v in (r - 1, r, r + 1)]
+    return from_edges(n, edges)
+
+
+def test_family_bitmasks_match_the_edge_lists():
+    """gndt and gndra set adjacency rows from masks; every legal parameter
+    tuple to order 12 and every family grid tuple to order 22 gives the
+    graph of the docstring's edge list."""
+    from qdist.verify import family_parameters
+
+    gndt_args = {(n, d, t) for n in range(4, 13) for d in range(2, n - 1) for t in range(2, d + 1)}
+    gndra_args = {
+        (n, d, r, a) for n in range(5, 13) for d in range(3, n - 1) for r in range(2, d) for a in range(1, n - d - 1)
+    }
+    for n in range(7, 23):
+        for p in family_parameters("family-counts", n):
+            (gndt_args if len(p) == 3 else gndra_args).add(p)
+        gndt_args.update(family_parameters("gndt-laplacian-count", n))
+        gndt_args.add((n, 3, 2))
+        gndra_args.update((n, n - 3, t, 1) for _, t in family_parameters("family-gndra-q5", n))
+        gndra_args.update((n, 3, 2, a) for _, a in list(family_parameters("diameter-3-equality", n))[1:])
+    for args in gndt_args:
+        g = gndt(*args)
+        g.validate()
+        assert g == _gndt_reference(*args), args
+    for args in gndra_args:
+        g = gndra(*args)
+        g.validate()
+        assert g == _gndra_reference(*args), args
+
+
 def test_family_parameter_validation():
     with pytest.raises(GraphError, match="2 <= t <= d"):
         gndt(8, 3, 5)

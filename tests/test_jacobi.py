@@ -223,6 +223,18 @@ def test_certified_bound_on_small_graphs():
         assert bounds.max() <= 1e-10, n
 
 
+def test_certified_below_counts_only_where_every_eigenvalue_clears():
+    # Q(K4) has eigenvalues 6, 2, 2, 2 and Q(C4) has 4, 2, 2, 0
+    vals, bounds = jacobi_batch(np.stack([q_float(complete_graph(4)), q_float(cycle_graph(4))]))
+    below, clear = jacobi.certified_below(vals, bounds, [3, 1])
+    assert below.tolist() == [3, 1] and clear.tolist() == [True, True]
+    below, clear = jacobi.certified_below(vals, bounds, 6)
+    assert below.tolist() == [3, 4] and clear.tolist() == [False, True]
+    assert jacobi.certified_below(vals, bounds, 2)[1].tolist() == [False, False]
+    # a bound of 1.5 leaves 3 within reach of the eigenvalue 2 (and of 4)
+    assert jacobi.certified_below(vals, np.full(2, 1.5), 3)[1].tolist() == [False, False]
+
+
 def test_spread_bound_not_above_max_modulus_bound():
     # eta·(max λ - min λ) in place of 2·eta·max|λ|: both the accepted
     # fraction and the reported bound may only shrink

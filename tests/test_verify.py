@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qdist import sweeps, verify
+from qdist import exact, sweeps, verify
 from qdist.graphs import (
     GraphError,
     complete_bipartite,
@@ -10,10 +10,13 @@ from qdist.graphs import (
     complete_minus_edge,
     cycle_graph,
     disjoint_union,
+    gndra,
+    gndt,
     k_copies,
     make_empty,
     path_graph,
 )
+from qdist.invariants import diameter
 from qdist.verify import (
     EnumerationFilter,
     check_alpha_sandwich,
@@ -228,6 +231,85 @@ def test_gndt_laplacian_count_examples():
     assert rep.passed and rep.witness["laplacian_below"] == 4 and rep.witness["signless_below"] >= 5
     rep = check_gndt_laplacian_count(9, 4, 3)
     assert rep.passed and rep.witness["laplacian_below"] == 3
+
+
+# -- family tables ----------------------------------------------------------------------
+
+
+def _bareiss_row(tid, params):
+    """The row family_table should hold for one instance, from Bareiss on the member built here."""
+    n, *rest = params
+    lt = exact.graph_count_lt
+    if tid == "cycle-matching":
+        return (lt(cycle_graph(n), 1),)
+    if tid == "family-counts":
+        d, t, *a = rest
+        return (lt(gndra(n, d, t, *a) if a else gndt(n, d, t), n - d + 1),)
+    if tid == "family-gndra-q5":
+        return (lt(gndra(n, n - 3, rest[0], 1), 4),)
+    if tid == "diameter-3-equality":
+        g = gndra(n, 3, 2, *rest) if rest else gndt(n, 3, 2)
+        return (lt(g, n - 3), exact.graph_count_le(g, n - 3), diameter(g))
+    d, t = rest
+    g = gndt(n, d, t)
+    return (lt(g, n - d + 1, matrix="L"), lt(g, n - d + 1))
+
+
+def test_family_tables_equal_bareiss():
+    for tid in verify.FAMILY_THEOREM_IDS:
+        for n in range(7, 17):
+            rows = verify.family_table(tid, n).rows
+            assert list(rows) == list(verify.family_parameters(tid, n))
+            for params, row in rows.items():
+                assert row == _bareiss_row(tid, params), (tid, params)
+
+
+def test_family_tables_send_only_threshold_eigenvalues_to_bareiss(monkeypatch):
+    # C_n has the eigenvalue 1 when 3 divides n, every diameter-3 member
+    # has n-3 with multiplicity n-4, and 7 family-counts members have
+    # n-d+1; every other member of orders 7..16 is counted from the floats
+    calls = []
+    for name in ("graph_count_lt", "graph_count_le"):
+        real = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    verify.family_table.cache_clear()
+    try:
+        resolved = {
+            tid: sum(verify.family_table(tid, n).exact_members for n in range(7, 17))
+            for tid in verify.FAMILY_THEOREM_IDS
+        }
+    finally:
+        verify.family_table.cache_clear()
+    assert resolved == {
+        "cycle-matching": 3,
+        "family-counts": 7,
+        "family-gndra-q5": 0,
+        "diameter-3-equality": 75,
+        "gndt-laplacian-count": 0,
+    }
+    assert len(calls) == 3 + 7 + 2 * 75
+
+
+def test_family_checkers_validate_before_any_table(monkeypatch):
+    def built(*args):
+        raise AssertionError("a family table was built")
+
+    monkeypatch.setattr(verify, "family_table", built)
+    illegal = [
+        lambda: check_cycle_matching(2),
+        lambda: check_family_counts(8, 6, 2),
+        lambda: check_family_counts(8, 4, 4, 1),
+        lambda: check_family_counts(8, 4, 2, 3),
+        lambda: check_gndra_q5(5, 2),
+        lambda: check_gndra_q5(9, 6),
+        lambda: check_diameter3_equality(6),
+        lambda: check_diameter3_equality(9, 5),
+        lambda: check_gndt_laplacian_count(9, 5, 3),
+        lambda: check_gndt_laplacian_count(12, 5, 2),
+    ]
+    for call in illegal:
+        with pytest.raises(GraphError):
+            call()
 
 
 # -- reports, catalog, search ------------------------------------------------------------
