@@ -12,7 +12,7 @@ alternating which side runs first. For every end-to-end metric it records each s
 median and quartiles over its runs and how many pairs the change won (ties
 count for neither side). It then times `qdist verify --theorem all
 --exhaustive 7 --family-max 12` (wall, CPU and peak RSS of the process) in
-VERIFY_PAIRS interleaved pairs, one traced run (`--trace 1`) of every
+PAIRS interleaved pairs as well, one traced run (`--trace 1`) of every
 workload on each side for its per-layer counters, and one run of the
 tier-1 test suite on each side. The record also names the machine and the
 two commits, and counts each side's source lines (src/qdist/*.py plus
@@ -34,7 +34,6 @@ from pathlib import Path
 
 PAIRS = 10  # the fewest interleaved pairs that can support a claimed gain
 SEED = 1
-VERIFY_PAIRS = 3
 VERIFY = ["verify", "--theorem", "all", "--exhaustive", "7", "--family-max", "12"]
 SIDES = ("parent", "change")
 
@@ -128,7 +127,7 @@ def main() -> int:
         print(f"verify {side}: exit {res['returncode']}, {res['wall_s']:.2f} s", file=sys.stderr, flush=True)
         return res
 
-    got = pairs_of(VERIFY_PAIRS, verify)
+    got = pairs_of(PAIRS, verify)
     record["verify_n7"] = {
         "command": "qdist " + " ".join(VERIFY),
         "exit": {side: [r["returncode"] for r in got[side]] for side in SIDES},

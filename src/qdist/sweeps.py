@@ -7,24 +7,22 @@ its class by orbit enumeration: the least mask with no class yet is the
 next representative, and its images under all n! vertex permutations are
 its orbit. SweepData carries the map (``class_of``), the representatives
 and the orbit sizes, and computes every column for the representatives
-only. One stack of Q(G) matrices (``q_batch``, the only decoder of masks
-into matrices) gives every vertex-level column: the degrees are its
-diagonal; connectivity and diameter come from Boolean powers of the
-closed adjacency pattern (Q != 0) | I, and the domination numbers from
-unions of its rows. The same stack gives the floating spectra (stacked
-LAPACK ``eigh`` calls, ``jacobi.jacobi_batch``, each with a certified
-eigenvalue error bound) and the integer coefficients of the
-characteristic polynomial det(xI - Q) (batched Faddeev-LeVerrier in
-float64, exact under asserted bounds). Q(G) is symmetric, so that
+only. One stack of Q(G) matrices (``q_batch``; sweep_data decodes edge
+masks only there and in the class map) gives every column: the degrees
+are its diagonal; connectivity and diameter come from Boolean powers of
+the closed adjacency pattern (Q != 0) | I, and the matching,
+independence and domination numbers from one scan of the 2^n vertex
+subsets over the rows of that pattern (``_subset_scan``). The same stack
+gives the floating spectra (stacked LAPACK ``eigh`` calls,
+``jacobi.jacobi_batch``, each with a certified eigenvalue error bound)
+and the integer coefficients of the characteristic polynomial det(xI - Q)
+(batched Faddeev-LeVerrier in float64, exact under asserted bounds). Q(G) is symmetric, so that
 polynomial has only real roots and Descartes' rule of signs is exact for
 it: the number of eigenvalues below a rational threshold t is the number of
 sign variations in the coefficients of the shifted polynomial, and the
 multiplicity of t is the order of its zero there. Every eigenvalue count in
 the sweeps comes from this one exact kernel. The spectra feed the
 interlacing-chain statements, which compare eigenvalues and not counts.
-Invariants that admit a subset formulation (matching, independence,
-domination) are evaluated exactly for all representatives at once by
-scanning the 2^n vertex subsets.
 
 SweepTable presents these tables to the statement predicates of verify,
 the same predicates the point checkers evaluate on one graph. Its rows are
@@ -152,70 +150,29 @@ def _closure_and_diameter(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reach.all(axis=(1, 2)), diam
 
 
-def _subset_edge_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every vertex subset: the edge-bit mask of pairs inside it, and its size."""
-    pairs = mask_pairs(n)
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    inner = np.zeros(1 << n, dtype=np.int64)
-    for s in range(1 << n):
-        sizes[s] = bin(s).count("1")
-        bits = 0
-        for k, (u, v) in enumerate(pairs):
-            if s >> u & 1 and s >> v & 1:
-                bits |= 1 << k
-        inner[s] = bits
-    return inner, sizes
-
-
-def _vector_alpha(n: int, masks: np.ndarray) -> np.ndarray:
-    """Exact independence numbers: a subset is independent iff the graph has
-    no edge bit inside it."""
-    inner, sizes = _subset_edge_masks(n)
-    alpha = np.zeros((masks.size,), dtype=np.int16)
-    for s in range(1, 1 << n):
-        ind = (masks & inner[s]) == 0
-        np.maximum(alpha, ind * np.int16(sizes[s]), out=alpha)
-    return alpha
-
-
-def _vector_gamma(closed: np.ndarray) -> np.ndarray:
-    """Exact domination numbers from the closed adjacency pattern (C, n, n):
-    a subset dominates iff the union of its members' rows covers every vertex."""
-    n = closed.shape[1]
-    gamma = np.full((closed.shape[0],), n, dtype=np.int16)
+def _subset_scan(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact matching, independence and domination numbers (int16) from the
+    closed adjacency pattern (C, n, n), in one pass over the vertex subsets S
+    in ascending order, so every proper subset of S comes before S. With
+    v = min S, nu(S) = max(nu(S - v), 1 + nu(S - v - u)) over the neighbours
+    u of v in S, held in a 2^n x C table; nu(S - v - u) <= nu(S - v), so
+    adding the edge bit (0 or 1) in place of 1 takes the same maximum. S is
+    independent iff its rows meet S only on the diagonal, and dominates iff
+    the union of its rows covers every vertex."""
+    C, n, _ = closed.shape
+    nu = np.zeros((1 << n, C), dtype=np.int16)
+    alpha = np.zeros((C,), dtype=np.int16)
+    gamma = np.full((C,), n, dtype=np.int16)
     for s in range(1, 1 << n):
         members = [v for v in range(n) if s >> v & 1]
-        dominates = closed[:, members, :].any(axis=1).all(axis=1)
-        gamma[dominates & (gamma > len(members))] = len(members)
-    return gamma
-
-
-def _all_matchings(n: int) -> list[list[int]]:
-    pairs = mask_pairs(n)
-    by_size: dict[int, list[int]] = {}
-
-    def rec(start: int, used: int, bits: int, size: int) -> None:
-        if size:
-            by_size.setdefault(size, []).append(bits)
-        for k in range(start, len(pairs)):
-            u, v = pairs[k]
-            if used >> u & 1 or used >> v & 1:
-                continue
-            rec(k + 1, used | 1 << u | 1 << v, bits | 1 << k, size + 1)
-
-    rec(0, 0, 0, 0)
-    return [by_size.get(s, []) for s in range(1, n // 2 + 1)]
-
-
-def _vector_nu(n: int, masks: np.ndarray) -> np.ndarray:
-    """Exact matching numbers: nu >= k iff some k-matching's edge bits are present."""
-    nu = np.zeros((masks.size,), dtype=np.int16)
-    for size, group in enumerate(_all_matchings(n), start=1):
-        has = np.zeros((masks.size,), dtype=bool)
-        for bits in group:
-            has |= (masks & bits) == bits
-        nu[has] = size
-    return nu
+        v, rest, size = members[0], s & (s - 1), np.int16(len(members))
+        for u in members[1:]:
+            np.maximum(nu[s], nu[rest ^ 1 << u] + closed[:, v, u], out=nu[s])
+        np.maximum(nu[s], nu[rest], out=nu[s])
+        rows = closed[:, members, :]
+        np.maximum(alpha, (rows[:, :, members].sum(axis=(1, 2)) == size) * size, out=alpha)
+        gamma[rows.any(axis=1).all(axis=1) & (gamma > size)] = size
+    return nu[-1].copy(), alpha, gamma
 
 
 def sweep_data(n: int) -> SweepData:
@@ -239,9 +196,7 @@ def sweep_data(n: int) -> SweepData:
             np.diagonal(Q, axis1=1, axis2=2).astype(np.uint8),
             conn,
             diam,
-            _vector_nu(n, reps),
-            _vector_alpha(n, reps),
-            _vector_gamma(closed),
+            *_subset_scan(closed),
         )
     return _DATA[n]
 

@@ -235,19 +235,19 @@ def _record_first(found: dict[int, dict], rows: np.ndarray, fail: np.ndarray, wi
             found[int(rows[j])] = witness(j, int(fail[j].argmax()))
 
 
-def edge_interlacing(tab, edges: Sequence[int] | None = None) -> Verdict:
-    """Eigenvalues of G and G-e interlace: q_i(G) >= q_i(G-e) >= q_{i+1}(G).
+def edge_interlacing(tab) -> Verdict:
+    """Eigenvalues of G and G-e interlace: q_i(G) >= q_i(G-e) >= q_{i+1}(G),
+    for every edge e.
 
     Checks the floating chain with 1e-8 slack and, exactly, that the count
     below every integer threshold moves by at most one when the edge goes.
-    edges: the edge bits to delete (default: every edge of each graph).
     """
     n = tab.n
     thresholds = range(0, 2 * n - 1)
     checked = np.zeros(tab.count, dtype=np.int64)
     found: dict[int, dict] = {}
     lt_g = None
-    for k in range(n * (n - 1) // 2) if edges is None else edges:
+    for k in range(n * (n - 1) // 2):
         rows, sub = tab.without_edge(k)
         if not rows.size:
             continue
@@ -277,14 +277,14 @@ def edge_interlacing(tab, edges: Sequence[int] | None = None) -> Verdict:
     return Verdict.first_failures(checked > 0, found, "no edges", lambda i: {"edges_checked": checked[i]})
 
 
-def vertex_deletion(tab, vertices: Sequence[int] | None = None) -> Verdict:
-    """q_{i+1}(G) <= q_i(G-v) + 1 for i = 1..n-1, floating with 1e-8 slack.
-    vertices: the vertices to delete (default: every vertex)."""
+def vertex_deletion(tab) -> Verdict:
+    """q_{i+1}(G) <= q_i(G-v) + 1 for i = 1..n-1 and every vertex v,
+    floating with 1e-8 slack."""
     n = tab.n
     found: dict[int, dict] = {}
     if n >= 2:
         vals = tab.vals
-        for w in range(n) if vertices is None else vertices:
+        for w in range(n):
             B = tab.without_vertex(w).vals
             fail = ~(vals[:, 1:] <= B[:, : n - 1] + 1 + INEQ_SLACK)
 
@@ -441,9 +441,9 @@ class GraphTable:
         return GraphTable(self.n - 1, [delete_vertex(g, v) for g in self.graphs])
 
 
-def evaluate(theorem_id: str, predicate: Callable[..., Verdict], g: Graph, **options) -> TheoremReport:
+def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) -> TheoremReport:
     """The predicate on the one-row table of g, as a report."""
-    verdict = predicate(GraphTable(g.n, [g]), **options)
+    verdict = predicate(GraphTable(g.n, [g]))
     applicable = bool(verdict.applicable[0])
     if applicable:
         witness = {k: v.item() if isinstance(v, np.generic) else v for k, v in verdict.witness(0).items()}
@@ -460,19 +460,8 @@ def _checker(theorem_id: str, predicate: Callable[[object], Verdict]) -> Callabl
     return check
 
 
-def check_edge_interlacing(g: Graph, e: tuple[int, int] | None = None) -> TheoremReport:
-    """edge_interlacing on g, over every edge or the one edge e."""
-    if e is not None and not g.has_edge(*e):
-        raise GraphError(f"edge ({e[0]},{e[1]}) not present")
-    edges = None if e is None else [mask_pairs(g.n).index(tuple(sorted(e)))]
-    return evaluate("edge-interlacing", edge_interlacing, g, edges=edges)
-
-
-def check_vertex_deletion(g: Graph, v: int | None = None) -> TheoremReport:
-    """vertex_deletion on g, over every vertex or the one vertex v."""
-    return evaluate("vertex-deletion", vertex_deletion, g, vertices=None if v is None else [v])
-
-
+check_edge_interlacing = _checker("edge-interlacing", edge_interlacing)
+check_vertex_deletion = _checker("vertex-deletion", vertex_deletion)
 check_matching_upper = _checker("matching-upper", matching_upper)
 check_delta2 = _checker("delta2", delta2)
 check_domination_bound = _checker("domination-bound", domination_bound)
@@ -597,12 +586,24 @@ def family_table(theorem_id: str, n: int) -> FamilyTable:
     return FamilyTable(rows, exact_members)
 
 
+@lru_cache(maxsize=None)
+def _family_grid(theorem_id: str, n: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(family_parameters(theorem_id, n))
+
+
+def _family_row(theorem_id: str, *key: int) -> tuple[int, ...]:
+    """The table row of the instance whose checker arguments are key (n
+    first). Raises GraphError, before any table is built, when key is not a
+    tuple of family_parameters."""
+    if key not in _family_grid(theorem_id, key[0]):
+        raise GraphError(f"{theorem_id} has no instance with arguments {key}")
+    return family_table(theorem_id, key[0]).rows[key]
+
+
 def check_cycle_matching(n: int) -> TheoremReport:
     """Cycle count below 1 matches the ceil(n/3) residue formula and, off the
-    5-cycle, stays at most the matching number minus one."""
-    if n < 3:
-        raise GraphError(f"cycle needs n >= 3, got {n}")
-    (m,) = family_table("cycle-matching", n).rows[(n,)]
+    5-cycle, stays at most the matching number minus one (n >= 3)."""
+    (m,) = _family_row("cycle-matching", n)
     expected = ceil(n / 3) if n % 3 == 2 else ceil(n / 3) - 1
     nu = n // 2
     ok = m == expected and (n == 5 or m <= nu - 1)
@@ -617,19 +618,11 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
     1 <= a <= n-d-2): the same bound; when d = n-3 additionally q_5 < 4.
     """
     if a is None:
-        if not 2 <= t <= d <= n - 3:
-            raise GraphError(f"family count bound needs 2 <= t <= d <= n-3, got n={n}, d={d}, t={t}")
-        key = (n, d, t)
+        (below,) = _family_row("family-counts", n, d, t)
         instance = f"gndt(n={n},d={d},t={t})"
     else:
-        if not (2 <= t <= d - 1 <= n - 4 and 1 <= a <= n - d - 2):
-            raise GraphError(
-                f"family count bound needs 2 <= t <= d-1 <= n-4 and 1 <= a <= n-d-2, "
-                f"got n={n}, d={d}, t={t}, a={a}"
-            )
-        key = (n, d, t, a)
+        (below,) = _family_row("family-counts", n, d, t, a)
         instance = f"gndra(n={n},d={d},r={t},a={a})"
-    (below,) = family_table("family-counts", n).rows[key]
     witness: dict = {"m_below_n-d+1": below, "required": d}
     ok = below >= d
     if a is not None and d == n - 3:  # then n - d + 1 = 4: below is the count below 4
@@ -640,34 +633,26 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
 
 
 def check_gndra_q5(n: int, t: int) -> TheoremReport:
-    """q_5 < 4 for the four-parameter family at d = n-3, a = 1."""
-    d = n - 3
-    if n < 6 or not 2 <= t <= d - 1:
-        raise GraphError(f"q5 bound needs n >= 6 and 2 <= t <= n-4, got n={n}, t={t}")
-    (below4,) = family_table("family-gndra-q5", n).rows[(n, t)]
+    """q_5 < 4 for the four-parameter family at d = n-3, a = 1 (2 <= t <= n-4)."""
+    (below4,) = _family_row("family-gndra-q5", n, t)
     return TheoremReport(
         "family-gndra-q5",
-        f"gndra(n={n},d={d},r={t},a=1)",
+        f"gndra(n={n},d={n - 3},r={t},a=1)",
         below4 >= n - 4,
         witness={"count_below_4": below4, "required": n - 4},
     )
 
 
 def check_diameter3_equality(n: int, a: int | None = None) -> TheoremReport:
-    """Equality witnesses for the diameter-3 bound: the path-plus-clique
-    families have exactly two eigenvalues below n-3, exactly n-4 equal to
-    n-3, and the rest above."""
-    if n < 7:
-        raise GraphError(f"diameter-3 equality needs n >= 7, got {n}")
+    """Equality witnesses for the diameter-3 bound (n >= 7, 1 <= a <= n-5):
+    the path-plus-clique families have exactly two eigenvalues below n-3,
+    exactly n-4 equal to n-3, and the rest above."""
     if a is None:
-        key = (n,)
+        lt, le, diam = _family_row("diameter-3-equality", n)
         instance = f"gndt(n={n},d=3,t=2)"
     else:
-        if not 1 <= a <= n - 5:
-            raise GraphError(f"diameter-3 equality needs 1 <= a <= n-5, got a={a}, n={n}")
-        key = (n, a)
+        lt, le, diam = _family_row("diameter-3-equality", n, a)
         instance = f"gndra(n={n},d=3,r=2,a={a})"
-    lt, le, diam = family_table("diameter-3-equality", n).rows[key]
     witness = {"m_below_n-3": lt, "mult_at_n-3": le - lt}
     ok = lt == 2 and le - lt == n - 4 and diam == 3
     return TheoremReport("diameter-3-equality", instance, ok, witness=witness)
@@ -676,9 +661,7 @@ def check_diameter3_equality(n: int, a: int | None = None) -> TheoremReport:
 def check_gndt_laplacian_count(n: int, d: int, t: int) -> TheoremReport:
     """The three-parameter family has exactly d-1 Laplacian eigenvalues in
     [0, n-d+1) when d <= n-5 and 3 <= t <= d-1, against at least d signless ones."""
-    if not (d <= n - 5 and 3 <= t <= d - 1):
-        raise GraphError(f"laplacian family count needs d <= n-5 and 3 <= t <= d-1, got n={n}, d={d}, t={t}")
-    lap, signless = family_table("gndt-laplacian-count", n).rows[(n, d, t)]
+    lap, signless = _family_row("gndt-laplacian-count", n, d, t)
     ok = lap == d - 1 and signless >= d
     return TheoremReport(
         "gndt-laplacian-count",
@@ -699,7 +682,7 @@ class GraphTheorem:
     theorem_id: str
     check: Callable[[Graph], TheoremReport]
     description: str
-    predicate: Callable[..., Verdict]
+    predicate: Callable[[object], Verdict]
 
 
 GRAPH_THEOREMS: dict[str, GraphTheorem] = {

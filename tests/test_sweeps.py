@@ -117,11 +117,11 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
 
 
 def test_table_invariants_match_per_graph_kernels():
-    """The subset-scan matching, independence and domination numbers and
-    the matrix-power connectivity and diameter of sweep_data against
-    blossom, branch-and-bound and BFS on the graph itself: on every labeled
-    graph with n <= 6, read through the class map, and on the 1,044 class
-    representatives at n = 7. The degree rows against the representatives'
+    """The subset-scan matching, independence and domination numbers
+    (int16) and the matrix-power connectivity and diameter of sweep_data
+    against blossom, branch-and-bound and BFS on the graph itself: on
+    every labeled graph with n <= 6, read through the class map, and on
+    the 1,044 class representatives at n = 7. The degree rows against the representatives'
     own degrees, at every n <= 7."""
     for n in range(1, 8):
         data = sweeps.sweep_data(n)
@@ -132,6 +132,7 @@ def test_table_invariants_match_per_graph_kernels():
         assert data.degs.dtype == np.uint8 and np.array_equal(data.degs, rep_degs), n  # vertex by vertex
         for name, kernel in [("nu", matching_number), ("alpha", independence_number), ("gamma", domination_number)]:
             got = getattr(data, name)[cls]
+            assert got.dtype == np.int16, (n, name)
             want = np.array([kernel(g) for g in graphs])
             assert np.array_equal(got, want), (n, name, np.flatnonzero(got != want)[:5])
         conn = np.array([is_connected(g) for g in graphs])
@@ -139,6 +140,20 @@ def test_table_invariants_match_per_graph_kernels():
         assert np.array_equal(got_conn, conn), (n, np.flatnonzero(got_conn != conn)[:5])
         diam = np.array([diameter(g) if c else 0 for g, c in zip(graphs, conn)])
         assert np.array_equal(data.diam[cls][conn], diam[conn]), n
+
+
+def test_subset_scan_beyond_the_sweep_orders():
+    """The subset scan against blossom and branch-and-bound on 100 seeded
+    graphs at each of n = 8, 9, 10, where the sweeps do not reach yet."""
+    rng = np.random.default_rng(8)
+    for n in (8, 9, 10):
+        masks = rng.integers(0, 1 << n * (n - 1) // 2, size=100, dtype=np.int64)
+        closed = (sweeps.q_batch(n, masks) != 0) | np.eye(n, dtype=bool)
+        got = sweeps._subset_scan(closed)
+        graphs = [graph_from_mask(n, int(m)) for m in masks]
+        for col, kernel in zip(got, (matching_number, independence_number, domination_number)):
+            want = [kernel(g) for g in graphs]
+            assert col.dtype == np.int16 and col.tolist() == want, (n, kernel.__name__)
 
 
 # -- the class map -----------------------------------------------------------------------

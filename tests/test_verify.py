@@ -110,25 +110,23 @@ def test_is_k_c5():
 
 
 def test_edge_interlacing_k4():
-    rep = check_edge_interlacing(complete_graph(4), (0, 1))
-    assert rep.passed and rep.applicable
-
-
-def test_edge_interlacing_requires_edge():
-    with pytest.raises(Exception):
-        check_edge_interlacing(path_graph(3), (0, 2))
+    rep = check_edge_interlacing(complete_graph(4))
+    assert rep.passed and rep.applicable and rep.witness == {"edges_checked": 6}
 
 
 def test_edge_interlacing_c6_to_p6():
-    rep = check_edge_interlacing(cycle_graph(6), (0, 5))
-    assert rep.passed
+    rep = check_edge_interlacing(cycle_graph(6))  # every edge of C6 leaves P6
+    assert rep.passed and rep.witness == {"edges_checked": 6}
+    rep = check_edge_interlacing(make_empty(3))
+    assert not rep.applicable and rep.witness == {"note": "no edges"}
 
 
 def test_vertex_deletion_k5():
     rep = check_vertex_deletion(complete_graph(5))
-    assert rep.passed
-    rep = check_vertex_deletion(path_graph(2), 0)
-    assert rep.passed
+    assert rep.passed and rep.applicable
+    rep = check_vertex_deletion(path_graph(2))
+    assert rep.passed and rep.applicable
+    assert not check_vertex_deletion(make_empty(1)).applicable
 
 
 def test_matching_upper_c5_tight():
@@ -310,6 +308,22 @@ def test_family_checkers_validate_before_any_table(monkeypatch):
     for call in illegal:
         with pytest.raises(GraphError):
             call()
+    # every grid tuple at orders 7..12 reaches its table; a tuple one step off
+    # the grid in one coordinate after n raises first
+    off_grid = 0
+    for tid, name in verify.FAMILY_CHECKERS.items():
+        check = getattr(verify, name)
+        for n in range(7, 13):
+            grid = set(verify.family_parameters(tid, n))
+            moved = {p[:i] + (p[i] + step,) + p[i + 1 :] for p in grid for i in range(1, len(p)) for step in (-1, 1)}
+            for p in grid:
+                with pytest.raises(AssertionError, match="table was built"):
+                    check(*p)
+            for q in moved - grid:
+                with pytest.raises(GraphError, match="no instance"):
+                    check(*q)
+            off_grid += len(moved - grid)
+    assert off_grid == 549
 
 
 # -- reports, catalog, search ------------------------------------------------------------
