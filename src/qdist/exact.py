@@ -8,8 +8,10 @@ rational threshold x" into an exact integer computation, which is the
 authoritative counter everywhere the theorems compare counts against
 integer thresholds.
 
-graph_shift_rows is the one per-graph builder of Q(G) and L(G): every
-other per-graph form of either matrix (rational, float) converts its rows.
+graph_shift_rows builds the integer rows of Q(G) and L(G) (shifted by a
+threshold) that the congruence counter reads, and the rational matrices of
+spectral convert them. Every float form of either matrix comes from
+spectral.graph_stack instead.
 """
 
 from __future__ import annotations
@@ -74,20 +76,13 @@ class RationalMatrix:
         return RationalMatrix([[1 if i == j else 0 for j in range(m)] for i in range(m)])
 
 
-def _scaled_int_rows(M: RationalMatrix, shift: Fraction = Fraction(0)) -> list[list[int]]:
-    """Integer rows of c*(M - shift*I) for some positive integer c."""
+def _scaled_int_rows(M: RationalMatrix) -> tuple[list[list[int]], int]:
+    """Integer rows of den*M, with den the least common denominator of the entries."""
     den = 1
     for row in M.rows:
         for x in row:
             den = lcm(den, x.denominator)
-    den = lcm(den, shift.denominator)
-    out = []
-    for i, row in enumerate(M.rows):
-        r = [int(x * den) for x in row]
-        if shift:
-            r[i] -= int(shift * den)
-        out.append(r)
-    return out
+    return [[int(x * den) for x in row] for row in M.rows], den
 
 
 def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
@@ -186,24 +181,8 @@ def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
 def inertia(M: RationalMatrix) -> Inertia:
     if not M.is_symmetric():
         raise MatrixError("inertia requires a symmetric matrix")
-    neg, zero, pos = _inertia_int(_scaled_int_rows(M))
+    neg, zero, pos = _inertia_int(_scaled_int_rows(M)[0])
     return Inertia(neg, zero, pos)
-
-
-def count_lt(M: RationalMatrix, x: Fraction | int) -> int:
-    """Number of eigenvalues of symmetric M strictly below x, exactly."""
-    if not M.is_symmetric():
-        raise MatrixError("eigenvalue counting requires a symmetric matrix")
-    neg, _, _ = _inertia_int(_scaled_int_rows(M, Fraction(x)))
-    return neg
-
-
-def count_le(M: RationalMatrix, x: Fraction | int) -> int:
-    """Number of eigenvalues of symmetric M at most x, exactly."""
-    if not M.is_symmetric():
-        raise MatrixError("eigenvalue counting requires a symmetric matrix")
-    neg, zero, _ = _inertia_int(_scaled_int_rows(M, Fraction(x)))
-    return neg + zero
 
 
 # -- determinants and characteristic polynomials -----------------------------
@@ -236,19 +215,8 @@ def _det_int(a: list[list[int]]) -> int:
 
 
 def det(M: RationalMatrix) -> Fraction:
-    den = 1
-    for row in M.rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    rows = [[int(x * den) for x in row] for row in M.rows]
+    rows, den = _scaled_int_rows(M)
     return Fraction(_det_int(rows), den**M.order)
-
-
-def char_poly_eval(M: RationalMatrix, x: Fraction | int) -> Fraction:
-    """det(xI - M), evaluated exactly."""
-    x = Fraction(x)
-    shifted = RationalMatrix([[x - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(M.rows)])
-    return det(shifted)
 
 
 def char_poly(M: RationalMatrix) -> list[Fraction]:

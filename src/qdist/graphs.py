@@ -67,10 +67,6 @@ class Graph:
         """Adjacency-list JSON export: {"n": ..., "edges": [[u, v], ...]}."""
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges()]})
 
-    @staticmethod
-    def from_json(text: str) -> Graph:
-        obj = json.loads(text)
-        return from_edges(obj["n"], [tuple(e) for e in obj["edges"]])
 
 
 # -- constructors and editing ----------------------------------------------
@@ -97,14 +93,6 @@ def _check_pair(n: int, u: int, v: int) -> None:
         raise GraphError(f"vertex out of range: ({u},{v}) with n={n}")
     if u == v:
         raise GraphError(f"self-loop at vertex {u} not allowed")
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    _check_pair(g.n, u, v)
-    rows = list(g.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
@@ -160,18 +148,6 @@ def k_copies(g: Graph, k: int) -> Graph:
 
 def degrees(g: Graph) -> list[int]:
     return [row.bit_count() for row in g.adj]
-
-
-def min_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise GraphError("min degree of the empty graph is undefined")
-    return min(degrees(g))
-
-
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise GraphError("max degree of the empty graph is undefined")
-    return max(degrees(g))
 
 
 def bfs_distances(g: Graph, src: int) -> list[float]:

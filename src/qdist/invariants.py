@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from math import inf
 
-from .graphs import Graph, GraphError, _bits, bfs_distances, degrees, is_connected
+from .graphs import Graph, GraphError, _bits, bfs_distances, degrees
 
 
 class SizeLimitError(GraphError):
@@ -122,30 +122,6 @@ def diameter(g: Graph) -> float:
     for src in range(g.n):
         best = max(best, max(bfs_distances(g, src)))
     return int(best) if best is not inf else inf
-
-
-def diametral_path(g: Graph) -> list[int]:
-    """One shortest path realizing the diameter.
-
-    Deterministic: the lexicographically smallest endpoint pair (u, v), then
-    parents chosen as the smallest-index predecessor.
-    """
-    if not is_connected(g):
-        raise GraphError("diametral path requires a connected graph")
-    if g.n == 1:
-        return [0]
-    d = diameter(g)
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            if dist[v] == d:
-                path = [v]
-                cur = v
-                while cur != u:
-                    cur = min(w for w in _bits(g.adj[cur]) if dist[w] == dist[cur] - 1)
-                    path.append(cur)
-                return path[::-1]
-    raise AssertionError("connected graph must realize its diameter")
 
 
 # -- independence / domination / longest path ------------------------------------

@@ -1,6 +1,7 @@
-"""Signless Laplacian and Laplacian matrices (rational and float64
-conversions of exact.graph_shift_rows), interval eigenvalue counting, and
-closed-form spectra for the special families, kept symbolic where exact.
+"""Signless Laplacian and Laplacian matrices (rational ones from
+exact.graph_shift_rows, float64 stacks from graph_stack), interval
+eigenvalue counting, and closed-form spectra for the special families,
+kept symbolic where exact.
 
 Interval counts go through the exact congruence counter, never through
 floats: the statements under test compare counts at integer or rational
@@ -50,16 +51,6 @@ class Interval:
         lo = "[" if self.lo_closed else "("
         hi = "]" if self.hi_closed else ")"
         return f"{lo}{self.lo},{self.hi}{hi}"
-
-    def contains(self, x: Fraction | int) -> bool:
-        x = Fraction(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
 
 
 def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = False) -> Interval:
@@ -161,9 +152,26 @@ def laplacian(g: Graph) -> RationalMatrix:
     return RationalMatrix(exact.graph_shift_rows(g, "L"))
 
 
+def graph_stack(n: int, graphs: Sequence[Graph], matrix: str = "Q") -> np.ndarray:
+    """Q(G) = D + A (or L(G) = D - A) of graphs of order n, as one
+    (len(graphs), n, n) float64 stack: the bits of each adjacency row are
+    the row of A, and the degrees go on the diagonal. Every float Q(G) and
+    L(G) comes from here."""
+    if matrix not in ("Q", "L"):
+        raise ValueError(f"matrix must be 'Q' or 'L', got {matrix!r}")
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
+    A = np.unpackbits(bits, axis=2, count=n, bitorder="little")
+    M = A.astype(np.float64) if matrix == "Q" else 0.0 - A  # 0.0 - 0 is +0.0, as in the integer rows
+    idx = np.arange(n)
+    M[:, idx, idx] = A.sum(axis=2)
+    return M
+
+
 def q_float(g: Graph) -> np.ndarray:
-    """Q(G) as a float64 array."""
-    return np.array(exact.graph_shift_rows(g), dtype=np.float64).reshape(g.n, g.n)
+    """Q(G) as a float64 array: graph_stack of the one graph."""
+    return graph_stack(g.n, [g])[0]
 
 
 def m_count(g: Graph, iv: Interval, matrix: str = "Q") -> int:
@@ -407,7 +415,11 @@ def gn32a_partial_spectrum(n: int, a: int) -> ClosedFormSpectrum:
 
 
 def path_q1_below_four(n: int) -> bool:
-    """Exact check that every path eigenvalue is strictly below 4."""
+    """Exact check that every Q(P_n) eigenvalue is strictly below 4.
+
+    Kept for the fact it states: the eigenvalues of Q(P_n) are
+    2 + 2cos(pi j/n), j = 1..n, all in [0, 4), the bound below which the
+    q_5 < 4 statements of the path-plus-clique families count."""
     from .graphs import path_graph
 
     return exact.graph_count_lt(path_graph(n), 4) == n
@@ -418,7 +430,7 @@ def path_q1_below_four(n: int) -> bool:
 
 def spectrum_report(g: Graph, matrix: str = "Q", thresholds: Sequence[Fraction | int] = ()) -> dict:
     """JSON-able report: graph6, eigenvalues, and exact counts below thresholds."""
-    spec = eigenvalues_sym(np.array(exact.graph_shift_rows(g, matrix), dtype=np.float64).reshape(g.n, g.n))
+    spec = eigenvalues_sym(graph_stack(g.n, [g], matrix)[0])
     counts = {str(Fraction(t)): exact.graph_count_lt(g, Fraction(t), matrix) for t in thresholds}
     return {
         "graph": graph6_encode(g),

@@ -8,13 +8,14 @@ one graph, whose columns come from the per-graph kernels. The exhaustive
 sweeps evaluate the same predicates on sweeps.SweepTable and hand the rows
 that do not pass to the point checkers, so a reported failure always rests
 on the per-graph kernels. Interval counts are exact or certified, never
-rounded floats: integer congruence inertia in the point checkers, integer
-characteristic polynomials in the sweeps, and in the family tables the
-certified floating spectrum wherever every eigenvalue clears the threshold
-by its certified bound, with congruence inertia for every other member.
-Otherwise floating spectra appear only in the interlacing-chain statements,
-with a fixed 1e-8 slack. Hypothesis failures report "not applicable" rather
-than "pass" so pass counts measure real coverage.
+rounded floats: integer characteristic polynomials in the sweeps, and in
+the point checkers and the family tables the certified floating spectrum
+of one stack (spectral.graph_stack into jacobi_batch) wherever every
+eigenvalue clears the threshold by its certified bound, with congruence
+inertia for every other row that is needed. The interlacing-chain
+statements also compare floating eigenvalues directly, with a fixed 1e-8
+slack. Hypothesis failures report "not applicable" rather than "pass" so
+pass counts measure real coverage.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .invariants import (
     longest_path_length,
     matching_number,
 )
-from .jacobi import INEQ_SLACK, certified_below, eigenvalues_sym, jacobi_batch
-from .spectral import q_float
+from .jacobi import INEQ_SLACK, certified_below, jacobi_batch
+# unused here, but kept bound: the benchmark's tracer (perfbench/layers.py) wraps verify.eigenvalues_sym
+from .jacobi import eigenvalues_sym  # noqa: F401
+from .spectral import graph_stack
 
 
 @dataclass(frozen=True)
@@ -394,13 +397,19 @@ def tail_eigenvalue_bound(tab) -> Verdict:
 
 
 class GraphTable:
-    """The statements' table over Graph objects of one order. Each column
-    comes on first use from the per-graph kernels: Bareiss inertia for the
-    counts, the invariants module (looked up here at call time), and
-    single-matrix eigenvalues_sym for the spectra."""
+    """The statements' table over Graph objects of one order. The spectra
+    come from one stacked certified eigh (jacobi_batch) over graph_stack,
+    and a count from them wherever every eigenvalue of a row clears the
+    threshold (jacobi.certified_below); exact congruence inertia counts the
+    rows of where that do not clear. The other columns come on first use
+    from the invariants module, looked up here at call time. The G-e tables
+    of every edge, and the G-v tables of every vertex, take their spectra
+    from one stacked call each."""
 
-    def __init__(self, n: int, graphs: Sequence[Graph]):
+    def __init__(self, n: int, graphs: Sequence[Graph], spectra: tuple[np.ndarray, np.ndarray] | None = None):
         self.n, self.graphs, self.count = n, list(graphs), len(graphs)
+        if spectra is not None:
+            self.spectra = spectra
 
     def _column(self, f: Callable[[Graph], int], where: np.ndarray | None = None) -> np.ndarray:
         on = [True] * self.count if where is None else where.tolist()
@@ -417,14 +426,22 @@ class GraphTable:
     kc5 = cached_property(lambda self: self._column(is_k_c5).astype(bool))
 
     @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vals, bounds) of jacobi_batch: nonincreasing rows and their certified error bounds."""
+        return _stacked_spectra(self.n, self.graphs)
+
+    @property
     def vals(self) -> np.ndarray:
-        spectra = [eigenvalues_sym(q_float(g)).values for g in self.graphs]
-        return np.array(spectra, dtype=np.float64).reshape(self.count, self.n)
+        return self.spectra[0]
 
     def _count(self, kernel: Callable, t, where: np.ndarray | None) -> np.ndarray:
-        ts = t.tolist() if isinstance(t, np.ndarray) else [t] * self.count
-        on = [True] * self.count if where is None else where.tolist()
-        return np.array([kernel(g, x) if w else 0 for g, x, w in zip(self.graphs, ts, on)], dtype=np.int64)
+        below, clear = certified_below(*self.spectra, t)
+        todo = np.flatnonzero(~clear if where is None else where & ~clear)
+        if todo.size:
+            ts = np.broadcast_to(t, (self.count,)).tolist()
+            for i in todo.tolist():
+                below[i] = kernel(self.graphs[i], ts[i])
+        return below
 
     def lt(self, t, where: np.ndarray | None = None) -> np.ndarray:
         return self._count(exact.graph_count_lt, t, where)
@@ -432,13 +449,39 @@ class GraphTable:
     def le(self, t, where: np.ndarray | None = None) -> np.ndarray:
         return self._count(exact.graph_count_le, t, where)
 
+    @cached_property
+    def _without_edges(self) -> list[tuple[np.ndarray, "GraphTable"]]:
+        groups = []
+        for u, v in mask_pairs(self.n):
+            rows = np.array([i for i, g in enumerate(self.graphs) if g.has_edge(u, v)], dtype=np.intp)
+            groups.append((rows, [remove_edge(self.graphs[i], u, v) for i in rows]))
+        tables = _stacked_tables(self.n, [graphs for _, graphs in groups])
+        return [(rows, tab) for (rows, _), tab in zip(groups, tables)]
+
     def without_edge(self, k: int) -> tuple[np.ndarray, "GraphTable"]:
-        u, v = mask_pairs(self.n)[k]
-        rows = np.array([i for i, g in enumerate(self.graphs) if g.has_edge(u, v)], dtype=np.intp)
-        return rows, GraphTable(self.n, [remove_edge(self.graphs[i], u, v) for i in rows])
+        return self._without_edges[k]
+
+    @cached_property
+    def _without_vertices(self) -> list["GraphTable"]:
+        return _stacked_tables(self.n - 1, [[delete_vertex(g, v) for g in self.graphs] for v in range(self.n)])
 
     def without_vertex(self, v: int) -> "GraphTable":
-        return GraphTable(self.n - 1, [delete_vertex(g, v) for g in self.graphs])
+        return self._without_vertices[v]
+
+
+def _stacked_spectra(n: int, graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """jacobi_batch of the Q(G) stack of graphs of order n (empty arrays for no graphs)."""
+    if not graphs:
+        return np.zeros((0, n)), np.zeros(0)
+    return jacobi_batch(graph_stack(n, graphs))
+
+
+def _stacked_tables(n: int, groups: list[list[Graph]]) -> list[GraphTable]:
+    """One GraphTable per group of graphs of order n, the spectra of all of
+    them from one stacked call."""
+    vals, bounds = _stacked_spectra(n, [g for group in groups for g in group])
+    cuts = np.cumsum([len(group) for group in groups])[:-1]
+    return [GraphTable(n, group, s) for group, s in zip(groups, zip(np.split(vals, cuts), np.split(bounds, cuts)))]
 
 
 def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) -> TheoremReport:
@@ -553,51 +596,55 @@ class FamilyTable:
 
 
 @lru_cache(maxsize=None)
-def family_table(theorem_id: str, n: int) -> FamilyTable:
-    """The counts of every instance at order n. Members are stacked
-    FAMILY_STACK at a time into certified eigh (jacobi_batch); a member
+def family_table(theorem_id: str, n: int, chunk: int | None = None) -> FamilyTable:
+    """The counts of the instances at order n: of every one, or with chunk
+    = s only of the FAMILY_STACK instances from position s * FAMILY_STACK
+    of family_parameters, which is all that _family_row builds. Each chunk
+    is one stack (graph_stack) into certified eigh (jacobi_batch); a member
     whose eigenvalues all clear its threshold by their certified bound
     (jacobi.certified_below) takes its counts from the floats, and every
     other member from exact congruence inertia. A failed certificate raises
     ConvergenceError and caches nothing."""
-    params = list(family_parameters(theorem_id, n))
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    exact_members = 0
-    for s in range(0, len(params), FAMILY_STACK):
-        chunk = params[s : s + FAMILY_STACK]
-        members = [_family_member(theorem_id, *p) for p in chunk]
-        thresholds = [t for _, t in members]
-        counts = [()] * len(chunk)
-        bareiss = np.zeros(len(chunk), dtype=bool)
-        for matrix, with_le in _FAMILY_COUNTS[theorem_id]:
-            mats = np.array([exact.graph_shift_rows(g, matrix) for g, _ in members], dtype=np.float64)
-            below, clear = certified_below(*jacobi_batch(mats), thresholds)
-            for i, ((g, t), b, c) in enumerate(zip(members, below.tolist(), clear.tolist())):
-                if c:
-                    counts[i] += (b, b) if with_le else (b,)
-                else:
-                    lt = exact.graph_count_lt(g, t, matrix=matrix)
-                    counts[i] += (lt, exact.graph_count_le(g, t, matrix=matrix)) if with_le else (lt,)
-            bareiss |= ~clear
-        if theorem_id == "diameter-3-equality":
-            counts = [c + (diameter(g),) for c, (g, _) in zip(counts, members)]
-        rows.update(zip(chunk, counts))
-        exact_members += int(bareiss.sum())
-    return FamilyTable(rows, exact_members)
+    params = list(_family_grid(theorem_id, n))
+    if chunk is None:
+        parts = [family_table(theorem_id, n, s) for s in range(ceil(len(params) / FAMILY_STACK))]
+        rows = {key: row for part in parts for key, row in part.rows.items()}
+        return FamilyTable(rows, sum(part.exact_members for part in parts))
+    keys = params[chunk * FAMILY_STACK : (chunk + 1) * FAMILY_STACK]
+    members = [_family_member(theorem_id, *p) for p in keys]
+    graphs = [g for g, _ in members]
+    thresholds = [t for _, t in members]
+    counts = [()] * len(keys)
+    bareiss = np.zeros(len(keys), dtype=bool)
+    for matrix, with_le in _FAMILY_COUNTS[theorem_id]:
+        below, clear = certified_below(*jacobi_batch(graph_stack(n, graphs, matrix)), thresholds)
+        for i, ((g, t), b, c) in enumerate(zip(members, below.tolist(), clear.tolist())):
+            if c:
+                counts[i] += (b, b) if with_le else (b,)
+            else:
+                lt = exact.graph_count_lt(g, t, matrix=matrix)
+                counts[i] += (lt, exact.graph_count_le(g, t, matrix=matrix)) if with_le else (lt,)
+        bareiss |= ~clear
+    if theorem_id == "diameter-3-equality":
+        counts = [c + (diameter(g),) for c, g in zip(counts, graphs)]
+    return FamilyTable(dict(zip(keys, counts)), int(bareiss.sum()))
 
 
 @lru_cache(maxsize=None)
-def _family_grid(theorem_id: str, n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(family_parameters(theorem_id, n))
+def _family_grid(theorem_id: str, n: int) -> dict[tuple[int, ...], int]:
+    """The position of every tuple of family_parameters(theorem_id, n)."""
+    return {p: i for i, p in enumerate(family_parameters(theorem_id, n))}
 
 
 def _family_row(theorem_id: str, *key: int) -> tuple[int, ...]:
     """The table row of the instance whose checker arguments are key (n
-    first). Raises GraphError, before any table is built, when key is not a
-    tuple of family_parameters."""
-    if key not in _family_grid(theorem_id, key[0]):
+    first), from the table of the one chunk that holds it. Raises
+    GraphError, before any table is built, when key is not a tuple of
+    family_parameters."""
+    position = _family_grid(theorem_id, key[0]).get(key)
+    if position is None:
         raise GraphError(f"{theorem_id} has no instance with arguments {key}")
-    return family_table(theorem_id, key[0]).rows[key]
+    return family_table(theorem_id, key[0], position // FAMILY_STACK).rows[key]
 
 
 def check_cycle_matching(n: int) -> TheoremReport:

@@ -205,6 +205,19 @@ def test_failed_family_certificate_exits_two_without_a_grid_line(monkeypatch, ca
     assert out.out == "" and "certificate failed" in out.err
 
 
+def test_failed_point_certificate_exits_two_without_a_report_line(monkeypatch, capsys):
+    real = np.linalg.eigh
+
+    def shifted(a):
+        w, v = real(a)
+        return w + 1e-10, v
+
+    monkeypatch.setattr(jacobi.np.linalg, "eigh", shifted)
+    assert main(["search", "--theorem", "edge-interlacing", "--n-min", "8", "--n-max", "8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "certificate failed" in out.err
+
+
 def test_malformed_graph6_exit_two():
     assert main(["count", "--graph6", "B" + chr(200), "--interval", "[0,1)"]) == 2
 

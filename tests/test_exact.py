@@ -12,9 +12,6 @@ from qdist.exact import (
     Partition,
     RationalMatrix,
     char_poly,
-    char_poly_eval,
-    count_le,
-    count_lt,
     det,
     graph_shift_rows,
     inertia,
@@ -33,6 +30,27 @@ from qdist.graphs import (
     path_graph,
 )
 from qdist.spectral import signless_laplacian
+
+
+def _minus_diagonal(M, x):
+    """M - xI."""
+    return RationalMatrix([[v - x if i == j else v for j, v in enumerate(row)] for i, row in enumerate(M.rows)])
+
+
+def count_lt(M, x):
+    """Eigenvalues of symmetric M strictly below x, from the inertia of M - xI."""
+    return inertia(_minus_diagonal(M, Fraction(x))).n_minus
+
+
+def count_le(M, x):
+    """Eigenvalues of symmetric M at most x, from the inertia of M - xI."""
+    shifted = inertia(_minus_diagonal(M, Fraction(x)))
+    return shifted.n_minus + shifted.n_zero
+
+
+def char_poly_eval(M, x):
+    """det(xI - M), exactly."""
+    return (-1) ** M.order * det(_minus_diagonal(M, Fraction(x)))
 
 
 def rational_entries(order, lo=-6, hi=6):

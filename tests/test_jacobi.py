@@ -14,7 +14,7 @@ from qdist.jacobi import (
     jacobi_batch,
     weyl_check,
 )
-from qdist.exact import RationalMatrix, count_lt
+from qdist.exact import RationalMatrix, inertia
 from qdist.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
 from qdist.jacobi import GUARD_BAND
 from qdist.spectral import q_float
@@ -60,10 +60,10 @@ def test_matches_lapack():
         vals, res = jacobi_batch(A)
         assert (res <= 1e-12 * (1 + np.linalg.norm(A, axis=(1, 2)))).all()
         for mat, row in zip(A, vals):
-            M = RationalMatrix(mat.tolist())
             for t in range(-3 * n, 3 * n + 1):
                 if np.abs(row - t).min() > GUARD_BAND:
-                    assert int((row < t).sum()) == count_lt(M, t), (mat.tolist(), t)
+                    below = inertia(RationalMatrix((mat - t * np.eye(n, dtype=int)).tolist())).n_minus
+                    assert int((row < t).sum()) == below, (mat.tolist(), t)
                     compared += 1
     assert compared > 4000
 

@@ -288,6 +288,21 @@ def test_family_tables_send_only_threshold_eigenvalues_to_bareiss(monkeypatch):
     assert len(calls) == 3 + 7 + 2 * 75
 
 
+def test_one_off_family_call_counts_one_chunk(monkeypatch):
+    # check_family_counts(32, 3, 2) needs one of the 4,060 members of order
+    # 32; only the FAMILY_STACK chunk that holds it is built and counted
+    counted = []
+    real = verify.jacobi_batch
+    monkeypatch.setattr(verify, "jacobi_batch", lambda mats: counted.append(len(mats)) or real(mats))
+    verify.family_table.cache_clear()
+    try:
+        rep = check_family_counts(32, 3, 2)
+    finally:
+        verify.family_table.cache_clear()
+    assert rep.passed and rep.witness["m_below_n-d+1"] == exact.graph_count_lt(gndt(32, 3, 2), 30)
+    assert sum(counted) <= verify.FAMILY_STACK
+
+
 def test_family_checkers_validate_before_any_table(monkeypatch):
     def built(*args):
         raise AssertionError("a family table was built")
@@ -324,6 +339,49 @@ def test_family_checkers_validate_before_any_table(monkeypatch):
                     check(*q)
             off_grid += len(moved - grid)
     assert off_grid == 549
+
+
+# -- point tables -------------------------------------------------------------------
+
+
+def _point_graphs():
+    """The graphs of the sampled benchmark at seed 1 (budget 6 at each of
+    n = 8..10, seed 1 + n), then graphs whose integer eigenvalues land on
+    the thresholds, so that their rows go to Bareiss."""
+    seeded = [g for n in range(8, 11) for g in sample_graphs(n, 6, 1 + n)]
+    integral = [complete_graph(9), cycle_graph(10), cycle_graph(12), gndt(11, 4, 3), gndra(12, 5, 3, 2),
+                complete_graph(7), gndt(10, 3, 2), gndra(10, 3, 2, 2), complete_bipartite(2, 6)]
+    return seeded, integral
+
+
+def _bareiss_counts(g, t):
+    return exact.graph_count_lt(g, t), exact.graph_count_le(g, t)
+
+
+def test_point_tables_count_exactly():
+    # GraphTable takes a count from the certified floats where every
+    # eigenvalue clears the threshold, and from Bareiss where one does not;
+    # both must give Bareiss's count at every threshold, for G and each G-e
+    seeded, integral = _point_graphs()
+    for g in seeded + integral:
+        tab = verify.GraphTable(g.n, [g])
+        subs = [sub for rows, sub in map(tab.without_edge, range(g.n * (g.n - 1) // 2)) if rows.size]
+        for t in range(0, 2 * g.n - 1):
+            for sub in [tab] + subs:
+                assert (sub.lt(t)[0], sub.le(t)[0]) == _bareiss_counts(sub.graphs[0], t), (sub.graphs[0], t)
+
+
+def test_point_tables_send_few_rows_to_bareiss(monkeypatch):
+    # the 198 (graph, statement) pairs of the sampled benchmark at seed 1
+    # made 6,455 Bareiss calls when every count was exact inertia
+    calls = []
+    for name in ("graph_count_lt", "graph_count_le"):
+        real = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    seeded, _ = _point_graphs()
+    reports = [theorem.check(g) for theorem in verify.GRAPH_THEOREMS.values() for g in seeded]
+    assert len(reports) == 198 and all(r.passed for r in reports)
+    assert 0 < len(calls) <= 300
 
 
 # -- reports, catalog, search ------------------------------------------------------------
