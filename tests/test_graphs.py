@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qdist.graphs import (
     FamilyKind,
     FamilySpec,
-    Graph,
     GraphError,
     bfs_distances,
     complete_bipartite,
