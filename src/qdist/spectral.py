@@ -1,7 +1,7 @@
-"""Signless Laplacian and Laplacian matrices (rational ones from
-exact.graph_shift_rows, float64 stacks from graph_stack), interval
-eigenvalue counting, and closed-form spectra for the special families,
-kept symbolic where exact.
+"""Signless Laplacian and Laplacian matrices as float64 stacks
+(graph_stack; the exact side builds its integer rows with
+exact.graph_shift_rows), interval eigenvalue counting, and closed-form
+spectra for the special families, kept symbolic where exact.
 
 Interval counts go through the exact congruence counter, never through
 floats: the statements under test compare counts at integer or rational
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exact
-from .exact import RationalMatrix, char_poly, poly_eval
+from .exact import char_poly, poly_eval
 from .graph6 import graph6_encode
 from .graphs import Graph, GraphError, gndra
 from .jacobi import eigenvalues_sym
@@ -140,16 +140,6 @@ def parse_interval(text: str) -> SymbolicInterval:
 
 
 # -- matrix builders ----------------------------------------------------------
-
-
-def signless_laplacian(g: Graph) -> RationalMatrix:
-    """Q(G): degree diagonal plus adjacency."""
-    return RationalMatrix(exact.graph_shift_rows(g, "Q"))
-
-
-def laplacian(g: Graph) -> RationalMatrix:
-    """L(G): degree diagonal minus adjacency; row sums are zero."""
-    return RationalMatrix(exact.graph_shift_rows(g, "L"))
 
 
 def graph_stack(n: int, graphs: Sequence[Graph], matrix: str = "Q") -> np.ndarray:

@@ -9,13 +9,13 @@ sweeps evaluate the same predicates on sweeps.SweepTable and hand the rows
 that do not pass to the point checkers, so a reported failure always rests
 on the per-graph kernels. Interval counts are exact or certified, never
 rounded floats: integer characteristic polynomials in the sweeps, and in
-the point checkers and the family tables the certified floating spectrum
-of one stack (spectral.graph_stack into jacobi_batch) wherever every
-eigenvalue clears the threshold by its certified bound, with congruence
-inertia for every other row that is needed. The interlacing-chain
-statements also compare floating eigenvalues directly, with a fixed 1e-8
-slack. Hypothesis failures report "not applicable" rather than "pass" so
-pass counts measure real coverage.
+GraphTable, which serves both the point checkers and the family grids, the
+certified floating spectrum of one stack (spectral.graph_stack into
+jacobi_batch) wherever every eigenvalue clears the threshold by its
+certified bound, with congruence inertia for every other row that is
+needed. The interlacing-chain statements also compare floating eigenvalues
+directly, with a fixed 1e-8 slack. Hypothesis failures report "not
+applicable" rather than "pass" so pass counts measure real coverage.
 """
 
 from __future__ import annotations
@@ -111,44 +111,18 @@ def graph_to_mask(g: Graph) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class EnumerationFilter:
-    """Which graphs an exhaustive or sampled stream should yield."""
-
-    n: int
-    connected_only: bool = False
-    min_degree_at_least: int | None = None
-    diameter_equals: int | None = None
-    exclude: Callable[[Graph], bool] | None = None
-
-    def admits(self, g: Graph) -> bool:
-        if self.min_degree_at_least is not None:
-            if g.n == 0 or min(degrees(g)) < self.min_degree_at_least:
-                return False
-        if self.connected_only and not is_connected(g):
-            return False
-        if self.diameter_equals is not None:
-            if not is_connected(g) or diameter(g) != self.diameter_equals:
-                return False
-        if self.exclude is not None and self.exclude(g):
-            return False
-        return True
-
-
-def enumerate_graphs(filt: EnumerationFilter) -> Iterator[Graph]:
-    """All labeled graphs on filt.n vertices, in ascending bitmask order."""
-    if filt.n > EXHAUSTIVE_LIMIT:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """All labeled graphs on n vertices, in ascending bitmask order."""
+    if n > EXHAUSTIVE_LIMIT:
         raise GraphError(
-            f"exhaustive enumeration limited to n <= {EXHAUSTIVE_LIMIT}, got {filt.n}; use sample_graphs"
+            f"exhaustive enumeration limited to n <= {EXHAUSTIVE_LIMIT}, got {n}; use sample_graphs"
         )
-    pairs = mask_pairs(filt.n)
+    pairs = mask_pairs(n)
     for mask in range(1 << len(pairs)):
-        g = graph_from_mask(filt.n, mask, pairs)
-        if filt.admits(g):
-            yield g
+        yield graph_from_mask(n, mask, pairs)
 
 
-def sample_graphs(n: int, count: int, seed: int, filt: EnumerationFilter | None = None) -> Iterator[Graph]:
+def sample_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
     """Uniform edge-probability 1/2 samples, deterministic under the seed."""
     if not EXHAUSTIVE_LIMIT < n <= SAMPLE_LIMIT:
         raise GraphError(f"sampling is for {EXHAUSTIVE_LIMIT + 1} <= n <= {SAMPLE_LIMIT}, got {n}")
@@ -156,9 +130,7 @@ def sample_graphs(n: int, count: int, seed: int, filt: EnumerationFilter | None 
     pairs = mask_pairs(n)
     nbits = len(pairs)
     for _ in range(count):
-        g = graph_from_mask(n, rng.getrandbits(nbits), pairs)
-        if filt is None or filt.admits(g):
-            yield g
+        yield graph_from_mask(n, rng.getrandbits(nbits), pairs)
 
 
 def is_k_c5(g: Graph) -> bool:
@@ -398,16 +370,24 @@ def tail_eigenvalue_bound(tab) -> Verdict:
 
 class GraphTable:
     """The statements' table over Graph objects of one order. The spectra
-    come from one stacked certified eigh (jacobi_batch) over graph_stack,
-    and a count from them wherever every eigenvalue of a row clears the
-    threshold (jacobi.certified_below); exact congruence inertia counts the
-    rows of where that do not clear. The other columns come on first use
-    from the invariants module, looked up here at call time. The G-e tables
-    of every edge, and the G-v tables of every vertex, take their spectra
-    from one stacked call each."""
+    of Q(G) (or of L(G) with matrix "L") come from one stacked certified
+    eigh (jacobi_batch) over graph_stack, and a count from them wherever
+    every eigenvalue of a row clears the threshold (jacobi.certified_below);
+    exact congruence inertia of the same matrix counts the rows of where
+    that do not clear. This is the one count rule of the point checkers and
+    the family grids. The other columns come on first use from the
+    invariants module, looked up here at call time. The G-e tables of every
+    edge, and the G-v tables of every vertex, take their spectra from one
+    stacked call each."""
 
-    def __init__(self, n: int, graphs: Sequence[Graph], spectra: tuple[np.ndarray, np.ndarray] | None = None):
-        self.n, self.graphs, self.count = n, list(graphs), len(graphs)
+    def __init__(
+        self,
+        n: int,
+        graphs: Sequence[Graph],
+        matrix: str = "Q",
+        spectra: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        self.n, self.graphs, self.count, self.matrix = n, list(graphs), len(graphs), matrix
         if spectra is not None:
             self.spectra = spectra
 
@@ -428,7 +408,7 @@ class GraphTable:
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """(vals, bounds) of jacobi_batch: nonincreasing rows and their certified error bounds."""
-        return _stacked_spectra(self.n, self.graphs)
+        return _stacked_spectra(self.n, self.graphs, self.matrix)
 
     @property
     def vals(self) -> np.ndarray:
@@ -440,7 +420,7 @@ class GraphTable:
         if todo.size:
             ts = np.broadcast_to(t, (self.count,)).tolist()
             for i in todo.tolist():
-                below[i] = kernel(self.graphs[i], ts[i])
+                below[i] = kernel(self.graphs[i], ts[i], self.matrix)
         return below
 
     def lt(self, t, where: np.ndarray | None = None) -> np.ndarray:
@@ -455,7 +435,7 @@ class GraphTable:
         for u, v in mask_pairs(self.n):
             rows = np.array([i for i, g in enumerate(self.graphs) if g.has_edge(u, v)], dtype=np.intp)
             groups.append((rows, [remove_edge(self.graphs[i], u, v) for i in rows]))
-        tables = _stacked_tables(self.n, [graphs for _, graphs in groups])
+        tables = _stacked_tables(self.n, [graphs for _, graphs in groups], self.matrix)
         return [(rows, tab) for (rows, _), tab in zip(groups, tables)]
 
     def without_edge(self, k: int) -> tuple[np.ndarray, "GraphTable"]:
@@ -463,25 +443,27 @@ class GraphTable:
 
     @cached_property
     def _without_vertices(self) -> list["GraphTable"]:
-        return _stacked_tables(self.n - 1, [[delete_vertex(g, v) for g in self.graphs] for v in range(self.n)])
+        groups = [[delete_vertex(g, v) for g in self.graphs] for v in range(self.n)]
+        return _stacked_tables(self.n - 1, groups, self.matrix)
 
     def without_vertex(self, v: int) -> "GraphTable":
         return self._without_vertices[v]
 
 
-def _stacked_spectra(n: int, graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
-    """jacobi_batch of the Q(G) stack of graphs of order n (empty arrays for no graphs)."""
+def _stacked_spectra(n: int, graphs: Sequence[Graph], matrix: str) -> tuple[np.ndarray, np.ndarray]:
+    """jacobi_batch of the Q(G) or L(G) stack of graphs of order n (empty arrays for no graphs)."""
     if not graphs:
         return np.zeros((0, n)), np.zeros(0)
-    return jacobi_batch(graph_stack(n, graphs))
+    return jacobi_batch(graph_stack(n, graphs, matrix))
 
 
-def _stacked_tables(n: int, groups: list[list[Graph]]) -> list[GraphTable]:
+def _stacked_tables(n: int, groups: list[list[Graph]], matrix: str) -> list[GraphTable]:
     """One GraphTable per group of graphs of order n, the spectra of all of
     them from one stacked call."""
-    vals, bounds = _stacked_spectra(n, [g for group in groups for g in group])
+    vals, bounds = _stacked_spectra(n, [g for group in groups for g in group], matrix)
     cuts = np.cumsum([len(group) for group in groups])[:-1]
-    return [GraphTable(n, group, s) for group, s in zip(groups, zip(np.split(vals, cuts), np.split(bounds, cuts)))]
+    spectra = zip(np.split(vals, cuts), np.split(bounds, cuts))
+    return [GraphTable(n, group, matrix, s) for group, s in zip(groups, spectra)]
 
 
 def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) -> TheoremReport:
@@ -521,20 +503,12 @@ check_tail_eigenvalue_bound = _checker("tail-eigenvalue-bound", tail_eigenvalue_
 # A family statement has one instance per parameter tuple, and one checker
 # that takes the tuple as its positional arguments. family_parameters lists
 # the tuples of one order; it feeds both the grid (iter_family_reports) and
-# the counts the checkers read (family_table).
+# the counts the checkers read, which _family_chunk takes from the GraphTable
+# of FAMILY_STACK members at a time.
 
 
 FAMILY_MIN = 7  # smallest order of a verify family grid
 FAMILY_STACK = 32  # matrices per jacobi_batch call: the certificate's temporaries grow with the stack
-
-# the (matrix, count at most t too) pairs whose counts a family checker reads
-_FAMILY_COUNTS = {
-    "cycle-matching": (("Q", False),),
-    "family-counts": (("Q", False),),
-    "family-gndra-q5": (("Q", False),),
-    "diameter-3-equality": (("Q", True),),
-    "gndt-laplacian-count": (("L", False), ("Q", False)),
-}
 
 
 def family_parameters(theorem_id: str, n: int) -> Iterator[tuple[int, ...]]:
@@ -581,53 +555,25 @@ def _family_member(theorem_id: str, n: int, *rest: int) -> tuple[Graph, int]:
     return gndt(n, d, t), n - d + 1
 
 
-@dataclass(frozen=True)
-class FamilyTable:
-    """Counts of every instance of one family statement at one order.
-
-    rows maps the checker's arguments to, for each (matrix, with_le) of the
-    statement, the count below the instance's threshold (and the count at
-    most it), then for diameter-3-equality the member's diameter.
-    exact_members counts the instances with a count from Bareiss.
-    """
-
-    rows: dict[tuple[int, ...], tuple[int, ...]]
-    exact_members: int
-
-
 @lru_cache(maxsize=None)
-def family_table(theorem_id: str, n: int, chunk: int | None = None) -> FamilyTable:
-    """The counts of the instances at order n: of every one, or with chunk
-    = s only of the FAMILY_STACK instances from position s * FAMILY_STACK
-    of family_parameters, which is all that _family_row builds. Each chunk
-    is one stack (graph_stack) into certified eigh (jacobi_batch); a member
-    whose eigenvalues all clear its threshold by their certified bound
-    (jacobi.certified_below) takes its counts from the floats, and every
-    other member from exact congruence inertia. A failed certificate raises
+def _family_chunk(theorem_id: str, n: int, chunk: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The counts of the FAMILY_STACK instances from position chunk *
+    FAMILY_STACK of family_parameters(theorem_id, n), keyed by their checker
+    arguments: the count below the instance's threshold, from the GraphTable
+    of the chunk's members; for diameter-3-equality also the count at most
+    it and the member's diameter; for gndt-laplacian-count the count of
+    L(G) first, then that of Q(G). A failed certificate raises
     ConvergenceError and caches nothing."""
-    params = list(_family_grid(theorem_id, n))
-    if chunk is None:
-        parts = [family_table(theorem_id, n, s) for s in range(ceil(len(params) / FAMILY_STACK))]
-        rows = {key: row for part in parts for key, row in part.rows.items()}
-        return FamilyTable(rows, sum(part.exact_members for part in parts))
-    keys = params[chunk * FAMILY_STACK : (chunk + 1) * FAMILY_STACK]
-    members = [_family_member(theorem_id, *p) for p in keys]
-    graphs = [g for g, _ in members]
-    thresholds = [t for _, t in members]
-    counts = [()] * len(keys)
-    bareiss = np.zeros(len(keys), dtype=bool)
-    for matrix, with_le in _FAMILY_COUNTS[theorem_id]:
-        below, clear = certified_below(*jacobi_batch(graph_stack(n, graphs, matrix)), thresholds)
-        for i, ((g, t), b, c) in enumerate(zip(members, below.tolist(), clear.tolist())):
-            if c:
-                counts[i] += (b, b) if with_le else (b,)
-            else:
-                lt = exact.graph_count_lt(g, t, matrix=matrix)
-                counts[i] += (lt, exact.graph_count_le(g, t, matrix=matrix)) if with_le else (lt,)
-        bareiss |= ~clear
+    keys = list(_family_grid(theorem_id, n))[chunk * FAMILY_STACK : (chunk + 1) * FAMILY_STACK]
+    graphs, ts = zip(*(_family_member(theorem_id, *p) for p in keys))
+    tab = GraphTable(n, graphs)
     if theorem_id == "diameter-3-equality":
-        counts = [c + (diameter(g),) for c, g in zip(counts, graphs)]
-    return FamilyTable(dict(zip(keys, counts)), int(bareiss.sum()))
+        columns = (tab.lt(ts), tab.le(ts), tab.diam)
+    elif theorem_id == "gndt-laplacian-count":
+        columns = (GraphTable(n, graphs, "L").lt(ts), tab.lt(ts))
+    else:
+        columns = (tab.lt(ts),)
+    return dict(zip(keys, zip(*(c.tolist() for c in columns))))
 
 
 @lru_cache(maxsize=None)
@@ -637,14 +583,13 @@ def _family_grid(theorem_id: str, n: int) -> dict[tuple[int, ...], int]:
 
 
 def _family_row(theorem_id: str, *key: int) -> tuple[int, ...]:
-    """The table row of the instance whose checker arguments are key (n
-    first), from the table of the one chunk that holds it. Raises
-    GraphError, before any table is built, when key is not a tuple of
-    family_parameters."""
+    """The counts of the instance whose checker arguments are key (n
+    first), from the one chunk that holds it. Raises GraphError, before
+    any table is built, when key is not a tuple of family_parameters."""
     position = _family_grid(theorem_id, key[0]).get(key)
     if position is None:
         raise GraphError(f"{theorem_id} has no instance with arguments {key}")
-    return family_table(theorem_id, key[0], position // FAMILY_STACK).rows[key]
+    return _family_chunk(theorem_id, key[0], position // FAMILY_STACK)[key]
 
 
 def check_cycle_matching(n: int) -> TheoremReport:

@@ -198,7 +198,7 @@ def test_failed_family_certificate_exits_two_without_a_grid_line(monkeypatch, ca
         w, v = real(a)
         return w + 1e-10, v
 
-    verify.family_table.cache_clear()
+    verify._family_chunk.cache_clear()
     monkeypatch.setattr(jacobi.np.linalg, "eigh", shifted)
     assert main(["verify", "--theorem", "family-counts", "--family-max", "8"]) == 2
     out = capsys.readouterr()

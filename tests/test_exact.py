@@ -29,7 +29,6 @@ from qdist.graphs import (
     gndt,
     path_graph,
 )
-from qdist.spectral import signless_laplacian
 
 
 def _minus_diagonal(M, x):
@@ -73,7 +72,7 @@ def test_inertia_zero_matrix():
 def test_inertia_contract_examples():
     # Q(K3) - I is the all-ones matrix: spectrum {3,0,0} shifted from {4,1,1}
     assert inertia(RationalMatrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])) == Inertia(0, 2, 1)
-    q = signless_laplacian(cycle_graph(4))
+    q = RationalMatrix(graph_shift_rows(cycle_graph(4), "Q"))
     shifted = RationalMatrix([[q.entry(i, j) - (2 if i == j else 0) for j in range(4)] for i in range(4)])
     assert inertia(shifted) == Inertia(1, 2, 1)
 
@@ -93,7 +92,7 @@ def test_hyperbolic_pivot_paths():
 
 def test_count_examples():
     k5e = complete_minus_edge(5)
-    q = signless_laplacian(k5e)
+    q = RationalMatrix(graph_shift_rows(k5e, "Q"))
     assert count_lt(q, 3) == 1
     assert count_le(q, 3) == 4
     assert count_lt(q, 0) == 0
@@ -155,7 +154,7 @@ def test_counts_match_float_oracle(order, seed):
 
 def test_inertia_totals():
     for g in [cycle_graph(5), complete_graph(4), complete_bipartite(2, 3)]:
-        q = signless_laplacian(g)
+        q = RationalMatrix(graph_shift_rows(g, "Q"))
         res = inertia(q)
         assert res.n_minus + res.n_zero + res.n_plus == g.n
 
@@ -234,7 +233,7 @@ def test_quotient_row_sums_are_block_averages():
     g = gndt(9, 4, 3)
     part = Partition.of([[0, 1, 2, 3, 4], list(range(5, 9))])
     B = quotient_matrix(g, part)
-    q = signless_laplacian(g)
+    q = RationalMatrix(graph_shift_rows(g, "Q"))
     for i, block in enumerate(part.blocks):
         avg = Fraction(sum(q.entry(u, v) for u in block for v in range(g.n)), len(block))
         assert sum(B.rows[i]) == avg
@@ -280,7 +279,7 @@ def test_equitable_quotient_spectrum_contained(g, blocks):
         assert min(abs(mu - lam) for lam in q_eigs) < 1e-8
     # exact route: integer roots of the quotient polynomial are Q-eigenvalues
     # with positive inertia multiplicity
-    q = signless_laplacian(g)
+    q = RationalMatrix(graph_shift_rows(g, "Q"))
     for t in range(0, 2 * g.n - 1):
         if char_poly_eval(B, t) == 0:
             assert count_le(q, t) - count_lt(q, t) >= 1

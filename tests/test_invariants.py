@@ -29,7 +29,7 @@ from qdist.invariants import (
     longest_path_length,
     matching_number,
 )
-from qdist.verify import EnumerationFilter, enumerate_graphs
+from qdist.verify import enumerate_graphs
 
 
 def diametral_path(g):
@@ -95,7 +95,7 @@ def test_matching_known_values():
 
 
 def test_matching_exhaustive_n5():
-    for g in enumerate_graphs(EnumerationFilter(5)):
+    for g in enumerate_graphs(5):
         assert matching_number(g) == matching_oracle(g)
 
 
@@ -242,7 +242,7 @@ def test_trees_longest_path_equals_diameter():
 
 
 def test_bundle_consistency_exhaustive_n5():
-    for g in enumerate_graphs(EnumerationFilter(5)):
+    for g in enumerate_graphs(5):
         b = invariant_bundle(g)
         degs = degrees(g)
         assert b.delta == min(degs) and b.Delta == max(degs)

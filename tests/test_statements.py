@@ -8,9 +8,9 @@ import pytest
 from qdist import exact, sweeps, verify
 from qdist.cli import main
 from qdist.graph6 import graph6_decode
-from qdist.graphs import cycle_graph
+from qdist.graphs import cycle_graph, degrees
 from qdist.invariants import matching_number
-from qdist.verify import EnumerationFilter, enumerate_graphs, graph_from_mask, graph_to_mask
+from qdist.verify import enumerate_graphs, graph_from_mask, graph_to_mask
 
 FALSE_ID = "false-delta1"
 
@@ -39,8 +39,8 @@ def test_negative_control_is_caught(false_statement, capsys):
         got = sorted(graph_to_mask(graph6_decode(rep.instance)) for rep in res.failures)
         want = sorted(
             graph_to_mask(g)
-            for g in enumerate_graphs(EnumerationFilter(n, min_degree_at_least=1))
-            if exact.graph_count_lt(g, 1) > matching_number(g) - 1
+            for g in enumerate_graphs(n)
+            if min(degrees(g)) >= 1 and exact.graph_count_lt(g, 1) > matching_number(g) - 1
         )
         assert got == want
         assert res.escalated == len(want)
@@ -58,15 +58,13 @@ ROUTE_SAMPLE = 200
 
 
 def _tables(n):
-    """Every labeled graph for n <= 5, else ROUTE_SAMPLE seeded ones, and at
-    n = 6 every class representative too, from both sources. n = 7 keeps the
-    sample: its 1,044 representatives would cost about 35 s here."""
+    """Every labeled graph for n <= 5, else ROUTE_SAMPLE seeded ones and
+    every class representative, from both sources."""
     data = sweeps.sweep_data(n)
     if n <= 5:
         masks = np.arange(data.count, dtype=np.int64)
     else:
-        masks = np.sort(np.random.default_rng(n).choice(data.count, ROUTE_SAMPLE, replace=False))
-    if n == 6:
+        masks = np.random.default_rng(n).choice(data.count, ROUTE_SAMPLE, replace=False)
         masks = np.union1d(data.reps, masks)
     return sweeps.SweepTable(data, masks), verify.GraphTable(n, [graph_from_mask(n, int(m)) for m in masks])
 

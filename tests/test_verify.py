@@ -1,4 +1,5 @@
 import json
+from math import ceil
 
 import pytest
 
@@ -9,16 +10,17 @@ from qdist.graphs import (
     complete_graph,
     complete_minus_edge,
     cycle_graph,
+    degrees,
     disjoint_union,
     gndra,
     gndt,
+    is_connected,
     k_copies,
     make_empty,
     path_graph,
 )
 from qdist.invariants import diameter
 from qdist.verify import (
-    EnumerationFilter,
     check_alpha_sandwich,
     check_cycle_matching,
     check_delta2,
@@ -47,28 +49,25 @@ from qdist.verify import (
 
 
 def test_enumeration_counts():
-    assert sum(1 for _ in enumerate_graphs(EnumerationFilter(3))) == 8
-    assert sum(1 for _ in enumerate_graphs(EnumerationFilter(3, connected_only=True))) == 4
-    assert sum(1 for _ in enumerate_graphs(EnumerationFilter(4, connected_only=True))) == 38
+    assert sum(1 for _ in enumerate_graphs(3)) == 8
+    assert sum(1 for g in enumerate_graphs(3) if is_connected(g)) == 4
+    assert sum(1 for g in enumerate_graphs(4) if is_connected(g)) == 38
 
 
 def test_enumeration_excludes_c5_labelings():
-    base = EnumerationFilter(5, min_degree_at_least=2)
-    with_c5 = sum(1 for _ in enumerate_graphs(base))
-    without = sum(
-        1 for _ in enumerate_graphs(EnumerationFilter(5, min_degree_at_least=2, exclude=is_k_c5))
-    )
-    assert with_c5 - without == 12
+    base = [g for g in enumerate_graphs(5) if min(degrees(g)) >= 2]
+    without = [g for g in base if not is_k_c5(g)]
+    assert len(base) - len(without) == 12
 
 
 def test_enumeration_order_deterministic():
-    masks = [graph_to_mask(g) for g in enumerate_graphs(EnumerationFilter(3))]
+    masks = [graph_to_mask(g) for g in enumerate_graphs(3)]
     assert masks == list(range(8))
 
 
 def test_enumeration_limit():
     with pytest.raises(Exception):
-        list(enumerate_graphs(EnumerationFilter(8)))
+        list(enumerate_graphs(8))
 
 
 def test_mask_round_trip():
@@ -82,14 +81,6 @@ def test_sampling_deterministic():
     c = [graph_to_mask(g) for g in sample_graphs(10, 50, seed=2)]
     assert a == b
     assert a != c
-
-
-def test_sampling_filter():
-    from qdist.invariants import diameter
-
-    filt = EnumerationFilter(8, diameter_equals=3)
-    for g in sample_graphs(8, 200, seed=3, filt=filt):
-        assert diameter(g) == 3
 
 
 def test_sampling_range():
@@ -234,8 +225,14 @@ def test_gndt_laplacian_count_examples():
 # -- family tables ----------------------------------------------------------------------
 
 
+def _family_rows(tid, n):
+    """The counts of every instance at order n, read through the chunks in order."""
+    chunks = range(ceil(len(list(verify.family_parameters(tid, n))) / verify.FAMILY_STACK))
+    return {key: row for s in chunks for key, row in verify._family_chunk(tid, n, s).items()}
+
+
 def _bareiss_row(tid, params):
-    """The row family_table should hold for one instance, from Bareiss on the member built here."""
+    """The counts _family_chunk should hold for one instance, from Bareiss on the member built here."""
     n, *rest = params
     lt = exact.graph_count_lt
     if tid == "cycle-matching":
@@ -256,7 +253,7 @@ def _bareiss_row(tid, params):
 def test_family_tables_equal_bareiss():
     for tid in verify.FAMILY_THEOREM_IDS:
         for n in range(7, 17):
-            rows = verify.family_table(tid, n).rows
+            rows = _family_rows(tid, n)
             assert list(rows) == list(verify.family_parameters(tid, n))
             for params, row in rows.items():
                 assert row == _bareiss_row(tid, params), (tid, params)
@@ -270,19 +267,22 @@ def test_family_tables_send_only_threshold_eigenvalues_to_bareiss(monkeypatch):
     for name in ("graph_count_lt", "graph_count_le"):
         real = getattr(exact, name)
         monkeypatch.setattr(exact, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
-    verify.family_table.cache_clear()
+    verify._family_chunk.cache_clear()
+    resolved = {}
     try:
-        resolved = {
-            tid: sum(verify.family_table(tid, n).exact_members for n in range(7, 17))
-            for tid in verify.FAMILY_THEOREM_IDS
-        }
+        for tid in verify.FAMILY_THEOREM_IDS:
+            before = len(calls)
+            for n in range(7, 17):
+                _family_rows(tid, n)
+            resolved[tid] = len(calls) - before
     finally:
-        verify.family_table.cache_clear()
+        verify._family_chunk.cache_clear()
+    # one call per count read: diameter-3-equality reads the count below and at most n-3
     assert resolved == {
         "cycle-matching": 3,
         "family-counts": 7,
         "family-gndra-q5": 0,
-        "diameter-3-equality": 75,
+        "diameter-3-equality": 2 * 75,
         "gndt-laplacian-count": 0,
     }
     assert len(calls) == 3 + 7 + 2 * 75
@@ -294,11 +294,11 @@ def test_one_off_family_call_counts_one_chunk(monkeypatch):
     counted = []
     real = verify.jacobi_batch
     monkeypatch.setattr(verify, "jacobi_batch", lambda mats: counted.append(len(mats)) or real(mats))
-    verify.family_table.cache_clear()
+    verify._family_chunk.cache_clear()
     try:
         rep = check_family_counts(32, 3, 2)
     finally:
-        verify.family_table.cache_clear()
+        verify._family_chunk.cache_clear()
     assert rep.passed and rep.witness["m_below_n-d+1"] == exact.graph_count_lt(gndt(32, 3, 2), 30)
     assert sum(counted) <= verify.FAMILY_STACK
 
@@ -307,7 +307,7 @@ def test_family_checkers_validate_before_any_table(monkeypatch):
     def built(*args):
         raise AssertionError("a family table was built")
 
-    monkeypatch.setattr(verify, "family_table", built)
+    monkeypatch.setattr(verify, "_family_chunk", built)
     illegal = [
         lambda: check_cycle_matching(2),
         lambda: check_family_counts(8, 6, 2),
@@ -369,6 +369,25 @@ def test_point_tables_count_exactly():
         for t in range(0, 2 * g.n - 1):
             for sub in [tab] + subs:
                 assert (sub.lt(t)[0], sub.le(t)[0]) == _bareiss_counts(sub.graphs[0], t), (sub.graphs[0], t)
+
+
+def test_laplacian_tables_count_exactly(monkeypatch):
+    # every L(G) has the eigenvalue 0, and these have further integer ones
+    # on the thresholds (K_n: n; K_{1,n-1}: 1, n; K_{2,6}: 2, 6, 8; C_4: 2, 4;
+    # C_6: 1, 3, 4), so some rows must go to Bareiss, and of L(G), not Q(G)
+    graphs = [complete_graph(6), complete_bipartite(1, 6), complete_bipartite(2, 6),
+              cycle_graph(4), cycle_graph(6), gndt(10, 5, 3)]
+    want = {(g, t): (exact.graph_count_lt(g, t, matrix="L"), exact.graph_count_le(g, t, matrix="L"))
+            for g in graphs for t in range(0, 2 * g.n - 1)}
+    calls = []
+    for name in ("graph_count_lt", "graph_count_le"):
+        real = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    for g in graphs:
+        tab = verify.GraphTable(g.n, [g], "L")
+        for t in range(0, 2 * g.n - 1):
+            assert (tab.lt(t)[0], tab.le(t)[0]) == want[g, t], (g, t)
+    assert calls
 
 
 def test_point_tables_send_few_rows_to_bareiss(monkeypatch):
@@ -440,9 +459,7 @@ def test_sweep_summary_counts():
     assert res.total == 64
     assert res.failures == []
     # graphs with an isolated vertex are not applicable
-    assert res.applicable == sum(
-        1 for g in enumerate_graphs(EnumerationFilter(4, min_degree_at_least=1))
-    )
+    assert res.applicable == sum(1 for g in enumerate_graphs(4) if min(degrees(g)) >= 1)
 
 
 def test_sweep_agreement_small():
