@@ -51,16 +51,16 @@ def _parse_family_string(text: str) -> FamilySpec:
 
 
 def _input_graphs(args: argparse.Namespace) -> list[Graph]:
-    if getattr(args, "graph6", None):
+    if getattr(args, "graph6", None) is not None:
         return [graph6_decode(args.graph6)]
-    if getattr(args, "file", None):
+    if getattr(args, "file", None) is not None:
         try:
             fh = open(args.file)
         except OSError as err:
             raise GraphError(f"cannot read --file: {err}") from err
         with fh:
             return [graph6_decode(line) for line in fh if line.strip()]
-    if getattr(args, "family", None):
+    if getattr(args, "family", None) is not None:
         return [make_family(_parse_family_string(args.family))]
     if not sys.stdin.isatty():
         return [graph6_decode(line) for line in sys.stdin if line.strip()]

@@ -146,7 +146,7 @@ def graph_stack(n: int, graphs: Sequence[Graph], matrix: str = "Q") -> np.ndarra
     """Q(G) = D + A (or L(G) = D - A) of graphs of order n, as one
     (len(graphs), n, n) float64 stack: the bits of each adjacency row are
     the row of A, and the degrees go on the diagonal. Every float Q(G) and
-    L(G) comes from here."""
+    L(G) of a Graph comes from here."""
     if matrix not in ("Q", "L"):
         raise ValueError(f"matrix must be 'Q' or 'L', got {matrix!r}")
     width = (n + 7) // 8

@@ -321,9 +321,9 @@ class SweepTable:
     """The labeled masks of a SweepData as the statement predicates read
     them (the table contract is in verify). Every column is the column of
     the mask's class, read through data.class_of. The row of a labeled
-    graph is its edge mask, so G-e is the row mask ^ (1 << k) and G-v a
-    row of sweep_data(n-1), each looked up in the class map of its order.
-    Counts come from counts_pair. ell is the upper bound min(n-1, 2 nu)
+    graph is its edge mask, so the G-e table holds the masks mask ^ (1 << k)
+    and the G-v table masks of sweep_data(n-1), each looked up in the class
+    map of its order. Counts come from counts_pair. ell is the upper bound min(n-1, 2 nu)
     (every other edge of a path is a matching): only longest-path reads it,
     and that predicate is monotone in ell, so every row it passes here
     passes with the true longest path too."""
@@ -362,18 +362,19 @@ class SweepTable:
     def le(self, t, where: np.ndarray | None = None) -> np.ndarray:
         return self._count(1, t, where)
 
-    def without_edge(self, k: int) -> tuple[np.ndarray, "SweepTable"]:
-        rows = np.flatnonzero((self.masks >> k) & 1)
-        return rows, SweepTable(self.data, self.masks[rows] ^ (1 << k))
+    def without_edges(self) -> tuple[np.ndarray, np.ndarray, "SweepTable"]:
+        rows, edges = np.nonzero((self.masks[:, None] >> np.arange(self.n * (self.n - 1) // 2)) & 1)
+        return rows, edges, SweepTable(self.data, self.masks[rows] ^ (1 << edges))
 
-    def without_vertex(self, v: int) -> "SweepTable":
+    def without_vertices(self) -> "SweepTable":
         n = self.n
         sub_index = {pq: i for i, pq in enumerate(mask_pairs(n - 1))}
-        submask = np.zeros_like(self.masks)
+        submask = np.zeros((self.count, n), dtype=self.masks.dtype)
         for k, (a, b) in enumerate(mask_pairs(n)):
-            if v not in (a, b):
-                submask |= ((self.masks >> k) & 1) << sub_index[(a - (a > v), b - (b > v))]
-        return SweepTable(sweep_data(n - 1), submask)
+            bit = (self.masks >> k) & 1
+            for v in set(range(n)) - {a, b}:
+                submask[:, v] |= bit << sub_index[(a - (a > v), b - (b > v))]
+        return SweepTable(sweep_data(n - 1), submask.ravel())
 
 
 @dataclass

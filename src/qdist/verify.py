@@ -170,9 +170,11 @@ def is_k_c5(g: Graph) -> bool:
 #   lt(t, where), le(t, where): exact counts below / at most the integer
 #   threshold t, a scalar or a (count,) column; rows outside where are not
 #   needed and their values are unspecified;
-#   without_edge(k): the rows holding edge bit k of mask_pairs(n), and the
-#   table of those graphs minus that edge; without_vertex(v): the table of
-#   the graphs minus vertex v.
+#   without_edges(): (rows, edges, table), where the table holds every
+#   graph minus each of its edges, one row per (row, edge present) pair,
+#   ordered by row and then by edge bit k of mask_pairs(n), and rows and
+#   edges hold that row and k; without_vertices(): the table of order n-1
+#   whose row i*n + v is graph i minus vertex v.
 
 
 @dataclass
@@ -195,19 +197,19 @@ class Verdict:
         return cls(applicable, ~applicable | holds, note, witness)
 
     @classmethod
-    def first_failures(cls, applicable, found: dict[int, dict], note, passing: Callable[[int], dict]) -> "Verdict":
-        """found holds the witness of every failing row; passing(i) is that of a passing row."""
+    def first_failures(cls, applicable, rows, fail, note, witness, passing) -> "Verdict":
+        """fail is a (len(rows), m) bool array: line j holds the checks, in
+        checking order, of a sub-row of table row rows[j], and the sub-rows of
+        a row are consecutive, in checking order. A row fails where one of its
+        sub-rows does; its witness is witness(j, position) at the first
+        failing check of its first failing sub-row j. passing(i) is the
+        witness of a passing row i."""
+        bad = np.flatnonzero(fail.any(axis=1))
+        _, first = np.unique(rows[bad], return_index=True)
+        found = {int(rows[j]): witness(int(j), int(fail[j].argmax())) for j in bad[first]}
         passed = np.ones(applicable.shape, dtype=bool)
-        passed[list(found)] = False
+        passed[rows[bad]] = False
         return cls(applicable, passed, note, lambda i: found.get(i) or passing(i))
-
-
-def _record_first(found: dict[int, dict], rows: np.ndarray, fail: np.ndarray, witness: Callable) -> None:
-    """For each row of fail (a (len(rows), m) bool array) with a failure and
-    no witness yet, store witness(j, position of its first failure)."""
-    for j in np.flatnonzero(fail.any(axis=1)):
-        if int(rows[j]) not in found:
-            found[int(rows[j])] = witness(j, int(fail[j].argmax()))
 
 
 def edge_interlacing(tab) -> Verdict:
@@ -218,56 +220,48 @@ def edge_interlacing(tab) -> Verdict:
     below every integer threshold moves by at most one when the edge goes.
     """
     n = tab.n
+    rows, edges, sub = tab.without_edges()
+    checked = np.bincount(rows, minlength=tab.count)
+    if not rows.size:
+        return Verdict.columns(checked > 0, True, "no edges")
     thresholds = range(0, 2 * n - 1)
-    checked = np.zeros(tab.count, dtype=np.int64)
-    found: dict[int, dict] = {}
-    lt_g = None
-    for k in range(n * (n - 1) // 2):
-        rows, sub = tab.without_edge(k)
-        if not rows.size:
-            continue
-        lt_g = lt_g or [tab.lt(t) for t in thresholds]
-        checked[rows] += 1
-        A, B = tab.vals[rows], sub.vals
-        cg = [lt[rows] for lt in lt_g]
-        ch = [sub.lt(t) for t in thresholds]
-        # failures in checking order: the chain at i = 1..n (the upper link
-        # before the lower), then the counts at every threshold
-        fail = np.empty((rows.size, 4 * n - 2), dtype=bool)
-        fail[:, 0 : 2 * n : 2] = ~(A >= B - INEQ_SLACK)
-        fail[:, 1 : 2 * n - 1 : 2] = ~(B[:, : n - 1] >= A[:, 1:] - INEQ_SLACK)
-        for t in thresholds:
-            fail[:, 2 * n - 1 + t] = np.abs(ch[t] - cg[t]) > 1
+    A, B = tab.vals[rows], sub.vals
+    cg = [tab.lt(t)[rows] for t in thresholds]
+    ch = [sub.lt(t) for t in thresholds]
+    # failures in checking order: the chain at i = 1..n (the upper link
+    # before the lower), then the counts at every threshold
+    fail = np.empty((rows.size, 4 * n - 2), dtype=bool)
+    fail[:, 0 : 2 * n : 2] = ~(A >= B - INEQ_SLACK)
+    fail[:, 1 : 2 * n - 1 : 2] = ~(B[:, : n - 1] >= A[:, 1:] - INEQ_SLACK)
+    for t in thresholds:
+        fail[:, 2 * n - 1 + t] = np.abs(ch[t] - cg[t]) > 1
 
-        def witness(j: int, pos: int) -> dict:
-            edge, (i, lower) = list(mask_pairs(n)[k]), divmod(pos, 2)
-            if pos >= 2 * n - 1:
-                t = pos - (2 * n - 1)
-                return {"edge": edge, "threshold": t, "count_G": cg[t][j], "count_Ge": ch[t][j]}
-            if not lower:
-                return {"edge": edge, "i": i + 1, "qi_G": A[j, i], "qi_Ge": B[j, i]}
-            return {"edge": edge, "i": i + 1, "qi_Ge": B[j, i], "qnext_G": A[j, i + 1]}
+    def witness(j: int, pos: int) -> dict:
+        edge, (i, lower) = list(mask_pairs(n)[edges[j]]), divmod(pos, 2)
+        if pos >= 2 * n - 1:
+            t = pos - (2 * n - 1)
+            return {"edge": edge, "threshold": t, "count_G": cg[t][j], "count_Ge": ch[t][j]}
+        if not lower:
+            return {"edge": edge, "i": i + 1, "qi_G": A[j, i], "qi_Ge": B[j, i]}
+        return {"edge": edge, "i": i + 1, "qi_Ge": B[j, i], "qnext_G": A[j, i + 1]}
 
-        _record_first(found, rows, fail, witness)
-    return Verdict.first_failures(checked > 0, found, "no edges", lambda i: {"edges_checked": checked[i]})
+    return Verdict.first_failures(checked > 0, rows, fail, "no edges", witness, lambda i: {"edges_checked": checked[i]})
 
 
 def vertex_deletion(tab) -> Verdict:
     """q_{i+1}(G) <= q_i(G-v) + 1 for i = 1..n-1 and every vertex v,
     floating with 1e-8 slack."""
     n = tab.n
-    found: dict[int, dict] = {}
-    if n >= 2:
-        vals = tab.vals
-        for w in range(n):
-            B = tab.without_vertex(w).vals
-            fail = ~(vals[:, 1:] <= B[:, : n - 1] + 1 + INEQ_SLACK)
+    if n < 2:
+        return Verdict.columns(np.zeros(tab.count, dtype=bool), True, "n < 2")
+    rows = np.repeat(np.arange(tab.count), n)
+    A, B = tab.vals[rows], tab.without_vertices().vals
+    fail = ~(A[:, 1:] <= B[:, : n - 1] + 1 + INEQ_SLACK)
 
-            def witness(j: int, pos: int) -> dict:
-                return {"vertex": w, "i": pos + 1, "q_next_G": vals[j, pos + 1], "q_i_Gv": B[j, pos]}
+    def witness(j: int, pos: int) -> dict:
+        return {"vertex": j % n, "i": pos + 1, "q_next_G": A[j, pos + 1], "q_i_Gv": B[j, pos]}
 
-            _record_first(found, np.arange(tab.count), fail, witness)
-    return Verdict.first_failures(np.full(tab.count, n >= 2), found, "n < 2", lambda i: {})
+    return Verdict.first_failures(np.ones(tab.count, dtype=bool), rows, fail, "n < 2", witness, lambda i: {})
 
 
 def _delta2_hypothesis(tab) -> np.ndarray:
@@ -376,20 +370,12 @@ class GraphTable:
     exact congruence inertia of the same matrix counts the rows of where
     that do not clear. This is the one count rule of the point checkers and
     the family grids. The other columns come on first use from the
-    invariants module, looked up here at call time. The G-e tables of every
-    edge, and the G-v tables of every vertex, take their spectra from one
-    stacked call each."""
+    invariants module, looked up here at call time. The G-e table of all
+    edges of all rows, and the G-v table of all vertices, are GraphTables
+    of their own, each with one stacked solve."""
 
-    def __init__(
-        self,
-        n: int,
-        graphs: Sequence[Graph],
-        matrix: str = "Q",
-        spectra: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
+    def __init__(self, n: int, graphs: Sequence[Graph], matrix: str = "Q"):
         self.n, self.graphs, self.count, self.matrix = n, list(graphs), len(graphs), matrix
-        if spectra is not None:
-            self.spectra = spectra
 
     def _column(self, f: Callable[[Graph], int], where: np.ndarray | None = None) -> np.ndarray:
         on = [True] * self.count if where is None else where.tolist()
@@ -408,7 +394,7 @@ class GraphTable:
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """(vals, bounds) of jacobi_batch: nonincreasing rows and their certified error bounds."""
-        return _stacked_spectra(self.n, self.graphs, self.matrix)
+        return jacobi_batch(graph_stack(self.n, self.graphs, self.matrix))
 
     @property
     def vals(self) -> np.ndarray:
@@ -429,41 +415,15 @@ class GraphTable:
     def le(self, t, where: np.ndarray | None = None) -> np.ndarray:
         return self._count(exact.graph_count_le, t, where)
 
-    @cached_property
-    def _without_edges(self) -> list[tuple[np.ndarray, "GraphTable"]]:
-        groups = []
-        for u, v in mask_pairs(self.n):
-            rows = np.array([i for i, g in enumerate(self.graphs) if g.has_edge(u, v)], dtype=np.intp)
-            groups.append((rows, [remove_edge(self.graphs[i], u, v) for i in rows]))
-        tables = _stacked_tables(self.n, [graphs for _, graphs in groups], self.matrix)
-        return [(rows, tab) for (rows, _), tab in zip(groups, tables)]
+    def without_edges(self) -> tuple[np.ndarray, np.ndarray, "GraphTable"]:
+        pairs = mask_pairs(self.n)
+        found = [(i, k) for i, g in enumerate(self.graphs) for k, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
+        rows, edges = np.array(found, dtype=np.intp).reshape(-1, 2).T
+        graphs = [remove_edge(self.graphs[i], *pairs[k]) for i, k in found]
+        return rows, edges, GraphTable(self.n, graphs, self.matrix)
 
-    def without_edge(self, k: int) -> tuple[np.ndarray, "GraphTable"]:
-        return self._without_edges[k]
-
-    @cached_property
-    def _without_vertices(self) -> list["GraphTable"]:
-        groups = [[delete_vertex(g, v) for g in self.graphs] for v in range(self.n)]
-        return _stacked_tables(self.n - 1, groups, self.matrix)
-
-    def without_vertex(self, v: int) -> "GraphTable":
-        return self._without_vertices[v]
-
-
-def _stacked_spectra(n: int, graphs: Sequence[Graph], matrix: str) -> tuple[np.ndarray, np.ndarray]:
-    """jacobi_batch of the Q(G) or L(G) stack of graphs of order n (empty arrays for no graphs)."""
-    if not graphs:
-        return np.zeros((0, n)), np.zeros(0)
-    return jacobi_batch(graph_stack(n, graphs, matrix))
-
-
-def _stacked_tables(n: int, groups: list[list[Graph]], matrix: str) -> list[GraphTable]:
-    """One GraphTable per group of graphs of order n, the spectra of all of
-    them from one stacked call."""
-    vals, bounds = _stacked_spectra(n, [g for group in groups for g in group], matrix)
-    cuts = np.cumsum([len(group) for group in groups])[:-1]
-    spectra = zip(np.split(vals, cuts), np.split(bounds, cuts))
-    return [GraphTable(n, group, matrix, s) for group, s in zip(groups, spectra)]
+    def without_vertices(self) -> "GraphTable":
+        return GraphTable(self.n - 1, [delete_vertex(g, v) for g in self.graphs for v in range(self.n)], self.matrix)
 
 
 def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) -> TheoremReport:

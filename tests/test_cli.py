@@ -155,6 +155,12 @@ def test_usage_errors_exit_two():
     assert main(["count", "--file", "/nonexistent", "--interval", "[0,1)"]) == 2
     proc = run_cli(["family", "--kind", "nope"])
     assert proc.returncode == 2
+    # an empty value is still the input named, not a fall-through to stdin
+    for option, message in (("--graph6", "empty graph6 string"), ("--file", "cannot read --file"),
+                            ("--family", "empty family spec")):
+        proc = run_cli(["count", option, "", "--interval", "[0,1)"], stdin="")
+        assert (proc.returncode, proc.stdout) == (2, ""), option
+        assert message in proc.stderr, option
 
 
 def _forbid(monkeypatch, module, name):

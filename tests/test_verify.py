@@ -5,6 +5,7 @@ import pytest
 
 from qdist import exact, sweeps, verify
 from qdist.graphs import (
+    Graph,
     GraphError,
     complete_bipartite,
     complete_graph,
@@ -12,14 +13,17 @@ from qdist.graphs import (
     cycle_graph,
     degrees,
     disjoint_union,
+    from_edges,
     gndra,
     gndt,
     is_connected,
     k_copies,
     make_empty,
     path_graph,
+    remove_edge,
 )
 from qdist.invariants import diameter
+from qdist.spectral import q_float
 from qdist.verify import (
     check_alpha_sandwich,
     check_cycle_matching,
@@ -40,6 +44,7 @@ from qdist.verify import (
     graph_from_mask,
     graph_to_mask,
     is_k_c5,
+    mask_pairs,
     sample_graphs,
     search_counterexamples,
 )
@@ -361,14 +366,17 @@ def _bareiss_counts(g, t):
 def test_point_tables_count_exactly():
     # GraphTable takes a count from the certified floats where every
     # eigenvalue clears the threshold, and from Bareiss where one does not;
-    # both must give Bareiss's count at every threshold, for G and each G-e
+    # both must give Bareiss's count at every threshold, for G and each row
+    # of its G-e table
     seeded, integral = _point_graphs()
     for g in seeded + integral:
         tab = verify.GraphTable(g.n, [g])
-        subs = [sub for rows, sub in map(tab.without_edge, range(g.n * (g.n - 1) // 2)) if rows.size]
+        _, _, sub = tab.without_edges()
+        assert sub.count == g.edge_count()
         for t in range(0, 2 * g.n - 1):
-            for sub in [tab] + subs:
-                assert (sub.lt(t)[0], sub.le(t)[0]) == _bareiss_counts(sub.graphs[0], t), (sub.graphs[0], t)
+            for h, lt, le in zip([g] + sub.graphs, tab.lt(t).tolist() + sub.lt(t).tolist(),
+                                 tab.le(t).tolist() + sub.le(t).tolist()):
+                assert (lt, le) == _bareiss_counts(h, t), (h, t)
 
 
 def test_laplacian_tables_count_exactly(monkeypatch):
@@ -401,6 +409,96 @@ def test_point_tables_send_few_rows_to_bareiss(monkeypatch):
     reports = [theorem.check(g) for theorem in verify.GRAPH_THEOREMS.values() for g in seeded]
     assert len(reports) == 198 and all(r.passed for r in reports)
     assert 0 < len(calls) <= 300
+
+
+def test_edge_interlacing_counts_each_table_once_per_threshold(monkeypatch):
+    # one table of G and one of all its G-e, each counted at every threshold
+    # 0..2n-2: 2(2n-1) certified_below calls per graph (one table per edge
+    # made 6,281 calls on these 18 graphs)
+    calls = []
+    real = verify.certified_below
+    monkeypatch.setattr(verify, "certified_below", lambda *a: calls.append(a) or real(*a))
+    seeded, _ = _point_graphs()
+    assert all(check_edge_interlacing(g).passed for g in seeded)
+    assert len(seeded) == 18 and len(calls) == sum(2 * (2 * g.n - 1) for g in seeded) == 612
+
+
+def test_orders_zero_and_one():
+    # no statement applies to the graph on no vertices; K_1 is connected, so
+    # three statements apply to it and hold
+    notes = {"edge-interlacing": "no edges", "vertex-deletion": "n < 2", "matching-upper": "isolated vertex",
+             "delta2": "hypothesis fails", "domination-bound": "isolated vertex", "m02-bound": "isolated vertex",
+             "alpha-sandwich": "empty", "longest-path": "disconnected", "diameter-main": "disconnected",
+             "diameter-3": "hypothesis fails", "tail-eigenvalue-bound": "disconnected"}
+    k1 = {"alpha-sandwich": {"alpha": 1, "m_delta_up": 1, "m_0_Delta": 1}, "longest-path": {"ell": 0, "m_2_up": 0},
+          "diameter-main": {"d": 0, "m_below_n-2": 0}}
+    for tid, theorem in verify.GRAPH_THEOREMS.items():
+        rep = theorem.check(Graph(0, ()))
+        assert (rep.applicable, rep.passed, rep.witness) == (False, True, {"note": notes[tid]}), tid
+        rep = theorem.check(make_empty(1))
+        if tid in k1:
+            assert (rep.applicable, rep.passed, rep.witness) == (True, True, k1[tid]), tid
+        else:
+            note = "index range empty" if tid == "tail-eigenvalue-bound" else notes[tid]
+            assert (rep.applicable, rep.passed, rep.witness) == (False, True, {"note": note}), tid
+
+
+# -- failing interlacing witnesses ------------------------------------------------------
+
+
+def _spoil(monkeypatch, spoils):
+    """Make verify.jacobi_batch add shift to the eigenvalues of every matrix
+    equal to Q(h), for each (h, shift, bound) of spoils, and set its
+    certified bound to bound unless that is None."""
+    real = verify.jacobi_batch
+
+    def spoiled(stack):
+        vals, bounds = real(stack)
+        for h, shift, bound in spoils:
+            if stack.shape[1] != h.n:
+                continue
+            hit = (stack == q_float(h)).all(axis=(1, 2))
+            vals[hit] += shift
+            if bound is not None:
+                bounds[hit] = bound
+        return vals, bounds
+
+    monkeypatch.setattr(verify, "jacobi_batch", spoiled)
+
+
+def test_edge_interlacing_chain_witness(monkeypatch):
+    # P_4 minus (1,2) is 2K_2 (2, 2, 0, 0); lowered to (2, 1/2, 0, 0) it
+    # breaks the lower link q_2(G-e) >= q_3(G) = 2 - sqrt 2. P_4 minus (2,3),
+    # raised to (5, 1, 0, 0), breaks the upper link at i = 1: an earlier link
+    # of a later edge, so the first failing edge is the witness
+    _spoil(monkeypatch, [(from_edges(4, [(0, 1), (2, 3)]), [0, -1.5, 0, 0], None),
+                         (from_edges(4, [(0, 1), (1, 2)]), [2, 0, 0, 0], None)])
+    rep = check_edge_interlacing(path_graph(4))
+    assert not rep.passed and rep.witness.pop("edge") == [1, 2]
+    assert rep.witness == pytest.approx({"i": 2, "qi_Ge": 0.5, "qnext_G": 2 - 2**0.5})
+
+
+def test_edge_interlacing_count_witness(monkeypatch):
+    # K_5 has spectrum (8, 3, 3, 3, 3) and K_5 - e (7.37, 3, 3, 3, 1.63).
+    # Both lowered by 1/2 still interlace, but every K_5 - e row, with no
+    # certificate, goes to Bareiss: at threshold 3 the lowered floats of K_5
+    # count 4 eigenvalues below and inertia counts 1 for K_5 - e
+    g = complete_graph(5)
+    _spoil(monkeypatch, [(g, -0.5, None)] + [(remove_edge(g, u, v), -0.5, 10.0) for u, v in mask_pairs(5)])
+    rep = check_edge_interlacing(g)
+    assert (rep.passed, rep.witness) == (False, {"edge": [0, 1], "threshold": 3, "count_G": 4, "count_Ge": 1})
+
+
+def test_vertex_deletion_witness(monkeypatch):
+    # P_4 minus vertex 1 is the edge (1,2) on three vertices (2, 0, 0);
+    # lowered to (2, -3/2, 0) it breaks q_3(G) = 2 - sqrt 2 <= q_2(G-v) + 1.
+    # P_4 minus vertex 2, the edge (0,1), lowered to (1/2, 0, 0), breaks
+    # q_2(G) = 2 <= q_1(G-v) + 1: an earlier i of a later vertex, so the
+    # first failing vertex is the witness
+    _spoil(monkeypatch, [(from_edges(3, [(1, 2)]), [0, -1.5, 0], None), (from_edges(3, [(0, 1)]), [-1.5, 0, 0], None)])
+    rep = check_vertex_deletion(path_graph(4))
+    assert not rep.passed
+    assert rep.witness == pytest.approx({"vertex": 1, "i": 2, "q_next_G": 2 - 2**0.5, "q_i_Gv": -1.5})
 
 
 # -- reports, catalog, search ------------------------------------------------------------
