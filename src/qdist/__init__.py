@@ -5,11 +5,25 @@ Submodules:
   graphs      immutable bitmask graphs, editing ops, named families
   graph6      graph6 text codec
   exact       rational matrices, congruence inertia, quotient matrices
-  jacobi      certified floating eigensolver (LAPACK eigh), inequality checkers
-  spectral    Q/L builders, interval counting, closed-form spectra
+  jacobi      certified floating eigensolver (LAPACK eigh), graph_stack (every
+              float Q/L stack), inequality checkers
+  spectral    one-graph Q/L builders, interval counting, closed-form spectra
   invariants  matching, diameter, independence, domination, longest path
   verify      theorem catalog, enumeration, sampling, counterexample search
+  sweeps      exhaustive sweeps at n <= 7, one isomorphism class at a time
   cli         command-line front end
+
+Each subcommand of cli imports only the modules it runs: sweeps only for an
+exhaustive sweep, spectral only for `qdist spectrum` and `qdist count`.
 """
+
+import os
+
+# One OpenBLAS thread, set before anything imports numpy. Every float stack
+# that the sweeps, the point tables and the family grids solve has order at
+# most 32, where a batched eigh never reaches a threaded BLAS path; an idle
+# worker thread only spins and costs every short process CPU time. A value
+# the user sets (say, for `qdist spectrum` of a large graph) still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -9,9 +9,8 @@ authoritative counter everywhere the theorems compare counts against
 integer thresholds.
 
 graph_shift_rows builds the integer rows of Q(G) and L(G) (shifted by a
-threshold) that the congruence counter reads, and the rational matrices of
-spectral convert them. Every float form of either matrix comes from
-spectral.graph_stack instead.
+threshold) that the congruence counter reads. Every float form of either
+matrix comes from jacobi.graph_stack instead.
 """
 
 from __future__ import annotations

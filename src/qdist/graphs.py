@@ -263,8 +263,7 @@ def gndt(n: int, d: int, t: int) -> Graph:
         raise GraphError(f"gndt requires 2 <= d <= n-2, got d={d}, n={n}")
     if not 2 <= t <= d:
         raise GraphError(f"gndt requires 2 <= t <= d, got t={t}, d={d}")
-    clique = (1 << n) - (1 << (d + 1))
-    return _path_plus_clique(n, d, [(clique, 0b111 << (t - 2))])
+    return _path_plus_clique(n, d, [(d + 1, n, t - 2)])
 
 
 def gndra(n: int, d: int, r: int, a: int) -> Graph:
@@ -280,22 +279,22 @@ def gndra(n: int, d: int, r: int, a: int) -> Graph:
         raise GraphError(f"gndra requires 2 <= r <= d-1, got r={r}, d={d}")
     if not 1 <= a <= n - d - 2:
         raise GraphError(f"gndra requires 1 <= a <= n-d-2, got a={a}, n={n}, d={d}")
-    left = ((1 << a) - 1) << (d + 1)
-    right = (1 << n) - (1 << (d + 1 + a))
-    return _path_plus_clique(n, d, [(left, 0b111 << (r - 2)), (right, 0b111 << (r - 1))])
+    return _path_plus_clique(n, d, [(d + 1, d + 1 + a, r - 2), (d + 1 + a, n, r - 1)])
 
 
-def _path_plus_clique(n: int, d: int, joins: Sequence[tuple[int, int]]) -> Graph:
-    """The path 0-1-...-d plus a clique on d+1..n-1, with every vertex of the
-    bitmask c joined to every vertex of the bitmask p for each (c, p) in joins."""
+def _path_plus_clique(n: int, d: int, joins: Sequence[tuple[int, int, int]]) -> Graph:
+    """The path 0-1-...-d plus a clique on d+1..n-1. The joins split the
+    clique into consecutive vertex ranges: for each (lo, hi, s) in joins, in
+    order, the clique vertices lo..hi-1 are joined to the three path vertices
+    s, s+1, s+2. Each row gets its join as one mask."""
     clique = (1 << n) - (1 << (d + 1))
     rows = [(1 << (u - 1) if u else 0) | (1 << (u + 1) if u < d else 0) for u in range(d + 1)]
-    rows += [clique ^ (1 << u) for u in range(d + 1, n)]
-    for c, p in joins:
-        for u in _bits(c):
-            rows[u] |= p
-        for v in _bits(p):
-            rows[v] |= c
+    for lo, hi, s in joins:
+        p = 0b111 << s
+        rows += [clique ^ (1 << u) | p for u in range(lo, hi)]
+    for lo, hi, s in joins:
+        for v in range(s, s + 3):
+            rows[v] |= (1 << hi) - (1 << lo)
     return Graph(n, tuple(rows))
 
 

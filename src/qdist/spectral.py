@@ -1,5 +1,5 @@
-"""Signless Laplacian and Laplacian matrices as float64 stacks
-(graph_stack; the exact side builds its integer rows with
+"""Signless Laplacian and Laplacian matrices of one graph (q_float over
+jacobi.graph_stack; the exact side builds its integer rows with
 exact.graph_shift_rows), interval eigenvalue counting, and closed-form
 spectra for the special families, kept symbolic where exact.
 
@@ -22,7 +22,7 @@ from . import exact
 from .exact import char_poly, poly_eval
 from .graph6 import graph6_encode
 from .graphs import Graph, GraphError, gndra
-from .jacobi import eigenvalues_sym
+from .jacobi import eigenvalues_sym, graph_stack
 
 
 # -- intervals ----------------------------------------------------------------
@@ -140,23 +140,6 @@ def parse_interval(text: str) -> SymbolicInterval:
 
 
 # -- matrix builders ----------------------------------------------------------
-
-
-def graph_stack(n: int, graphs: Sequence[Graph], matrix: str = "Q") -> np.ndarray:
-    """Q(G) = D + A (or L(G) = D - A) of graphs of order n, as one
-    (len(graphs), n, n) float64 stack: the bits of each adjacency row are
-    the row of A, and the degrees go on the diagonal. Every float Q(G) and
-    L(G) of a Graph comes from here."""
-    if matrix not in ("Q", "L"):
-        raise ValueError(f"matrix must be 'Q' or 'L', got {matrix!r}")
-    width = (n + 7) // 8
-    raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj)
-    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
-    A = np.unpackbits(bits, axis=2, count=n, bitorder="little")
-    M = A.astype(np.float64) if matrix == "Q" else 0.0 - A  # 0.0 - 0 is +0.0, as in the integer rows
-    idx = np.arange(n)
-    M[:, idx, idx] = A.sum(axis=2)
-    return M
 
 
 def q_float(g: Graph) -> np.ndarray:

@@ -10,7 +10,7 @@ that do not pass to the point checkers, so a reported failure always rests
 on the per-graph kernels. Interval counts are exact or certified, never
 rounded floats: integer characteristic polynomials in the sweeps, and in
 GraphTable, which serves both the point checkers and the family grids, the
-certified floating spectrum of one stack (spectral.graph_stack into
+certified floating spectrum of one stack (jacobi.graph_stack into
 jacobi_batch) wherever every eigenvalue clears the threshold by its
 certified bound, with congruence inertia for every other row that is
 needed. The interlacing-chain statements also compare floating eigenvalues
@@ -50,10 +50,9 @@ from .invariants import (
     longest_path_length,
     matching_number,
 )
-from .jacobi import INEQ_SLACK, certified_below, jacobi_batch
+from .jacobi import INEQ_SLACK, certified_below, graph_stack, jacobi_batch
 # unused here, but kept bound: the benchmark's tracer (perfbench/layers.py) wraps verify.eigenvalues_sym
 from .jacobi import eigenvalues_sym  # noqa: F401
-from .spectral import graph_stack
 
 
 @dataclass(frozen=True)
@@ -709,11 +708,11 @@ def search_counterexamples(
     if n_hi > SAMPLE_LIMIT:
         raise GraphError(f"sampling is for {EXHAUSTIVE_LIMIT + 1} <= n <= {SAMPLE_LIMIT}, got {n_hi}")
 
-    from . import sweeps
-
     failures: list[TheoremReport] = []
     for n in range(n_lo, n_hi + 1):
         if n <= EXHAUSTIVE_LIMIT:
+            from . import sweeps  # only here: a sampled-only search never loads the sweep tables
+
             failures.extend(sweeps.exhaustive_failures(tid, n).failures)
         else:
             checker = GRAPH_THEOREMS[tid].check

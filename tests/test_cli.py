@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -246,3 +247,29 @@ def test_report_lines_match_schema():
     schema = load_schema("theorem_report.schema.json")
     for rep in (check_matching_upper(cycle_graph(5)), check_diameter_main(cycle_graph(6))):
         jsonschema.validate(json.loads(rep.to_json_line()), schema)
+
+
+def test_a_fresh_process_runs_one_thread_and_only_the_modules_it_needs():
+    """In a fresh interpreter: `import qdist` sets OPENBLAS_NUM_THREADS to 1
+    when it is unset and keeps a value that is set; `import qdist.cli` leaves
+    one thread (checked where /proc/self/task exists); and a sampled search
+    at n = 8 and a family verify load neither qdist.sweeps nor qdist.spectral."""
+    code = (
+        "import os, sys\n"
+        "import qdist\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', os.environ['OPENBLAS_NUM_THREADS']\n"
+        "from qdist.cli import main\n"
+        "if os.path.isdir('/proc/self/task'):\n"
+        "    threads = os.listdir('/proc/self/task')\n"
+        "    assert len(threads) == 1, threads\n"
+        "assert main(['search', '--theorem', 'delta2', '--n-min', '8', '--n-max', '8', '--budget', '2']) == 0\n"
+        "assert main(['verify', '--theorem', 'family-counts', '--family-max', '8']) == 0\n"
+        "loaded = [m for m in ('qdist.sweeps', 'qdist.spectral') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code = "import os, qdist\nassert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": "2"}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -192,15 +192,17 @@ def _gndra_reference(n, d, r, a):
 
 def test_family_bitmasks_match_the_edge_lists():
     """gndt and gndra set adjacency rows from masks; every legal parameter
-    tuple to order 12 and every family grid tuple to order 22 gives the
-    graph of the docstring's edge list."""
-    from qdist.verify import family_parameters
+    tuple to order 12 and every gndt and gndra tuple of the five family
+    grids to order 32 (verify.FAMILY_LIMIT) gives the graph of the
+    docstring's edge list, so it is also symmetric and loopless, as every
+    from_edges graph is."""
+    from qdist.verify import FAMILY_LIMIT, family_parameters
 
     gndt_args = {(n, d, t) for n in range(4, 13) for d in range(2, n - 1) for t in range(2, d + 1)}
     gndra_args = {
         (n, d, r, a) for n in range(5, 13) for d in range(3, n - 1) for r in range(2, d) for a in range(1, n - d - 1)
     }
-    for n in range(7, 23):
+    for n in range(7, FAMILY_LIMIT + 1):
         for p in family_parameters("family-counts", n):
             (gndt_args if len(p) == 3 else gndra_args).add(p)
         gndt_args.update(family_parameters("gndt-laplacian-count", n))
@@ -208,13 +210,9 @@ def test_family_bitmasks_match_the_edge_lists():
         gndra_args.update((n, n - 3, t, 1) for _, t in family_parameters("family-gndra-q5", n))
         gndra_args.update((n, 3, 2, a) for _, a in list(family_parameters("diameter-3-equality", n))[1:])
     for args in gndt_args:
-        g = gndt(*args)
-        g.validate()
-        assert g == _gndt_reference(*args), args
+        assert gndt(*args) == _gndt_reference(*args), args
     for args in gndra_args:
-        g = gndra(*args)
-        g.validate()
-        assert g == _gndra_reference(*args), args
+        assert gndra(*args) == _gndra_reference(*args), args
 
 
 def test_family_parameter_validation():
