@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, jacobi.ConvergenceError, KeyError, ValueError) as err:
+    except (jacobi.ConvergenceError, KeyError, ValueError) as err:  # every qdist input error is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 
