@@ -3,15 +3,17 @@ domination, longest path.
 
 Matching uses augmenting paths with blossom contraction so it stays exact on
 non-bipartite graphs while being fast enough to call on every graph of an
-exhaustive enumeration. The NP-hard invariants are exact branch-and-bound
-searches with explicit size limits.
+exhaustive enumeration. The NP-hard invariants are exact, with explicit size
+limits: branch and bound, and a path-end DP over a stack for the longest path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import inf
+
+import numpy as np
 
 from .graphs import Graph, GraphError, _bits, bfs_distances, degrees
 
@@ -179,30 +181,32 @@ def domination_number(g: Graph) -> int:
     return best
 
 
+def longest_path_lengths(adj: np.ndarray) -> np.ndarray:
+    """Edge count of a longest simple path of each graph of a (B, n) int64
+    stack of adjacency bitmask rows, as (B,) int16 (Bellman; Held and Karp).
+
+    ends[b, S] is the bitset of the ends of the paths of graph b that cover
+    exactly S: w in S is one wherever S - w has an end adjacent to w. Layer k
+    fills the sets of size k in one gather, where S ^ w for w outside S has
+    size k + 1 and is still 0. The answer is the largest |S| - 1 with an end.
+    """
+    B, n = adj.shape
+    subsets = np.arange(1 << n, dtype=np.int64)
+    bit = 1 << np.arange(n, dtype=np.int64)
+    size = sum((subsets >> v) & 1 for v in range(n))
+    ends = np.zeros((B, 1 << n), dtype=np.int64)
+    ends[:, bit] = bit
+    for k in range(2, n + 1):
+        layer = subsets[size == k]
+        ends[:, layer] = ((ends[:, layer[:, None] ^ bit] & adj[:, None, :]) != 0) @ bit
+    return np.where(ends != 0, size - 1, 0).max(axis=1, initial=0).astype(np.int16)
+
+
 def longest_path_length(g: Graph) -> int:
-    """Edge count of a longest simple path (subset dynamic program, n <= 20)."""
+    """Edge count of a longest simple path (longest_path_lengths of one graph, n <= 20)."""
     if g.n > 20:
         raise SizeLimitError(f"longest path limited to n <= 20, got {g.n}")
-    n = g.n
-    if n == 0:
-        return 0
-    adj = g.adj
-    ends = [0] * (1 << n)  # ends[mask] = vertices where a path covering mask can end
-    for v in range(n):
-        ends[1 << v] = 1 << v
-    best = 0
-    for mask in range(1, 1 << n):
-        em = ends[mask]
-        if not em:
-            continue
-        size = mask.bit_count()
-        if size - 1 > best:
-            best = size - 1
-        for v in _bits(em):
-            free = adj[v] & ~mask
-            for w in _bits(free):
-                ends[mask | (1 << w)] |= 1 << w
-    return best
+    return int(longest_path_lengths(np.array(g.adj, dtype=np.int64).reshape(1, g.n))[0])
 
 
 # -- bundle ------------------------------------------------------------------------
@@ -221,16 +225,7 @@ class InvariantBundle:
     Delta: int
 
     def to_json(self) -> str:
-        obj = dict(
-            nu=self.nu,
-            alpha=self.alpha,
-            gamma_dom=self.gamma_dom,
-            diam=None if self.diam is inf else self.diam,
-            longest_path_len=self.longest_path_len,
-            delta=self.delta,
-            Delta=self.Delta,
-        )
-        return json.dumps(obj)
+        return json.dumps({**asdict(self), "diam": None if self.diam is inf else self.diam})
 
 
 def invariant_bundle(g: Graph) -> InvariantBundle:

@@ -10,9 +10,10 @@ and the orbit sizes, and computes every column for the representatives
 only. One stack of Q(G) matrices (``q_batch``; sweep_data decodes edge
 masks only there and in the class map) gives every column: the degrees
 are its diagonal; connectivity and diameter come from Boolean powers of
-the closed adjacency pattern (Q != 0) | I, and the matching,
-independence and domination numbers from one scan of the 2^n vertex
-subsets over the rows of that pattern (``_subset_scan``). The same stack
+the closed adjacency pattern (Q != 0) | I, the matching, independence
+and domination numbers from one scan of the 2^n vertex subsets over its
+rows (``_subset_scan``), and the longest path from the point checkers'
+kernel (``invariants.longest_path_lengths``) on its rows. The same stack
 gives the floating spectra (stacked LAPACK ``eigh`` calls,
 ``jacobi.jacobi_batch``, each with a certified eigenvalue error bound)
 and the integer coefficients of the characteristic polynomial det(xI - Q)
@@ -51,6 +52,7 @@ from math import comb
 import numpy as np
 
 from . import exact, verify
+from .invariants import longest_path_lengths
 from .jacobi import GUARD_BAND, certified_below, jacobi_batch
 from .verify import TheoremReport, graph_from_mask, mask_pairs
 
@@ -78,6 +80,7 @@ class SweepData:
     nu: np.ndarray  # (C,) int16, exact matching number
     alpha: np.ndarray  # (C,) int16, exact independence number
     gamma: np.ndarray  # (C,) int16, exact domination number
+    ell: np.ndarray  # (C,) int16, exact longest path length
     # threshold -> (count below, count at most), (2^C(n,2),) int16 each, per labeled mask
     counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -197,6 +200,7 @@ def sweep_data(n: int) -> SweepData:
             conn,
             diam,
             *_subset_scan(closed),
+            longest_path_lengths((closed & ~np.eye(n, dtype=bool)) @ (1 << np.arange(n, dtype=np.int64))),
         )
     return _DATA[n]
 
@@ -323,10 +327,7 @@ class SweepTable:
     the mask's class, read through data.class_of. The row of a labeled
     graph is its edge mask, so the G-e table holds the masks mask ^ (1 << k)
     and the G-v table masks of sweep_data(n-1), each looked up in the class
-    map of its order. Counts come from counts_pair. ell is the upper bound min(n-1, 2 nu)
-    (every other edge of a path is a matching): only longest-path reads it,
-    and that predicate is monotone in ell, so every row it passes here
-    passes with the true longest path too."""
+    map of its order. Counts come from counts_pair."""
 
     def __init__(self, data: SweepData, masks: np.ndarray):
         self.data, self.masks, self.n, self.count = data, masks, data.n, masks.size
@@ -336,7 +337,7 @@ class SweepTable:
     maxdeg = cached_property(lambda self: self.data.degs[self.cls].max(axis=1).astype(np.int16))
     # for n <= 7 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
     kc5 = cached_property(lambda self: (self.n == 5) & (self.data.degs[self.cls] == 2).all(axis=1) & self.conn)
-    ell = cached_property(lambda self: np.minimum(self.n - 1, 2 * self.nu).astype(np.int16))
+    ell = cached_property(lambda self: self.data.ell[self.cls])
     conn = cached_property(lambda self: self.data.conn[self.cls])
     diam = cached_property(lambda self: self.data.diam[self.cls])
     nu = cached_property(lambda self: self.data.nu[self.cls])

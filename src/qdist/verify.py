@@ -163,8 +163,7 @@ def is_k_c5(g: Graph) -> bool:
 # per-graph kernels; a point checker is the predicate on a one-row table) or
 # sweeps.SweepTable (the exhaustive sweep tables). A table has n, count and
 #   mindeg, maxdeg, conn (False at n = 0), diam and ell (diameter and longest
-#   path, or an upper bound on it, where conn), nu, alpha, gamma, kc5:
-#   (count,) columns;
+#   path, where conn), nu, alpha, gamma, kc5: (count,) columns;
 #   vals: (count, n) spectra, nonincreasing rows;
 #   lt(t, where), le(t, where): exact counts below / at most the integer
 #   threshold t, a scalar or a (count,) column; rows outside where are not

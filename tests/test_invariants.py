@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 from math import inf
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdist import sweeps
 from qdist.graphs import (
     GraphError,
+    _bits,
     bfs_distances,
     complete_bipartite,
     complete_graph,
@@ -29,7 +32,7 @@ from qdist.invariants import (
     longest_path_length,
     matching_number,
 )
-from qdist.verify import enumerate_graphs
+from qdist.verify import enumerate_graphs, graph_from_mask, sample_graphs
 
 
 def diametral_path(g):
@@ -208,6 +211,28 @@ def longest_path_oracle(g):
     return best
 
 
+def longest_path_reference(g):
+    """Edge count of a longest simple path by the subset dynamic program in
+    pure Python: ends[mask] holds the vertices where a path covering mask
+    can end, extended one vertex at a time in ascending mask order."""
+    n = g.n
+    if n == 0:
+        return 0
+    ends = [0] * (1 << n)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    best = 0
+    for mask in range(1, 1 << n):
+        em = ends[mask]
+        if not em:
+            continue
+        best = max(best, mask.bit_count() - 1)
+        for v in _bits(em):
+            for w in _bits(g.adj[v] & ~mask):
+                ends[mask | (1 << w)] |= 1 << w
+    return best
+
+
 def test_longest_path_values():
     assert longest_path_length(path_graph(7)) == 6
     assert longest_path_length(cycle_graph(7)) == 6
@@ -220,6 +245,26 @@ def test_longest_path_values():
 @settings(max_examples=60, deadline=None)
 def test_longest_path_vs_oracle(g):
     assert longest_path_length(g) == longest_path_oracle(g)
+
+
+def test_longest_path_kernel_matches_the_subset_dp():
+    """The stacked kernel against the pure-Python subset DP: through the
+    sweep tables on every class representative with n <= 7, and through
+    longest_path_length on 10 seeded G(n, 1/2) graphs per order 8..13 and
+    on seeded sparse graphs with n <= 11."""
+    for n in range(1, 8):
+        data = sweeps.sweep_data(n)
+        want = [longest_path_reference(graph_from_mask(n, int(mask))) for mask in data.reps]
+        assert data.ell.tolist() == want, n
+    graphs = [g for n in range(8, 14) for g in sample_graphs(n, 10, seed=n)]
+    rng = random.Random(11)
+    for n in range(2, 12):
+        pairs = n * (n - 1) // 2
+        for p in (0.1, 0.2, 0.3):
+            for _ in range(4):
+                graphs.append(graph_from_mask(n, sum(1 << k for k in range(pairs) if rng.random() < p)))
+    for g in graphs:
+        assert longest_path_length(g) == longest_path_reference(g), g.adj
 
 
 def test_size_limits():

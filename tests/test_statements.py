@@ -1,18 +1,22 @@
 """The per-graph statements as predicates over a graph table: the sweep
 route (SweepTable) and the point-checker route (GraphTable) must agree, and
-a deliberately false statement must be caught with rechecked witnesses."""
+deliberately false statements must be caught with rechecked witnesses."""
+
+from functools import partial
 
 import numpy as np
 import pytest
+from test_invariants import longest_path_reference
 
 from qdist import exact, sweeps, verify
 from qdist.cli import main
 from qdist.graph6 import graph6_decode
-from qdist.graphs import cycle_graph, degrees
+from qdist.graphs import cycle_graph, degrees, is_connected, path_graph
 from qdist.invariants import matching_number
 from qdist.verify import enumerate_graphs, graph_from_mask, graph_to_mask
 
 FALSE_ID = "false-delta1"
+FALSE_LONGEST_PATH = "false-longest-path"
 
 
 def false_delta1(tab):
@@ -23,16 +27,22 @@ def false_delta1(tab):
     return verify.Verdict.columns(applicable, m01 <= tab.nu - 1, "isolated vertex", m01=m01, nu=tab.nu)
 
 
+def false_longest_path(tab):
+    """longest-path one stronger: connected G implies count above 2 >=
+    floor(ell / 2) + 1. False: P_4 is a counterexample."""
+    applicable = tab.conn
+    above2 = tab.n - tab.le(2, applicable)
+    return verify.Verdict.columns(applicable, above2 >= tab.ell // 2 + 1, "disconnected", ell=tab.ell, m_2_up=above2)
+
+
 @pytest.fixture
-def false_statement(monkeypatch):
-    def check(g):
-        return verify.evaluate(FALSE_ID, false_delta1, g)
-
-    theorem = verify.GraphTheorem(FALSE_ID, check, "negative control", false_delta1)
-    monkeypatch.setitem(verify.GRAPH_THEOREMS, FALSE_ID, theorem)
+def false_statements(monkeypatch):
+    for tid, predicate in [(FALSE_ID, false_delta1), (FALSE_LONGEST_PATH, false_longest_path)]:
+        theorem = verify.GraphTheorem(tid, partial(verify.evaluate, tid, predicate), "negative control", predicate)
+        monkeypatch.setitem(verify.GRAPH_THEOREMS, tid, theorem)
 
 
-def test_negative_control_is_caught(false_statement, capsys):
+def test_negative_control_is_caught(false_statements, capsys):
     found = set()
     for n in range(1, 6):
         res = sweeps.exhaustive_failures(FALSE_ID, n)
@@ -54,6 +64,32 @@ def test_negative_control_is_caught(false_statement, capsys):
     assert (5, graph_to_mask(cycle_graph(5))) in found
 
 
+def test_longest_path_negative_control_is_caught(false_statements, capsys):
+    """The sweep reads the true longest path, so it escalates exactly the
+    labeled graphs that fail, and each witness rechecks through `qdist count`."""
+    found = set()
+    for n in range(1, 6):
+        res = sweeps.exhaustive_failures(FALSE_LONGEST_PATH, n)
+        got = sorted(graph_to_mask(graph6_decode(rep.instance)) for rep in res.failures)
+        want = sorted(
+            graph_to_mask(g)
+            for g in enumerate_graphs(n)
+            if is_connected(g) and n - exact.graph_count_le(g, 2) < longest_path_reference(g) // 2 + 1
+        )
+        assert got == want
+        assert res.escalated == len(want)
+        found.update((n, mask) for mask in got)
+        for rep in res.failures:
+            count = 0  # for n <= 2 every eigenvalue is at most 2n - 2 <= 2, and (2, 2n-2] is empty
+            if n >= 3:
+                capsys.readouterr()
+                assert main(["count", "--graph6", rep.instance, "--interval", "(2,2n-2]"]) == 0
+                count = int(capsys.readouterr().out)
+            assert count == rep.witness["m_2_up"] < rep.witness["ell"] // 2 + 1
+    assert (4, graph_to_mask(path_graph(4))) in found
+    assert sum(mask_n == 5 for mask_n, _ in found) == 420
+
+
 ROUTE_SAMPLE = 200
 
 
@@ -70,15 +106,12 @@ def _tables(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_sweep_and_graph_routes_agree(n, false_statement):
+def test_sweep_and_graph_routes_agree(n, false_statements):
     by_masks, by_graphs = _tables(n)
     for tid, theorem in verify.GRAPH_THEOREMS.items():
         a, b = theorem.predicate(by_masks), theorem.predicate(by_graphs)
         assert np.array_equal(a.applicable, b.applicable), tid
-        if tid == "longest-path":  # the mask route reads the bound min(n-1, 2 nu) for the longest path
-            assert not (a.passed & ~b.passed).any(), tid
-        else:
-            assert np.array_equal(a.passed, b.passed), tid
+        assert np.array_equal(a.passed, b.passed), tid
 
 
 def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma", "kc5")):
@@ -86,7 +119,7 @@ def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     if "conn" in names:
         assert np.array_equal(a.diam[a.conn], b.diam[b.conn])
-        assert (a.ell[a.conn] >= b.ell[b.conn]).all()
+        assert np.array_equal(a.ell[a.conn], b.ell[b.conn])
     assert np.abs(a.vals - b.vals).max(initial=0.0) < 1e-9
     for t in range(0, 2 * a.n - 1):
         assert np.array_equal(a.lt(t), b.lt(t)), t
@@ -96,8 +129,7 @@ def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_table_sources_agree_on_columns(n):
     """The columns and sub-tables every predicate reads, from the sweep
-    kernels and from the per-graph kernels (ell one way: the sweep reads an
-    upper bound)."""
+    kernels and from the per-graph kernels, equal in both directions."""
     by_masks, by_graphs = _tables(n)
     _same_columns(by_masks, by_graphs)
     (rows_m, edges_m, sub_m), (rows_g, edges_g, sub_g) = by_masks.without_edges(), by_graphs.without_edges()
