@@ -116,8 +116,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     from . import spectral
 
     sym = spectral.parse_interval(args.interval)
-    for g in _input_graphs(args):
-        iv = sym.resolve(g.n)
+    graphs = _input_graphs(args)
+    intervals = []
+    for g in graphs:  # every interval is resolved before the first line is printed
+        try:
+            intervals.append(sym.resolve(g.n))
+        except spectral.IntervalError as err:
+            raise spectral.IntervalError(f"{sym} at n = {g.n} (graph {graph6_encode(g)}): {err}") from None
+    for g, iv in zip(graphs, intervals):
         c = spectral.m_count(g, iv, matrix=args.matrix)
         if args.format == "json":
             _emit({"graph6": graph6_encode(g), "interval": str(iv), "count": c, "matrix": args.matrix}, "json")

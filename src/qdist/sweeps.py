@@ -1,44 +1,34 @@
 """Exhaustive sweeps at desk scale (n <= 7), one isomorphism class at a time.
 
-Every statement the sweeps check is invariant under relabeling, so the
-tables hold one row per isomorphism class, not per labeled graph. The class
-map (``class_map``) assigns every labeled edge mask on n vertices the id of
-its class by orbit enumeration: the least mask with no class yet is the
-next representative, and its images under all n! vertex permutations are
-its orbit. SweepData carries the map (``class_of``), the representatives
-and the orbit sizes, and computes every column for the representatives
-only. One stack of Q(G) matrices (``q_batch``; sweep_data decodes edge
-masks only there and in the class map) gives every column: the degrees
-are its diagonal; connectivity and diameter come from Boolean powers of
-the closed adjacency pattern (Q != 0) | I, the matching, independence
-and domination numbers from one scan of the 2^n vertex subsets over its
-rows (``_subset_scan``), and the longest path from the point checkers'
-kernel (``invariants.longest_path_lengths``) on its rows. The same stack
-gives the floating spectra (stacked LAPACK ``eigh`` calls,
-``jacobi.jacobi_batch``, each with a certified eigenvalue error bound)
-and the integer coefficients of the characteristic polynomial det(xI - Q)
-(batched Faddeev-LeVerrier in float64, exact under asserted bounds). Q(G) is symmetric, so that
-polynomial has only real roots and Descartes' rule of signs is exact for
-it: the number of eigenvalues below a rational threshold t is the number of
-sign variations in the coefficients of the shifted polynomial, and the
-multiplicity of t is the order of its zero there. Every eigenvalue count in
-the sweeps comes from this one exact kernel. The spectra feed the
-interlacing-chain statements, which compare eigenvalues and not counts.
+Every statement the sweeps check is invariant under relabeling, so a sweep
+evaluates it once per isomorphism class. The class map (``class_map``)
+assigns every labeled edge mask on n vertices the id of its class by orbit
+enumeration: the least mask with no class yet is the next representative,
+and its images under all n! vertex permutations are its orbit. SweepData
+carries the map (``class_of``), the representatives, the orbit sizes and
+the SweepTable of the representatives. The map has three jobs only: orbit
+sizes (labeled totals), expanding a class that does not pass into its
+labeled members for the point checker, in the same process, and the
+labeled count cache of ``counts_pair``.
 
-SweepTable presents these tables to the statement predicates of verify,
-the same predicates the point checkers evaluate on one graph. Its rows are
-labeled masks, read through the class map, so an edited mask (G-e, G-v)
-is looked up like any other. exhaustive_failures evaluates a predicate once
-per class and hands every labeled member of a class that does not pass to
-the point checker, in the same process, so a reported failure never rests
-on the vectorized route alone, and totals and failures stay per labeled
-graph.
-
-Count tables are cached per (order, threshold) as labeled arrays and shared
-across theorems and with the agreement gate, which compares each class's
-counts with its float spectrum wherever every eigenvalue clears the
-threshold by its certified bound, and with exact congruence inertia at
-every (class, threshold) pair.
+A SweepTable is a stack of graphs of one order, held as adjacency rows.
+Each column comes on first use from one stacked kernel: the degrees;
+connectivity and diameter from Boolean powers of the closed adjacency
+pattern A | I; the matching, independence and domination numbers from one
+scan of the 2^n vertex subsets (``_subset_scan``); the longest path from
+the point checkers' kernel (``invariants.longest_path_lengths``); and,
+from the Q(G) stack, the certified floating spectra (stacked LAPACK
+``eigh``, ``jacobi.jacobi_batch``) and the integer coefficients of
+det(xI - Q) (batched Faddeev-LeVerrier in float64, exact under asserted
+bounds). Q(G) is symmetric, so that polynomial has only real roots and
+Descartes' rule of signs is exact for it: the number of eigenvalues below
+a rational threshold t is the number of sign variations of the shifted
+polynomial, and the multiplicity of t is the order of its zero there.
+Every eigenvalue count in the sweeps comes from this one exact kernel; the
+spectra feed the interlacing chains, which compare eigenvalues. The G-e
+and G-v tables are SweepTables over edited row stacks, so no table reads
+the class map. The agreement gate checks the representatives' counts
+against their certified spectra and against exact congruence inertia.
 """
 
 from __future__ import annotations
@@ -59,28 +49,18 @@ from .verify import TheoremReport, graph_from_mask, mask_pairs
 CHUNK = 1 << 12  # masks per step of class_map's scan for the next representative
 
 
-# -- per-order class tables -------------------------------------------------------
+# -- per-order class maps --------------------------------------------------------------
 
 
 @dataclass
 class SweepData:
-    """Columns over the isomorphism classes of graphs on n vertices (C of
-    them), and the map from every labeled edge mask to its class."""
+    """The isomorphism classes of graphs on n vertices (C of them): the map from
+    every labeled edge mask to its class, and the representatives' SweepTable."""
 
     n: int
     class_of: np.ndarray  # (2^C(n,2),) int32, the class id of every labeled mask
     reps: np.ndarray  # (C,) int64, the least mask of each class, ascending
     orbit: np.ndarray  # (C,) int64, labeled graphs in each class
-    vals: np.ndarray  # (C, n) float64, nonincreasing rows
-    bound: np.ndarray  # (C,) float64, certified bound on every error of the row of vals
-    poly: np.ndarray  # (C, n+1) int32, coefficients c_0..c_n of det(xI - Q), ascending
-    degs: np.ndarray  # (C, n) uint8
-    conn: np.ndarray  # (C,) bool
-    diam: np.ndarray  # (C,) int16; only meaningful where conn
-    nu: np.ndarray  # (C,) int16, exact matching number
-    alpha: np.ndarray  # (C,) int16, exact independence number
-    gamma: np.ndarray  # (C,) int16, exact domination number
-    ell: np.ndarray  # (C,) int16, exact longest path length
     # threshold -> (count below, count at most), (2^C(n,2),) int16 each, per labeled mask
     counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -88,6 +68,11 @@ class SweepData:
     def count(self) -> int:
         """Labeled graphs on n vertices, 2^C(n,2)."""
         return self.class_of.size
+
+    @cached_property
+    def table(self) -> "SweepTable":
+        """The representatives' graphs, in class order; counts through counts_pair."""
+        return SweepTable(self.n, mask_rows(self.n, self.reps), lambda t: [c[self.reps] for c in counts_pair(self, t)])
 
 
 _DATA: dict[int, SweepData] = {}
@@ -127,16 +112,14 @@ def class_map(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return class_of, np.array(reps, dtype=np.int64), np.array(orbit, dtype=np.int64)
 
 
-def q_batch(n: int, masks: np.ndarray) -> np.ndarray:
-    """Q(G) = D + A of the graph of every mask, as a (len(masks), n, n) float64 stack."""
-    Q = np.zeros((masks.size, n, n), dtype=np.float64)
+def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """The adjacency rows of the graph of every edge mask, as a (len(masks), n) int64 stack."""
+    rows = np.zeros((masks.size, n), dtype=np.int64)
     for k, (u, v) in enumerate(mask_pairs(n)):
-        bit = ((masks >> k) & 1).astype(np.float64)
-        Q[:, u, v] = bit
-        Q[:, v, u] = bit
-    idx = np.arange(n)
-    Q[:, idx, idx] = Q.sum(axis=2)
-    return Q
+        bit = (masks >> k) & 1
+        rows[:, u] |= bit << v
+        rows[:, v] |= bit << u
+    return rows
 
 
 def _closure_and_diameter(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,29 +162,11 @@ def _subset_scan(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def sweep_data(n: int) -> SweepData:
-    """Cached class tables of the graphs on n vertices."""
+    """Cached class map of the graphs on n vertices."""
     if n not in _DATA:
         if not 1 <= n <= verify.EXHAUSTIVE_LIMIT:
             raise ValueError(f"sweep tables support 1 <= n <= {verify.EXHAUSTIVE_LIMIT}, got {n}")
-        class_of, reps, orbit = class_map(n)
-        Q = q_batch(n, reps)
-        closed = (Q != 0) | np.eye(n, dtype=bool)  # Q's diagonal is 0 at an isolated vertex
-        conn, diam = _closure_and_diameter(closed)
-        vals, bound = jacobi_batch(Q)
-        _DATA[n] = SweepData(
-            n,
-            class_of,
-            reps,
-            orbit,
-            vals,
-            bound,
-            char_poly_batch(Q),
-            np.diagonal(Q, axis1=1, axis2=2).astype(np.uint8),
-            conn,
-            diam,
-            *_subset_scan(closed),
-            longest_path_lengths((closed & ~np.eye(n, dtype=bool)) @ (1 << np.arange(n, dtype=np.int64))),
-        )
+        _DATA[n] = SweepData(n, *class_map(n))
     return _DATA[n]
 
 
@@ -298,14 +263,14 @@ def descartes_counts(poly: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarra
 def counts_pair(data: SweepData, threshold) -> tuple[np.ndarray, np.ndarray]:
     """(count-below, count-at-most) for every labeled mask at the threshold; exact.
 
-    Both come from the class polynomials by Descartes' rule
-    (``descartes_counts``), with no floating comparison, and are gathered
+    Both come from the representatives' table by Descartes' rule
+    (``SweepTable.counts``), with no floating comparison, and are gathered
     to the labeled masks through the class map. Cached in data.counts as
     int16 arrays.
     """
     t = Fraction(threshold)
     if t not in data.counts:
-        lt, le = descartes_counts(data.poly, t)
+        lt, le = data.table.counts(t)
         data.counts[t] = lt[data.class_of], le[data.class_of]
     return data.counts[t]
 
@@ -314,47 +279,70 @@ def inband_flags(data: SweepData, threshold) -> np.ndarray:
     """Per labeled mask: whether an eigenvalue of its class lies within
     GUARD_BAND of the threshold."""
     tf = float(Fraction(threshold))
-    near = ((data.vals > tf - GUARD_BAND) & (data.vals < tf + GUARD_BAND)).any(axis=1)
+    vals = data.table.vals
+    near = ((vals > tf - GUARD_BAND) & (vals < tf + GUARD_BAND)).any(axis=1)
     return near[data.class_of]
 
 
-# -- the statements' table over the sweep data ---------------------------------------
+# -- the statements' table over a stack of graphs --------------------------------------
 
 
 class SweepTable:
-    """The labeled masks of a SweepData as the statement predicates read
-    them (the table contract is in verify). Every column is the column of
-    the mask's class, read through data.class_of. The row of a labeled
-    graph is its edge mask, so the G-e table holds the masks mask ^ (1 << k)
-    and the G-v table masks of sweep_data(n-1), each looked up in the class
-    map of its order. Counts come from counts_pair."""
+    """The statements' table (the contract is in verify) over graphs of order
+    n, bit v of rows[i, u] being the edge uv of graph i. Each column comes on
+    first use from one stacked kernel over all rows; counts from Descartes'
+    rule on the table's own char polys, cached per threshold (``counts``),
+    unless count_source(t) -> (lt, le) replaces them (the representatives'
+    table reads counts_pair). The kernels hold for n <= 9."""
 
-    def __init__(self, data: SweepData, masks: np.ndarray):
-        self.data, self.masks, self.n, self.count = data, masks, data.n, masks.size
+    def __init__(self, n: int, rows: np.ndarray, count_source=None):
+        self.n, self.rows, self.count = n, rows, len(rows)
+        self._counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = {}
+        self._source = count_source  # a bound self.counts here would keep the table in a reference cycle
 
-    cls = cached_property(lambda self: self.data.class_of[self.masks])
-    mindeg = cached_property(lambda self: self.data.degs[self.cls].min(axis=1).astype(np.int16))
-    maxdeg = cached_property(lambda self: self.data.degs[self.cls].max(axis=1).astype(np.int16))
-    # for n <= 7 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
-    kc5 = cached_property(lambda self: (self.n == 5) & (self.data.degs[self.cls] == 2).all(axis=1) & self.conn)
-    ell = cached_property(lambda self: self.data.ell[self.cls])
-    conn = cached_property(lambda self: self.data.conn[self.cls])
-    diam = cached_property(lambda self: self.data.diam[self.cls])
-    nu = cached_property(lambda self: self.data.nu[self.cls])
-    alpha = cached_property(lambda self: self.data.alpha[self.cls])
-    gamma = cached_property(lambda self: self.data.gamma[self.cls])
-    vals = cached_property(lambda self: self.data.vals[self.cls])
+    _adjacency = cached_property(lambda self: (self.rows[:, :, None] >> np.arange(self.n) & 1).astype(bool))
+    _closed = cached_property(lambda self: self._adjacency | np.eye(self.n, dtype=bool))
+    degs = cached_property(lambda self: self._adjacency.sum(axis=2).astype(np.uint8))
+    mindeg = cached_property(lambda self: self.degs.min(axis=1).astype(np.int16))
+    maxdeg = cached_property(lambda self: self.degs.max(axis=1).astype(np.int16))
+    # for n <= 9 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
+    kc5 = cached_property(lambda self: (self.n == 5) & (self.degs == 2).all(axis=1) & self.conn)
+    _reach = cached_property(lambda self: _closure_and_diameter(self._closed))
+    conn = cached_property(lambda self: self._reach[0])
+    diam = cached_property(lambda self: self._reach[1])
+    _subsets = cached_property(lambda self: _subset_scan(self._closed))
+    nu = cached_property(lambda self: self._subsets[0])
+    alpha = cached_property(lambda self: self._subsets[1])
+    gamma = cached_property(lambda self: self._subsets[2])
+    ell = cached_property(lambda self: longest_path_lengths(self.rows))
+    spectra = cached_property(lambda self: jacobi_batch(self.Q))
+    vals = property(lambda self: self.spectra[0])  # (count, n) float64, nonincreasing rows
+    bound = property(lambda self: self.spectra[1])  # (count,) float64, certified bound on every error of the row
+    poly = cached_property(lambda self: char_poly_batch(self.Q))  # (count, n+1) int32, det(xI - Q) ascending
+
+    @property
+    def Q(self) -> np.ndarray:
+        """Q(G) = A + D of every row, (count, n, n) float64; built per reader, not kept."""
+        return self._adjacency + self.degs[:, :, None] * np.eye(self.n)
+
+    def counts(self, threshold) -> tuple[np.ndarray, np.ndarray]:
+        """(count below, count at most) the threshold of every row, (count,) int16 each; exact."""
+        t = Fraction(threshold)
+        if t not in self._counts:
+            self._counts[t] = descartes_counts(self.poly, t)
+        return self._counts[t]
 
     def _count(self, which: int, t, where: np.ndarray | None) -> np.ndarray:
         on = np.ones((self.count,), dtype=bool) if where is None else where
         if not on.any():
             return np.zeros((self.count,), dtype=np.int16)
+        source = self._source or self.counts
         if np.ndim(t) == 0:
-            return counts_pair(self.data, t)[which][self.masks]
+            return source(t)[which]
         out = np.zeros((self.count,), dtype=np.int16)
         for tv in np.unique(t[on]):
             sel = on & (t == tv)
-            out[sel] = counts_pair(self.data, int(tv))[which][self.masks[sel]]
+            out[sel] = source(int(tv))[which][sel]
         return out
 
     def lt(self, t, where: np.ndarray | None = None) -> np.ndarray:
@@ -364,18 +352,20 @@ class SweepTable:
         return self._count(1, t, where)
 
     def without_edges(self) -> tuple[np.ndarray, np.ndarray, "SweepTable"]:
-        rows, edges = np.nonzero((self.masks[:, None] >> np.arange(self.n * (self.n - 1) // 2)) & 1)
-        return rows, edges, SweepTable(self.data, self.masks[rows] ^ (1 << edges))
+        u, v = np.array(mask_pairs(self.n), dtype=np.int64).reshape(-1, 2).T
+        rows, edges = np.nonzero(self.rows[:, u] >> v & 1)
+        sub, j = self.rows[rows], np.arange(rows.size)
+        sub[j, u[edges]] ^= 1 << v[edges]
+        sub[j, v[edges]] ^= 1 << u[edges]
+        return rows, edges, SweepTable(self.n, sub)
 
     def without_vertices(self) -> "SweepTable":
         n = self.n
-        sub_index = {pq: i for i, pq in enumerate(mask_pairs(n - 1))}
-        submask = np.zeros((self.count, n), dtype=self.masks.dtype)
-        for k, (a, b) in enumerate(mask_pairs(n)):
-            bit = (self.masks >> k) & 1
-            for v in set(range(n)) - {a, b}:
-                submask[:, v] |= bit << sub_index[(a - (a > v), b - (b > v))]
-        return SweepTable(sweep_data(n - 1), submask.ravel())
+        sub = np.empty((self.count, n, n - 1), dtype=np.int64)
+        for v in range(n):
+            rest, low = np.delete(self.rows, v, axis=1), (1 << v) - 1
+            sub[:, v] = (rest & low) | ((rest >> (v + 1)) << v)
+        return SweepTable(n - 1, sub.reshape(-1, n - 1))
 
 
 @dataclass
@@ -407,7 +397,7 @@ def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> Swe
         raise KeyError(f"{theorem_id!r} is not a per-graph theorem")
     data = sweep_data(n)
     theorem = verify.GRAPH_THEOREMS[tid]
-    verdict = theorem.predicate(SweepTable(data, data.reps))
+    verdict = theorem.predicate(data.table)
     escalate = np.flatnonzero((verdict.applicable & ~verdict.passed)[data.class_of])
     failures: list[TheoremReport] = []
     for mask in escalate:
@@ -442,13 +432,14 @@ def eig_inertia_agreement(n: int) -> AgreementResult:
     threshold) pair. Any disagreement is a mismatch. The class tables cover
     every labeled graph, so checked counts labeled pairs."""
     data = sweep_data(n)
+    tab = data.table
     ths = [Fraction(t) for t in range(2 * n - 1)]
     graphs = [graph_from_mask(n, int(mask)) for mask in data.reps]
     mismatches = []
     inband_total = 0
     for t in ths:
-        lt, le = (c[data.reps] for c in counts_pair(data, t))
-        below, clear = certified_below(data.vals, data.bound, float(t))
+        lt, le = tab.lt(t), tab.le(t)
+        below, clear = certified_below(tab.vals, tab.bound, float(t))
         inband_total += int((~clear).sum())
         for i in np.flatnonzero(clear & ((below != lt) | (below != le))):
             mismatches.append(
@@ -473,9 +464,9 @@ def intro_bound_failures(n: int) -> list[tuple[int, str]]:
     if n < 2:
         return []
     data = sweep_data(n)
-    tab = SweepTable(data, data.reps)
+    tab = data.table
     above = n - tab.le(n - 2) > 1
-    noncomplete = tab.masks != (1 << n * (n - 1) // 2) - 1
+    noncomplete = tab.mindeg < n - 1
     below_two = noncomplete & (n - tab.lt(tab.mindeg, noncomplete) < 2)
     return [(int(mask), "q2<=n-2") for mask in np.flatnonzero(above[data.class_of])] + [
         (int(mask), "q2>=delta") for mask in np.flatnonzero(below_two[data.class_of])

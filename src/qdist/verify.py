@@ -5,17 +5,19 @@ search.
 
 A point checker is its statement's predicate on the one-row GraphTable of
 one graph, whose columns come from the per-graph kernels. The exhaustive
-sweeps evaluate the same predicates on sweeps.SweepTable and hand the rows
-that do not pass to the point checkers, so a reported failure always rests
-on the per-graph kernels. Interval counts are exact or certified, never
-rounded floats: integer characteristic polynomials in the sweeps, and in
-GraphTable, which serves both the point checkers and the family grids, the
-certified floating spectrum of one stack (jacobi.graph_stack into
-jacobi_batch) wherever every eigenvalue clears the threshold by its
-certified bound, with congruence inertia for every other row that is
-needed. The interlacing-chain statements also compare floating eigenvalues
-directly, with a fixed 1e-8 slack. Hypothesis failures report "not
-applicable" rather than "pass" so pass counts measure real coverage.
+sweeps evaluate the same predicates on the sweeps.SweepTable of the class
+representatives (stacked kernels over adjacency rows) and hand every
+labeled member of a class that does not pass to the point checkers, so a
+reported failure always rests on the per-graph kernels. Interval counts
+are exact or certified, never rounded floats: integer characteristic
+polynomials in the sweeps, and in GraphTable, which serves both the point
+checkers and the family grids, the certified floating spectrum of one
+stack (jacobi.graph_stack into jacobi_batch) wherever every eigenvalue
+clears the threshold by its certified bound, with congruence inertia for
+every other row that is needed. The interlacing-chain statements also
+compare floating eigenvalues directly, with a fixed 1e-8 slack. Hypothesis
+failures report "not applicable" rather than "pass" so pass counts measure
+real coverage.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ def is_k_c5(g: Graph) -> bool:
 # Each per-graph statement is written once, as a predicate over a table whose
 # rows are graphs of one order n: GraphTable below (Graph objects and the
 # per-graph kernels; a point checker is the predicate on a one-row table) or
-# sweeps.SweepTable (the exhaustive sweep tables). A table has n, count and
+# sweeps.SweepTable (adjacency rows and stacked kernels, the sweeps' table),
+# each with G-e and G-v tables of its own kind. A table has n, count and
 #   mindeg, maxdeg, conn (False at n = 0), diam and ell (diameter and longest
 #   path, where conn), nu, alpha, gamma, kc5: (count,) columns;
 #   vals: (count, n) spectra, nonincreasing rows;

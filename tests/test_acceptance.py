@@ -165,7 +165,7 @@ def test_criterion_3_exhaustive_sweeps():
     # the delta2 hypothesis excludes exactly the 12 5-cycle labelings at n=5
     res5 = sweeps.exhaustive_failures("delta2", 5)
     data5 = sweeps.sweep_data(5)
-    base5 = int((data5.degs[data5.class_of].min(axis=1) >= 2).sum())
+    base5 = int((data5.table.mindeg[data5.class_of] >= 2).sum())
     assert base5 - res5.applicable == 12
     # the stronger diameter branch (d <= n-5) is vacuous at n <= 7: check it
     # on seeded samples at n = 8, 9

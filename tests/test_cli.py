@@ -164,6 +164,17 @@ def test_usage_errors_exit_two():
         assert message in proc.stderr, option
 
 
+def test_count_resolves_every_interval_before_printing(tmp_path):
+    """A symbolic interval that is empty at the order of some input graph
+    is a usage error before any count is printed, and it names the graph."""
+    batch = tmp_path / "k3_k2_k3.g6"
+    batch.write_text("Bw\nA_\nBw\n")  # K3, K2, K3: (2, 2n-2] is (2, 2] at n = 2
+    for option, value, graph in (("--file", str(batch), "A_"), ("--graph6", "@", "@")):  # @ is K1
+        proc = run_cli(["count", option, value, "--interval", "(2,2n-2]"])
+        assert (proc.returncode, proc.stdout) == (2, ""), option
+        assert f"(graph {graph})" in proc.stderr, option
+
+
 def _forbid(monkeypatch, module, name):
     def called(*args, **kwargs):
         raise AssertionError(f"{name} ran before the range check")

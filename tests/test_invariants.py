@@ -255,7 +255,7 @@ def test_longest_path_kernel_matches_the_subset_dp():
     for n in range(1, 8):
         data = sweeps.sweep_data(n)
         want = [longest_path_reference(graph_from_mask(n, int(mask))) for mask in data.reps]
-        assert data.ell.tolist() == want, n
+        assert data.table.ell.tolist() == want, n
     graphs = [g for n in range(8, 14) for g in sample_graphs(n, 10, seed=n)]
     rng = random.Random(11)
     for n in range(2, 12):

@@ -11,9 +11,9 @@ from test_invariants import longest_path_reference
 from qdist import exact, sweeps, verify
 from qdist.cli import main
 from qdist.graph6 import graph6_decode
-from qdist.graphs import cycle_graph, degrees, is_connected, path_graph
+from qdist.graphs import complete_bipartite, complete_graph, cycle_graph, degrees, is_connected, path_graph
 from qdist.invariants import matching_number
-from qdist.verify import enumerate_graphs, graph_from_mask, graph_to_mask
+from qdist.verify import enumerate_graphs, graph_from_mask, graph_to_mask, sample_graphs
 
 FALSE_ID = "false-delta1"
 FALSE_LONGEST_PATH = "false-longest-path"
@@ -93,23 +93,36 @@ def test_longest_path_negative_control_is_caught(false_statements, capsys):
 ROUTE_SAMPLE = 200
 
 
-def _tables(n):
-    """Every labeled graph for n <= 5, else ROUTE_SAMPLE seeded ones and
-    every class representative, from both sources."""
+def _route_graphs(n):
+    """Every labeled graph for n <= 5; ROUTE_SAMPLE seeded ones and every
+    class representative for n = 6, 7; and at n = 8, beyond the class map,
+    100 seeded G(8, 1/2) samples with P8, C8, K8 and K_{2,6}."""
+    if n == 8:
+        return [*sample_graphs(8, 100, seed=8), path_graph(8), cycle_graph(8), complete_graph(8), complete_bipartite(2, 6)]
     data = sweeps.sweep_data(n)
     if n <= 5:
         masks = np.arange(data.count, dtype=np.int64)
     else:
         masks = np.random.default_rng(n).choice(data.count, ROUTE_SAMPLE, replace=False)
         masks = np.union1d(data.reps, masks)
-    return sweeps.SweepTable(data, masks), verify.GraphTable(n, [graph_from_mask(n, int(m)) for m in masks])
+    return [graph_from_mask(n, int(m)) for m in masks]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def _rows(n, graphs):
+    return np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), n)
+
+
+def _tables(n):
+    """The route graphs of order n as a row table and as a graph table."""
+    graphs = _route_graphs(n)
+    return sweeps.SweepTable(n, _rows(n, graphs)), verify.GraphTable(n, graphs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_sweep_and_graph_routes_agree(n, false_statements):
-    by_masks, by_graphs = _tables(n)
+    by_rows, by_graphs = _tables(n)
     for tid, theorem in verify.GRAPH_THEOREMS.items():
-        a, b = theorem.predicate(by_masks), theorem.predicate(by_graphs)
+        a, b = theorem.predicate(by_rows), theorem.predicate(by_graphs)
         assert np.array_equal(a.applicable, b.applicable), tid
         assert np.array_equal(a.passed, b.passed), tid
 
@@ -126,18 +139,22 @@ def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma
         assert np.array_equal(a.le(t), b.le(t)), t
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_table_sources_agree_on_columns(n):
     """The columns and sub-tables every predicate reads, from the sweep
-    kernels and from the per-graph kernels, equal in both directions."""
-    by_masks, by_graphs = _tables(n)
-    _same_columns(by_masks, by_graphs)
-    (rows_m, edges_m, sub_m), (rows_g, edges_g, sub_g) = by_masks.without_edges(), by_graphs.without_edges()
-    assert np.array_equal(rows_m, rows_g) and np.array_equal(edges_m, edges_g)
-    _same_columns(sub_m, sub_g, names=())
+    kernels and from the per-graph kernels, equal in both directions. The
+    edited row stacks of the G-e and G-v tables hold the graphs of the
+    per-graph G-e and G-v tables, in the same order."""
+    by_rows, by_graphs = _tables(n)
+    _same_columns(by_rows, by_graphs)
+    (rows_r, edges_r, sub_r), (rows_g, edges_g, sub_g) = by_rows.without_edges(), by_graphs.without_edges()
+    assert np.array_equal(rows_r, rows_g) and np.array_equal(edges_r, edges_g)
+    assert np.array_equal(sub_r.rows, _rows(n, sub_g.graphs))
+    _same_columns(sub_r, sub_g, names=())
     if n >= 2:
-        sub_m, sub_g = by_masks.without_vertices(), by_graphs.without_vertices()
-        assert np.abs(sub_m.vals - sub_g.vals).max(initial=0.0) < 1e-9
+        sub_r, sub_g = by_rows.without_vertices(), by_graphs.without_vertices()
+        assert np.array_equal(sub_r.rows, _rows(n - 1, sub_g.graphs))
+        assert np.abs(sub_r.vals - sub_g.vals).max(initial=0.0) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

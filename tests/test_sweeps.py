@@ -13,8 +13,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from qdist import exact, sweeps
-from qdist.graphs import complete_graph, degrees, is_connected
+from qdist import exact, jacobi, sweeps
+from qdist.graphs import Graph, complete_graph, degrees, is_connected
 from qdist.invariants import diameter, domination_number, independence_number, matching_number
 from qdist.spectral import q_float
 from qdist.verify import graph_from_mask, mask_pairs
@@ -78,7 +78,7 @@ def test_kernel_matches_inertia_on_every_small_graph():
     for n in range(1, 6):
         data = sweeps.sweep_data(n)
         for t in range(0, 2 * n - 1):
-            lt, le = (c[data.class_of] for c in sweeps.descartes_counts(data.poly, t))
+            lt, le = (c[data.class_of] for c in sweeps.descartes_counts(data.table.poly, t))
             for mask in range(data.count):
                 assert (int(lt[mask]), int(le[mask])) == _bareiss(n, mask, t), (n, mask, t)
 
@@ -88,7 +88,7 @@ def test_kernel_matches_inertia_on_every_inband_pair_n6():
     data = sweeps.sweep_data(n)
     checked = 0
     for t in range(0, 2 * n - 1):
-        lt, le = (c[data.class_of] for c in sweeps.descartes_counts(data.poly, t))
+        lt, le = (c[data.class_of] for c in sweeps.descartes_counts(data.table.poly, t))
         for mask in np.flatnonzero(sweeps.inband_flags(data, t)):
             assert (int(lt[mask]), int(le[mask])) == _bareiss(n, int(mask), t), (mask, t)
             checked += 1
@@ -118,38 +118,40 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
 
 def test_table_invariants_match_per_graph_kernels():
     """The subset-scan matching, independence and domination numbers
-    (int16) and the matrix-power connectivity and diameter of sweep_data
-    against blossom, branch-and-bound and BFS on the graph itself: on
-    every labeled graph with n <= 6, read through the class map, and on
-    the 1,044 class representatives at n = 7. The degree rows against the representatives'
-    own degrees, at every n <= 7."""
+    (int16) and the matrix-power connectivity and diameter of the
+    representatives' table against blossom, branch-and-bound and BFS on
+    the graph itself: on every labeled graph with n <= 6, read through the
+    class map, and on the 1,044 class representatives at n = 7. The degree
+    rows against the representatives' own degrees, at every n <= 7."""
     for n in range(1, 8):
         data = sweeps.sweep_data(n)
+        tab = data.table
         masks = np.arange(data.count) if n <= 6 else data.reps
         cls = data.class_of[masks]
         graphs = [graph_from_mask(n, int(m)) for m in masks]
         rep_degs = np.array([degrees(graph_from_mask(n, int(m))) for m in data.reps], dtype=np.uint8)
-        assert data.degs.dtype == np.uint8 and np.array_equal(data.degs, rep_degs), n  # vertex by vertex
+        assert tab.degs.dtype == np.uint8 and np.array_equal(tab.degs, rep_degs), n  # vertex by vertex
         for name, kernel in [("nu", matching_number), ("alpha", independence_number), ("gamma", domination_number)]:
-            got = getattr(data, name)[cls]
+            got = getattr(tab, name)[cls]
             assert got.dtype == np.int16, (n, name)
             want = np.array([kernel(g) for g in graphs])
             assert np.array_equal(got, want), (n, name, np.flatnonzero(got != want)[:5])
         conn = np.array([is_connected(g) for g in graphs])
-        got_conn = data.conn[cls]
+        got_conn = tab.conn[cls]
         assert np.array_equal(got_conn, conn), (n, np.flatnonzero(got_conn != conn)[:5])
         diam = np.array([diameter(g) if c else 0 for g, c in zip(graphs, conn)])
-        assert np.array_equal(data.diam[cls][conn], diam[conn]), n
+        assert np.array_equal(tab.diam[cls][conn], diam[conn]), n
 
 
 def test_subset_scan_beyond_the_sweep_orders():
-    """The subset scan against blossom and branch-and-bound on 100 seeded
-    graphs at each of n = 8, 9, 10, where the sweeps do not reach yet."""
+    """The subset scan of a row table against blossom and branch-and-bound
+    on 100 seeded graphs at each of n = 8, 9, 10, where the sweeps do not
+    reach yet."""
     rng = np.random.default_rng(8)
     for n in (8, 9, 10):
         masks = rng.integers(0, 1 << n * (n - 1) // 2, size=100, dtype=np.int64)
-        closed = (sweeps.q_batch(n, masks) != 0) | np.eye(n, dtype=bool)
-        got = sweeps._subset_scan(closed)
+        tab = sweeps.SweepTable(n, sweeps.mask_rows(n, masks))
+        got = tab.nu, tab.alpha, tab.gamma
         graphs = [graph_from_mask(n, int(m)) for m in masks]
         for col, kernel in zip(got, (matching_number, independence_number, domination_number)):
             want = [kernel(g) for g in graphs]
@@ -226,5 +228,47 @@ def test_class_polynomials_match_every_labeled_graph():
         data = sweeps.sweep_data(n)
         for lo in range(0, data.count, 1 << 16):
             masks = np.arange(lo, min(lo + (1 << 16), data.count), dtype=np.int64)
-            got = sweeps.char_poly_batch(sweeps.q_batch(n, masks))
-            assert np.array_equal(got, data.poly[data.class_of[masks]]), (n, lo)
+            got = sweeps.SweepTable(n, sweeps.mask_rows(n, masks)).poly
+            assert np.array_equal(got, data.table.poly[data.class_of[masks]]), (n, lo)
+
+
+A033995 = [1, 2, 3, 7, 13, 35, 88]  # bipartite graphs on n = 1..7 vertices up to isomorphism
+
+
+def _two_colourable(g):
+    """Whether a breadth-first 2-colouring of g exists."""
+    colour = [-1] * g.n
+    for root in range(g.n):
+        if colour[root] >= 0:
+            continue
+        colour[root], queue = 0, [root]
+        for u in queue:
+            for v in range(g.n):
+                if g.has_edge(u, v):
+                    if colour[v] < 0:
+                        colour[v] = 1 - colour[u]
+                        queue.append(v)
+                    elif colour[v] == colour[u]:
+                        return False
+    return True
+
+
+def test_bipartite_classes_count_through_the_laplacian():
+    """A third count route for the bipartite classes: L(G) = S Q(G) S for
+    the signs S of a 2-colouring, and Q and L are cospectral only then. The
+    char poly of L equals that of Q on exactly the 2-colourable
+    representatives, A033995 of them per order n <= 7, and on those the
+    sweep's counts equal exact L counts (Bareiss) at every threshold
+    0..2n-2."""
+    for n in range(1, 8):
+        tab = sweeps.sweep_data(n).table
+        graphs = [Graph(n, tuple(row)) for row in tab.rows.tolist()]
+        same = (sweeps.char_poly_batch(jacobi.graph_stack(n, graphs, "L")) == tab.poly).all(axis=1)
+        bipartite = np.array([_two_colourable(g) for g in graphs])
+        assert np.array_equal(same, bipartite), n
+        assert int(bipartite.sum()) == A033995[n - 1], n
+        for t in range(0, 2 * n - 1):
+            lt, le = tab.lt(t), tab.le(t)
+            for i in np.flatnonzero(bipartite):
+                want = exact.graph_count_lt(graphs[i], t, "L"), exact.graph_count_le(graphs[i], t, "L")
+                assert (lt[i], le[i]) == want, (n, i, t)
