@@ -8,13 +8,16 @@ Usage:
 
 Writes <out>.jsonl (one report line per failure; empty file means clean) and
 <out>.csv (per step: theorem, the summary line qdist verify prints, failure
-count, seconds). Exit code 1 if any failure was found.
+count, seconds, and peak_rss_mb: the process's peak resident set size in MiB
+once the step is done, so the step that sets the peak is the first row with
+the final value). Exit code 1 if any failure was found.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import resource
 import sys
 import time
 from pathlib import Path
@@ -38,7 +41,9 @@ def main() -> int:
     t0 = time.perf_counter()
     for tid, line, bad in steps:
         dt = time.perf_counter() - t0
-        rows.append(dict(theorem=tid, summary=line, failures=len(bad), seconds=round(dt, 2)))
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        rows.append(dict(theorem=tid, summary=line, failures=len(bad), seconds=round(dt, 2),
+                         peak_rss_mb=round(rss_mb, 1)))
         failures.extend(bad)
         print(f"  {line} ({dt:.1f}s)")
         t0 = time.perf_counter()
@@ -47,7 +52,7 @@ def main() -> int:
         for rep in failures:
             fh.write(rep.to_json_line() + "\n")
     with open(f"{args.out}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["theorem", "summary", "failures", "seconds"])
+        writer = csv.DictWriter(fh, fieldnames=["theorem", "summary", "failures", "seconds", "peak_rss_mb"])
         writer.writeheader()
         writer.writerows(rows)
     print(f"# total failures: {len(failures)}; reports in {args.out}.jsonl / {args.out}.csv")

@@ -75,6 +75,18 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="family spec, e.g. 'gndt,n=9,d=3,t=2'")
 
 
+def _each_graph(args: argparse.Namespace, compute) -> list[tuple[Graph, object]]:
+    """(g, compute(g)) for every input graph, all computed before the caller
+    prints its first line; an error on one graph names it."""
+    out = []
+    for g in _input_graphs(args):
+        try:
+            out.append((g, compute(g)))
+        except GraphError as err:
+            raise GraphError(f"graph {graph6_encode(g)}: {err}") from None
+    return out
+
+
 def _emit(obj, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True))
@@ -133,8 +145,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args):
-        bundle = invariant_bundle(g)
+    for g, bundle in _each_graph(args, invariant_bundle):
         if args.format == "json":
             print(json.dumps({"graph6": graph6_encode(g), **json.loads(bundle.to_json())}, sort_keys=True))
         else:
@@ -145,14 +156,16 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_quotient(args: argparse.Namespace) -> int:
     blocks = [[int(v) for v in block.split(",") if v != ""] for block in args.blocks.split(";")]
     partition = exact.Partition.of(blocks)
-    for g in _input_graphs(args):
-        B = exact.quotient_matrix(g, partition)
-        obj = {
+
+    def quotient(g: Graph) -> dict:
+        return {
             "graph6": graph6_encode(g),
             "blocks": [list(b) for b in partition.blocks],
-            "matrix": [[str(x) for x in row] for row in B.rows],
+            "matrix": [[str(x) for x in row] for row in exact.quotient_matrix(g, partition).rows],
             "equitable": exact.is_equitable(g, partition),
         }
+
+    for _, obj in _each_graph(args, quotient):
         _emit(obj, args.format)
     return 0
 

@@ -9,7 +9,8 @@ carries the map (``class_of``), the representatives, the orbit sizes and
 the SweepTable of the representatives. The map has three jobs only: orbit
 sizes (labeled totals), expanding a class that does not pass into its
 labeled members for the point checker, in the same process, and the
-labeled count cache of ``counts_pair``.
+labeled count cache of ``counts_pair`` (int8, one byte per labeled mask
+and threshold).
 
 A SweepTable is a stack of graphs of one order, held as adjacency rows.
 Each column comes on first use from one stacked kernel: the degrees;
@@ -17,10 +18,12 @@ connectivity and diameter from Boolean powers of the closed adjacency
 pattern A | I; the matching, independence and domination numbers from one
 scan of the 2^n vertex subsets (``_subset_scan``); the longest path from
 the point checkers' kernel (``invariants.longest_path_lengths``); and,
-from the Q(G) stack, the certified floating spectra (stacked LAPACK
-``eigh``, ``jacobi.jacobi_batch``) and the integer coefficients of
-det(xI - Q) (batched Faddeev-LeVerrier in float64, exact under asserted
-bounds). Q(G) is symmetric, so that polynomial has only real roots and
+from the Q(G) stack of every ROWS rows in turn, the certified floating
+spectra (stacked LAPACK ``eigh``, ``jacobi.jacobi_batch``) and the integer
+coefficients of det(xI - Q) (batched Faddeev-LeVerrier in float64, exact
+under asserted bounds). A chunk's float stack and its solvers' temporaries
+are dropped before the next chunk, so no table holds a (count, n, n) float
+stack. Q(G) is symmetric, so that polynomial has only real roots and
 Descartes' rule of signs is exact for it: the number of eigenvalues below
 a rational threshold t is the number of sign variations of the shifted
 polynomial, and the multiplicity of t is the order of its zero there.
@@ -47,6 +50,7 @@ from .jacobi import GUARD_BAND, certified_below, jacobi_batch
 from .verify import TheoremReport, graph_from_mask, mask_pairs
 
 CHUNK = 1 << 12  # masks per step of class_map's scan for the next representative
+ROWS = 256  # rows per float solve of a SweepTable: one chunk's Q(G) stack at a time
 
 
 # -- per-order class maps --------------------------------------------------------------
@@ -61,7 +65,7 @@ class SweepData:
     class_of: np.ndarray  # (2^C(n,2),) int32, the class id of every labeled mask
     reps: np.ndarray  # (C,) int64, the least mask of each class, ascending
     orbit: np.ndarray  # (C,) int64, labeled graphs in each class
-    # threshold -> (count below, count at most), (2^C(n,2),) int16 each, per labeled mask
+    # threshold -> (count below, count at most), (2^C(n,2),) int8 each, per labeled mask
     counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
@@ -71,8 +75,13 @@ class SweepData:
 
     @cached_property
     def table(self) -> "SweepTable":
-        """The representatives' graphs, in class order; counts through counts_pair."""
-        return SweepTable(self.n, mask_rows(self.n, self.reps), lambda t: [c[self.reps] for c in counts_pair(self, t)])
+        """The representatives' graphs, in class order. Its counts are its own
+        (int16); reading a threshold also fills the labeled cache of counts_pair."""
+        return SweepTable(self.n, mask_rows(self.n, self.reps), self._rep_counts)
+
+    def _rep_counts(self, t) -> tuple[np.ndarray, np.ndarray]:
+        counts_pair(self, t)
+        return self.table.counts(t)
 
 
 _DATA: dict[int, SweepData] = {}
@@ -104,12 +113,19 @@ def class_map(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             continue
         rep = lo + int(free[0])
         bits = [k for k in range(len(pairs)) if rep >> k & 1]
-        images = np.unique(np.bitwise_or.reduce(image[:, bits], axis=1))
+        images = _distinct(np.bitwise_or.reduce(image[:, bits], axis=1))
         class_of[images] = len(reps)
         reps.append(rep)
         orbit.append(images.size)
         lo = rep + 1
     return class_of, np.array(reps, dtype=np.int64), np.array(orbit, dtype=np.int64)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending, by np.unique's sort path: its hash
+    path, taken when no index, inverse or count is asked for, imports
+    numpy.ma on first use."""
+    return np.unique(a, return_counts=True)[0]
 
 
 def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
@@ -266,12 +282,12 @@ def counts_pair(data: SweepData, threshold) -> tuple[np.ndarray, np.ndarray]:
     Both come from the representatives' table by Descartes' rule
     (``SweepTable.counts``), with no floating comparison, and are gathered
     to the labeled masks through the class map. Cached in data.counts as
-    int16 arrays.
+    int8 arrays: a count lies in 0..n.
     """
     t = Fraction(threshold)
     if t not in data.counts:
-        lt, le = data.table.counts(t)
-        data.counts[t] = lt[data.class_of], le[data.class_of]
+        _require(data.n <= np.iinfo(np.int8).max, f"counts of order {data.n} do not fit int8")
+        data.counts[t] = tuple(c.astype(np.int8)[data.class_of] for c in data.table.counts(t))
     return data.counts[t]
 
 
@@ -290,10 +306,13 @@ def inband_flags(data: SweepData, threshold) -> np.ndarray:
 class SweepTable:
     """The statements' table (the contract is in verify) over graphs of order
     n, bit v of rows[i, u] being the edge uv of graph i. Each column comes on
-    first use from one stacked kernel over all rows; counts from Descartes'
-    rule on the table's own char polys, cached per threshold (``counts``),
-    unless count_source(t) -> (lt, le) replaces them (the representatives'
-    table reads counts_pair). The kernels hold for n <= 9."""
+    first use from one stacked kernel over all rows, except the float
+    kernels: spectra and char polys are solved over the Q(G) stack of every
+    ROWS rows in turn, built from the adjacency and degrees and dropped
+    after the solve. Counts come from Descartes' rule on the table's own
+    char polys, cached per threshold (``counts``), int16; count_source(t) ->
+    (lt, le) may take their place (the representatives' table also fills
+    counts_pair's labeled cache). The kernels hold for n <= 9."""
 
     def __init__(self, n: int, rows: np.ndarray, count_source=None):
         self.n, self.rows, self.count = n, rows, len(rows)
@@ -315,15 +334,21 @@ class SweepTable:
     alpha = cached_property(lambda self: self._subsets[1])
     gamma = cached_property(lambda self: self._subsets[2])
     ell = cached_property(lambda self: longest_path_lengths(self.rows))
-    spectra = cached_property(lambda self: jacobi_batch(self.Q))
+    spectra = cached_property(lambda self: tuple(map(np.concatenate, zip(*self._per_chunk(jacobi_batch)))))
     vals = property(lambda self: self.spectra[0])  # (count, n) float64, nonincreasing rows
     bound = property(lambda self: self.spectra[1])  # (count,) float64, certified bound on every error of the row
-    poly = cached_property(lambda self: char_poly_batch(self.Q))  # (count, n+1) int32, det(xI - Q) ascending
+    # (count, n+1) int32, det(xI - Q) ascending
+    poly = cached_property(lambda self: np.concatenate(self._per_chunk(char_poly_batch)))
 
-    @property
-    def Q(self) -> np.ndarray:
-        """Q(G) = A + D of every row, (count, n, n) float64; built per reader, not kept."""
-        return self._adjacency + self.degs[:, :, None] * np.eye(self.n)
+    def _per_chunk(self, kernel) -> list:
+        """kernel(Q) for the Q(G) = A + D stack of every ROWS rows, in row
+        order (one empty chunk for an empty table); each stack is dropped
+        after its call."""
+        eye = np.eye(self.n)
+        return [
+            kernel(self._adjacency[lo : lo + ROWS] + self.degs[lo : lo + ROWS, :, None] * eye)
+            for lo in range(0, max(self.count, 1), ROWS)
+        ]
 
     def counts(self, threshold) -> tuple[np.ndarray, np.ndarray]:
         """(count below, count at most) the threshold of every row, (count,) int16 each; exact."""
@@ -340,7 +365,7 @@ class SweepTable:
         if np.ndim(t) == 0:
             return source(t)[which]
         out = np.zeros((self.count,), dtype=np.int16)
-        for tv in np.unique(t[on]):
+        for tv in _distinct(t[on]):
             sel = on & (t == tv)
             out[sel] = source(int(tv))[which][sel]
         return out

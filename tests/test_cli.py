@@ -125,6 +125,8 @@ def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
     for row in rows:
         assert row["summary"].startswith(row["theorem"] + " ") and row["failures"] == "0"
         assert float(row["seconds"]) >= 0
+    rss = [float(row["peak_rss_mb"]) for row in rows]
+    assert rss[0] > 0 and rss == sorted(rss), rss
     assert Path(f"{out}.jsonl").read_text() == ""
 
 
@@ -173,6 +175,24 @@ def test_count_resolves_every_interval_before_printing(tmp_path):
         proc = run_cli(["count", option, value, "--interval", "(2,2n-2]"])
         assert (proc.returncode, proc.stdout) == (2, ""), option
         assert f"(graph {graph})" in proc.stderr, option
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["invariants"], "diameter of the empty graph is undefined"),
+        (["quotient", "--blocks", "0;1"], "partition vertex 0 out of range for n=0"),
+    ],
+)
+def test_batch_commands_reject_a_graph_before_printing(tmp_path, args, message):
+    """invariants and quotient compute every graph of a --file batch before
+    the first line, so a graph they reject leaves stdout empty, and the
+    error names that graph."""
+    batch = tmp_path / "k2_k0_k3.g6"
+    batch.write_text("A_\n?\nBw\n")  # K2, the empty graph on no vertices, K3
+    proc = run_cli([*args, "--file", str(batch)])
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stdout
+    assert f"error: graph ?: {message}" in proc.stderr, proc.stderr
 
 
 def _forbid(monkeypatch, module, name):

@@ -5,6 +5,7 @@ checked against exact congruence inertia."""
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -103,7 +104,7 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
     data = dataclasses.replace(sweeps.sweep_data(5), counts={})
     for t in [*range(0, 9), Fraction(7, 2)]:
         lt, le = sweeps.counts_pair(data, t)
-        assert lt.dtype == le.dtype == np.int16
+        assert lt.dtype == le.dtype == np.int8
         assert data.counts[Fraction(t)][0] is lt
     # a whole verify run, in a fresh interpreter, never imports multiprocessing
     code = (
@@ -114,6 +115,71 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_labeled_caches_are_the_class_counts():
+    """counts_pair's int8 labeled caches equal the representatives' own
+    int16 counts gathered through class_of, at every n <= 7 and every
+    threshold 0..2n-2 plus one between integers."""
+    for n in range(1, 8):
+        data = sweeps.sweep_data(n)
+        for t in [*range(0, 2 * n - 1), Fraction(2 * n - 3, 2)]:
+            lt, le = sweeps.counts_pair(data, t)
+            want_lt, want_le = data.table.counts(t)
+            assert want_lt.dtype == want_le.dtype == np.int16, n
+            assert lt.dtype == le.dtype == np.int8, n
+            assert np.array_equal(lt, want_lt[data.class_of]), (n, t)
+            assert np.array_equal(le, want_le[data.class_of]), (n, t)
+
+
+def test_a_sweep_never_imports_numpy_ma():
+    """In a fresh interpreter, every sweep with n <= 6 and the family grids
+    run without loading numpy.ma, which np.unique's hash path imports."""
+    code = (
+        "import sys\n"
+        "from qdist.cli import main\n"
+        "assert main(['verify', '--theorem', 'all', '--exhaustive', '6', '--family-max', '7']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _sub_tables(n):
+    tab = sweeps.sweep_data(n).table
+    return {"reps": tab, "G-e": tab.without_edges()[2], "G-v": tab.without_vertices() if n > 1 else None}
+
+
+def test_float_columns_equal_one_solve_of_the_whole_stack():
+    """The spectra and char polys that a table solves ROWS rows at a time
+    equal one jacobi_batch and one char_poly_batch call over its whole Q(G)
+    stack (built from Graphs by graph_stack), dtype included, on the
+    representatives', G-e and G-v tables of every n <= 7; the n = 7 G-e
+    table has 10,962 rows, 43 chunks."""
+    for n in range(1, 8):
+        for name, tab in _sub_tables(n).items():
+            if tab is None:
+                continue
+            Q = jacobi.graph_stack(tab.n, [Graph(tab.n, tuple(row)) for row in tab.rows.tolist()])
+            vals, bound = jacobi.jacobi_batch(Q)
+            for got, want in ((tab.vals, vals), (tab.bound, bound), (tab.poly, sweeps.char_poly_batch(Q))):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, name)
+
+
+def test_float_columns_take_one_chunk_of_memory():
+    """Solving the spectra and char polys of the n = 7 representatives' G-e
+    table (10,962 rows) peaks under 8 MiB of traced allocations, adjacency
+    and degrees included; one solve of the whole stack took 26.3 MiB for
+    the spectra and 15.0 MiB for the char polys."""
+    table = sweeps.sweep_data(7).table.without_edges()[2]
+    assert table.count == 10_962
+    tracemalloc.start()
+    try:
+        table.spectra, table.poly
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 def test_table_invariants_match_per_graph_kernels():
