@@ -106,12 +106,14 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
         lt, le = sweeps.counts_pair(data, t)
         assert lt.dtype == le.dtype == np.int8
         assert data.counts[Fraction(t)][0] is lt
-    # a whole verify run, in a fresh interpreter, never imports multiprocessing
+    # a whole verify run, in a fresh interpreter, never imports multiprocessing, nor
+    # numpy.ma, which np.unique imports on its hash path
     code = (
         "import sys\n"
         "from qdist.cli import main\n"
-        "assert main(['verify', '--theorem', 'all', '--exhaustive', '5', '--family-max', '7']) == 0\n"
+        "assert main(['verify', '--theorem', 'all', '--exhaustive', '6', '--family-max', '7']) == 0\n"
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -132,24 +134,6 @@ def test_labeled_caches_are_the_class_counts():
             assert np.array_equal(le, want_le[data.class_of]), (n, t)
 
 
-def test_a_sweep_never_imports_numpy_ma():
-    """In a fresh interpreter, every sweep with n <= 6 and the family grids
-    run without loading numpy.ma, which np.unique's hash path imports."""
-    code = (
-        "import sys\n"
-        "from qdist.cli import main\n"
-        "assert main(['verify', '--theorem', 'all', '--exhaustive', '6', '--family-max', '7']) == 0\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def _sub_tables(n):
-    tab = sweeps.sweep_data(n).table
-    return {"reps": tab, "G-e": tab.without_edges()[2], "G-v": tab.without_vertices() if n > 1 else None}
-
-
 def test_float_columns_equal_one_solve_of_the_whole_stack():
     """The spectra and char polys that a table solves ROWS rows at a time
     equal one jacobi_batch and one char_poly_batch call over its whole Q(G)
@@ -157,9 +141,11 @@ def test_float_columns_equal_one_solve_of_the_whole_stack():
     representatives', G-e and G-v tables of every n <= 7; the n = 7 G-e
     table has 10,962 rows, 43 chunks."""
     for n in range(1, 8):
-        for name, tab in _sub_tables(n).items():
-            if tab is None:
-                continue
+        reps = sweeps.sweep_data(n).table
+        tables = [("reps", reps), ("G-e", reps.without_edges()[2])]
+        if n > 1:
+            tables.append(("G-v", reps.without_vertices()))
+        for name, tab in tables:
             Q = jacobi.graph_stack(tab.n, [Graph(tab.n, tuple(row)) for row in tab.rows.tolist()])
             vals, bound = jacobi.jacobi_batch(Q)
             for got, want in ((tab.vals, vals), (tab.bound, bound), (tab.poly, sweeps.char_poly_batch(Q))):
