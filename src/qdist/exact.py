@@ -10,7 +10,7 @@ integer thresholds.
 
 graph_shift_rows builds the integer rows of Q(G) and L(G) (shifted by a
 threshold) that the congruence counter reads. Every float form of either
-matrix comes from jacobi.graph_stack instead.
+matrix comes from jacobi.matrix_stack instead.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Floating symmetric eigensolver with an a-posteriori certificate, the
-matrix-inequality checkers built on it, and graph_stack, the one builder of
-the float Q(G)/L(G) stacks it solves.
+matrix-inequality checkers built on it, adjacency stacks of Graphs, and
+matrix_stack, the one builder of the float Q(G)/L(G) stacks it solves.
 
 Spectra come from LAPACK's symmetric eigensolver: one stacked
 ``np.linalg.eigh`` call per batch, which is what the exhaustive small-graph
@@ -142,20 +142,23 @@ def jacobi_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, bounds
 
 
-def graph_stack(n: int, graphs: Sequence[Graph], matrix: str = "Q") -> np.ndarray:
-    """Q(G) = D + A (or L(G) = D - A) of graphs of order n, as one
-    (len(graphs), n, n) float64 stack: the bits of each adjacency row are
-    the row of A, and the degrees go on the diagonal. Every float Q(G) and
-    L(G) of a Graph comes from here."""
-    if matrix not in ("Q", "L"):
-        raise ValueError(f"matrix must be 'Q' or 'L', got {matrix!r}")
+def adjacency(n: int, graphs: Sequence[Graph]) -> np.ndarray:
+    """The (len(graphs), n, n) bool adjacency stack of graphs of order n, any n."""
     width = (n + 7) // 8
     raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj)
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
-    A = np.unpackbits(bits, axis=2, count=n, bitorder="little")
-    M = A.astype(np.float64) if matrix == "Q" else 0.0 - A  # 0.0 - 0 is +0.0, as in the integer rows
-    idx = np.arange(n)
-    M[:, idx, idx] = A.sum(axis=2)
+    return np.unpackbits(bits, axis=2, count=n, bitorder="little").view(bool)
+
+
+def matrix_stack(adj: np.ndarray, matrix: str = "Q") -> np.ndarray:
+    """Q(G) = D + A (or L(G) = D - A) of a bool adjacency stack, as a float64
+    stack of the same shape, the degrees on the diagonal. Every float Q(G)
+    and L(G) comes from here."""
+    if matrix not in ("Q", "L"):
+        raise ValueError(f"matrix must be 'Q' or 'L', got {matrix!r}")
+    M = adj.astype(np.float64) if matrix == "Q" else 0.0 - adj  # 0.0 - False is +0.0, as in the integer rows
+    idx = np.arange(adj.shape[1])
+    M[:, idx, idx] = adj.sum(axis=2)
     return M
 
 

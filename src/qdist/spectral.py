@@ -1,5 +1,5 @@
-"""Signless Laplacian and Laplacian matrices of one graph (q_float over
-jacobi.graph_stack; the exact side builds its integer rows with
+"""Signless Laplacian and Laplacian matrices of one graph (q_float through
+jacobi.matrix_stack; the exact side builds its integer rows with
 exact.graph_shift_rows), interval eigenvalue counting, and closed-form
 spectra for the special families, kept symbolic where exact.
 
@@ -22,7 +22,7 @@ from . import exact
 from .exact import char_poly, poly_eval
 from .graph6 import graph6_encode
 from .graphs import Graph, GraphError, gndra
-from .jacobi import eigenvalues_sym, graph_stack
+from .jacobi import adjacency, eigenvalues_sym, matrix_stack
 
 
 # -- intervals ----------------------------------------------------------------
@@ -143,8 +143,8 @@ def parse_interval(text: str) -> SymbolicInterval:
 
 
 def q_float(g: Graph) -> np.ndarray:
-    """Q(G) as a float64 array: graph_stack of the one graph."""
-    return graph_stack(g.n, [g])[0]
+    """Q(G) as a float64 array: matrix_stack of the one graph."""
+    return matrix_stack(adjacency(g.n, [g]))[0]
 
 
 def m_count(g: Graph, iv: Interval, matrix: str = "Q") -> int:
@@ -403,7 +403,7 @@ def path_q1_below_four(n: int) -> bool:
 
 def spectrum_report(g: Graph, matrix: str = "Q", thresholds: Sequence[Fraction | int] = ()) -> dict:
     """JSON-able report: graph6, eigenvalues, and exact counts below thresholds."""
-    spec = eigenvalues_sym(graph_stack(g.n, [g], matrix)[0])
+    spec = eigenvalues_sym(matrix_stack(adjacency(g.n, [g]), matrix)[0])
     counts = {str(Fraction(t)): exact.graph_count_lt(g, Fraction(t), matrix) for t in thresholds}
     return {
         "graph": graph6_encode(g),

@@ -12,26 +12,26 @@ labeled members for the point checker, in the same process, and the
 labeled count cache of ``counts_pair`` (int8, one byte per labeled mask
 and threshold).
 
-A SweepTable is a stack of graphs of one order, held as adjacency rows.
-Each column comes on first use from one stacked kernel: the degrees;
-connectivity and diameter from Boolean powers of the closed adjacency
-pattern A | I; the matching, independence and domination numbers from one
-scan of the 2^n vertex subsets (``_subset_scan``); the longest path from
-the point checkers' kernel (``invariants.longest_path_lengths``); and,
-from the Q(G) stack of every ROWS rows in turn, the certified floating
-spectra (stacked LAPACK ``eigh``, ``jacobi.jacobi_batch``) and the integer
-coefficients of det(xI - Q) (batched Faddeev-LeVerrier in float64, exact
-under asserted bounds). A chunk's float stack and its solvers' temporaries
-are dropped before the next chunk, so no table holds a (count, n, n) float
-stack. Q(G) is symmetric, so that polynomial has only real roots and
-Descartes' rule of signs is exact for it: the number of eigenvalues below
-a rational threshold t is the number of sign variations of the shifted
-polynomial, and the multiplicity of t is the order of its zero there.
-Every eigenvalue count in the sweeps comes from this one exact kernel; the
-spectra feed the interlacing chains, which compare eigenvalues. The G-e
-and G-v tables are SweepTables over edited row stacks, so no table reads
-the class map. The agreement gate checks the representatives' counts
-against their certified spectra and against exact congruence inertia.
+A SweepTable holds graphs of one order n <= 9 in the adjacency-stack shell
+of the point checkers' table (``verify.AdjacencyTable``), which gives it
+the degrees, the G-e and G-v edits and the certified spectra (stacked
+LAPACK ``eigh``, ``jacobi.jacobi_batch``, on the Q(G) stack of every
+``verify.ROWS`` graphs in turn). Its other columns come from stacked
+kernels: connectivity and diameter from Boolean powers of A | I; the
+matching, independence and domination numbers from one scan of the 2^n
+vertex subsets (``_subset_scan``); the longest path from the point
+checkers' kernel (``invariants.longest_path_lengths``); and, per chunk,
+the integer coefficients of det(xI - Q) (batched Faddeev-LeVerrier in
+float64, exact under asserted bounds). Q(G) is symmetric, so that
+polynomial has only real roots and Descartes' rule of signs is exact for
+it: the number of eigenvalues below a rational threshold t is the number
+of sign variations of the shifted polynomial, and the multiplicity of t is
+the order of its zero there. Every eigenvalue count in the sweeps comes
+from this one exact kernel; the spectra feed the interlacing chains, which
+compare eigenvalues. The G-e and G-v tables are SweepTables over edited
+adjacency stacks, so no table reads the class map. The agreement gate
+checks the representatives' counts against their certified spectra and
+against exact congruence inertia.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .jacobi import GUARD_BAND, certified_below, jacobi_batch
 from .verify import TheoremReport, graph_from_mask, mask_pairs
 
 CHUNK = 1 << 12  # masks per step of class_map's scan for the next representative
-ROWS = 256  # rows per float solve of a SweepTable: one chunk's Q(G) stack at a time
 
 
 # -- per-order class maps --------------------------------------------------------------
@@ -77,7 +76,7 @@ class SweepData:
     def table(self) -> "SweepTable":
         """The representatives' graphs, in class order. Its counts are its own
         (int16); reading a threshold also fills the labeled cache of counts_pair."""
-        return SweepTable(self.n, mask_rows(self.n, self.reps), self._rep_counts)
+        return SweepTable(self.n, mask_adjacency(self.n, self.reps), self._rep_counts)
 
     def _rep_counts(self, t) -> tuple[np.ndarray, np.ndarray]:
         counts_pair(self, t)
@@ -128,20 +127,20 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return np.unique(a, return_counts=True)[0]
 
 
-def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
-    """The adjacency rows of the graph of every edge mask, as a (len(masks), n) int64 stack."""
-    rows = np.zeros((masks.size, n), dtype=np.int64)
-    for k, (u, v) in enumerate(mask_pairs(n)):
-        bit = (masks >> k) & 1
-        rows[:, u] |= bit << v
-        rows[:, v] |= bit << u
-    return rows
+def mask_adjacency(n: int, masks: np.ndarray) -> np.ndarray:
+    """The adjacency stack of the graph of every edge mask, (len(masks), n, n) bool."""
+    u, v = np.triu_indices(n, 1)  # edge bit k joins u[k] and v[k], as in mask_pairs(n)
+    bits = (masks[:, None] >> np.arange(u.size) & 1).astype(bool)
+    adj = np.zeros((masks.size, n, n), dtype=bool)
+    adj[:, u, v] = adj[:, v, u] = bits
+    return adj
 
 
 def _closure_and_diameter(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """From Boolean powers of the closed adjacency pattern (C, n, n): power k
     holds the pairs at distance at most k, and the diameter is the last power
-    that reaches a new pair (the largest eccentricity within a component)."""
+    that reaches a new pair (the largest eccentricity within a component).
+    The graph of order 0 is not connected."""
     n = closed.shape[1]
     reach = np.broadcast_to(np.eye(n, dtype=bool), closed.shape)
     diam = np.zeros((closed.shape[0],), dtype=np.int16)
@@ -149,7 +148,7 @@ def _closure_and_diameter(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nxt = reach @ closed
         diam[(nxt != reach).any(axis=(1, 2))] = k
         reach = nxt
-    return reach.all(axis=(1, 2)), diam
+    return reach.all(axis=(1, 2)) & (n > 0), diam
 
 
 def _subset_scan(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,27 +302,23 @@ def inband_flags(data: SweepData, threshold) -> np.ndarray:
 # -- the statements' table over a stack of graphs --------------------------------------
 
 
-class SweepTable:
+class SweepTable(verify.AdjacencyTable):
     """The statements' table (the contract is in verify) over graphs of order
-    n, bit v of rows[i, u] being the edge uv of graph i. Each column comes on
-    first use from one stacked kernel over all rows, except the float
-    kernels: spectra and char polys are solved over the Q(G) stack of every
-    ROWS rows in turn, built from the adjacency and degrees and dropped
-    after the solve. Counts come from Descartes' rule on the table's own
-    char polys, cached per threshold (``counts``), int16; count_source(t) ->
-    (lt, le) may take their place (the representatives' table also fills
-    counts_pair's labeled cache). The kernels hold for n <= 9."""
+    n <= 9. Each column the shell does not hold comes on first use from one
+    stacked kernel over the whole stack; the char polys are solved per chunk.
+    Counts come from Descartes' rule on the table's own char polys, cached
+    per threshold (``counts``), int16; count_source(t) -> (lt, le) may take
+    their place (the representatives' table also fills counts_pair's
+    labeled cache)."""
 
-    def __init__(self, n: int, rows: np.ndarray, count_source=None):
-        self.n, self.rows, self.count = n, rows, len(rows)
+    def __init__(self, n: int, adj: np.ndarray, count_source=None):
+        if n > 9:
+            raise ValueError(f"sweep tables hold graphs of order n <= 9, got {n}")
+        super().__init__(n, adj)
         self._counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = {}
         self._source = count_source  # a bound self.counts here would keep the table in a reference cycle
 
-    _adjacency = cached_property(lambda self: (self.rows[:, :, None] >> np.arange(self.n) & 1).astype(bool))
-    _closed = cached_property(lambda self: self._adjacency | np.eye(self.n, dtype=bool))
-    degs = cached_property(lambda self: self._adjacency.sum(axis=2).astype(np.uint8))
-    mindeg = cached_property(lambda self: self.degs.min(axis=1).astype(np.int16))
-    maxdeg = cached_property(lambda self: self.degs.max(axis=1).astype(np.int16))
+    _closed = cached_property(lambda self: self.adj | np.eye(self.n, dtype=bool))
     # for n <= 9 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
     kc5 = cached_property(lambda self: (self.n == 5) & (self.degs == 2).all(axis=1) & self.conn)
     _reach = cached_property(lambda self: _closure_and_diameter(self._closed))
@@ -333,22 +328,11 @@ class SweepTable:
     nu = cached_property(lambda self: self._subsets[0])
     alpha = cached_property(lambda self: self._subsets[1])
     gamma = cached_property(lambda self: self._subsets[2])
-    ell = cached_property(lambda self: longest_path_lengths(self.rows))
-    spectra = cached_property(lambda self: tuple(map(np.concatenate, zip(*self._per_chunk(jacobi_batch)))))
-    vals = property(lambda self: self.spectra[0])  # (count, n) float64, nonincreasing rows
-    bound = property(lambda self: self.spectra[1])  # (count,) float64, certified bound on every error of the row
+    ell = cached_property(lambda self: longest_path_lengths(self.adj @ (1 << np.arange(self.n, dtype=np.int64))))
+    # through this module's jacobi_batch, the name the benchmark's tracer wraps
+    spectra = cached_property(lambda self: self._spectra(jacobi_batch))
     # (count, n+1) int32, det(xI - Q) ascending
     poly = cached_property(lambda self: np.concatenate(self._per_chunk(char_poly_batch)))
-
-    def _per_chunk(self, kernel) -> list:
-        """kernel(Q) for the Q(G) = A + D stack of every ROWS rows, in row
-        order (one empty chunk for an empty table); each stack is dropped
-        after its call."""
-        eye = np.eye(self.n)
-        return [
-            kernel(self._adjacency[lo : lo + ROWS] + self.degs[lo : lo + ROWS, :, None] * eye)
-            for lo in range(0, max(self.count, 1), ROWS)
-        ]
 
     def counts(self, threshold) -> tuple[np.ndarray, np.ndarray]:
         """(count below, count at most) the threshold of every row, (count,) int16 each; exact."""
@@ -376,21 +360,8 @@ class SweepTable:
     def le(self, t, where: np.ndarray | None = None) -> np.ndarray:
         return self._count(1, t, where)
 
-    def without_edges(self) -> tuple[np.ndarray, np.ndarray, "SweepTable"]:
-        u, v = np.array(mask_pairs(self.n), dtype=np.int64).reshape(-1, 2).T
-        rows, edges = np.nonzero(self.rows[:, u] >> v & 1)
-        sub, j = self.rows[rows], np.arange(rows.size)
-        sub[j, u[edges]] ^= 1 << v[edges]
-        sub[j, v[edges]] ^= 1 << u[edges]
-        return rows, edges, SweepTable(self.n, sub)
-
-    def without_vertices(self) -> "SweepTable":
-        n = self.n
-        sub = np.empty((self.count, n, n - 1), dtype=np.int64)
-        for v in range(n):
-            rest, low = np.delete(self.rows, v, axis=1), (1 << v) - 1
-            sub[:, v] = (rest & low) | ((rest >> (v + 1)) << v)
-        return SweepTable(n - 1, sub.reshape(-1, n - 1))
+    def _sub(self, n: int, adj: np.ndarray) -> "SweepTable":
+        return SweepTable(n, adj)
 
 
 @dataclass

@@ -3,21 +3,22 @@ predicate over a table of graphs; the point checkers, the family checkers,
 exhaustive small-graph enumeration, seeded sampling, and counterexample
 search.
 
-A point checker is its statement's predicate on the one-row GraphTable of
-one graph, whose columns come from the per-graph kernels. The exhaustive
+Both graph tables share one shell, AdjacencyTable: a bool adjacency stack,
+its degrees, its G-e and G-v edits and its certified floating spectra
+(jacobi.matrix_stack into jacobi_batch, ROWS graphs per solve). A point
+checker is its statement's predicate on the one-row GraphTable of one
+graph, whose other columns come from the per-graph kernels. The exhaustive
 sweeps evaluate the same predicates on the sweeps.SweepTable of the class
-representatives (stacked kernels over adjacency rows) and hand every
-labeled member of a class that does not pass to the point checkers, so a
-reported failure always rests on the per-graph kernels. Interval counts
-are exact or certified, never rounded floats: integer characteristic
-polynomials in the sweeps, and in GraphTable, which serves both the point
-checkers and the family grids, the certified floating spectrum of one
-stack (jacobi.graph_stack into jacobi_batch) wherever every eigenvalue
-clears the threshold by its certified bound, with congruence inertia for
-every other row that is needed. The interlacing-chain statements also
-compare floating eigenvalues directly, with a fixed 1e-8 slack. Hypothesis
-failures report "not applicable" rather than "pass" so pass counts measure
-real coverage.
+representatives (stacked kernels) and hand every labeled member of a class
+that does not pass to the point checkers, so a reported failure always
+rests on the per-graph kernels. Interval counts are exact or certified,
+never rounded floats: integer characteristic polynomials in the sweeps,
+and in GraphTable, which serves both the point checkers and the family
+grids, the certified spectra wherever every eigenvalue clears the
+threshold by its certified bound, with congruence inertia for every other
+row that is needed. The interlacing-chain statements also compare floating
+eigenvalues directly, with a fixed 1e-8 slack. Hypothesis failures report
+"not applicable" rather than "pass" so pass counts measure real coverage.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ from .graphs import (
     GraphError,
     _bits,
     cycle_graph,
-    degrees,
-    delete_vertex,
     gndra,
     gndt,
     is_connected,
-    remove_edge,
 )
 from .invariants import (
     diameter,
@@ -52,7 +50,7 @@ from .invariants import (
     longest_path_length,
     matching_number,
 )
-from .jacobi import INEQ_SLACK, certified_below, graph_stack, jacobi_batch
+from .jacobi import INEQ_SLACK, adjacency, certified_below, jacobi_batch, matrix_stack
 # unused here, but kept bound: the benchmark's tracer (perfbench/layers.py) wraps verify.eigenvalues_sym
 from .jacobi import eigenvalues_sym  # noqa: F401
 
@@ -160,14 +158,14 @@ def is_k_c5(g: Graph) -> bool:
 
 # -- statements as predicates over a graph table ----------------------------------
 #
-# Each per-graph statement is written once, as a predicate over a table whose
-# rows are graphs of one order n: GraphTable below (Graph objects and the
-# per-graph kernels; a point checker is the predicate on a one-row table) or
-# sweeps.SweepTable (adjacency rows and stacked kernels, the sweeps' table),
-# each with G-e and G-v tables of its own kind. A table has n, count and
+# Each per-graph statement is written once, as a predicate over a table of
+# graphs of one order n on the AdjacencyTable shell below: GraphTable (Graphs
+# and the per-graph kernels; a point checker is the predicate on a one-row
+# table) or sweeps.SweepTable (stacked kernels, the sweeps' table), each with
+# G-e and G-v tables of its own kind. A table has n, count, adj and
 #   mindeg, maxdeg, conn (False at n = 0), diam and ell (diameter and longest
 #   path, where conn), nu, alpha, gamma, kc5: (count,) columns;
-#   vals: (count, n) spectra, nonincreasing rows;
+#   vals: (count, n) spectra, nonincreasing rows, with bound: (count,);
 #   lt(t, where), le(t, where): exact counts below / at most the integer
 #   threshold t, a scalar or a (count,) column; rows outside where are not
 #   needed and their values are unspecified;
@@ -363,27 +361,67 @@ def tail_eigenvalue_bound(tab) -> Verdict:
     return Verdict.columns(applicable, above <= delta + 1, note, **{"delta": delta, "count_above_n-3": above})
 
 
-class GraphTable:
-    """The statements' table over Graph objects of one order. The spectra
-    of Q(G) (or of L(G) with matrix "L") come from one stacked certified
-    eigh (jacobi_batch) over graph_stack, and a count from them wherever
+ROWS = 256  # graphs per float solve of a table: one chunk's Q(G) or L(G) stack at a time
+
+
+class AdjacencyTable:
+    """The shell of both graph tables: graphs of order n as a (count, n, n)
+    bool stack adj, its degrees, and the certified spectra of Q(G) (or L(G),
+    as matrix says), solved over every ROWS graphs in turn, so no table
+    holds a whole float stack. The G-e and G-v stacks of the contract become
+    tables of the subclass's own kind through its _sub(n, adj)."""
+
+    def __init__(self, n: int, adj: np.ndarray, matrix: str = "Q"):
+        self.n, self.adj, self.count, self.matrix = n, adj, len(adj), matrix
+
+    degs = cached_property(lambda self: self.adj.sum(axis=2, dtype=np.min_scalar_type(self.n)))
+    mindeg = cached_property(lambda self: self.degs.min(axis=1, initial=self.n).astype(np.int16))
+    maxdeg = cached_property(lambda self: self.degs.max(axis=1, initial=0).astype(np.int16))
+    spectra = cached_property(lambda self: self._spectra(jacobi_batch))
+    vals = property(lambda self: self.spectra[0])  # (count, n) float64, nonincreasing rows
+    bound = property(lambda self: self.spectra[1])  # (count,) float64, certified bound on every error of the row
+
+    def _spectra(self, solve: Callable) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(np.concatenate, zip(*self._per_chunk(solve))))
+
+    def _per_chunk(self, kernel: Callable) -> list:
+        """kernel of the float stack of every ROWS graphs, in order (one
+        empty chunk for an empty table); each stack is dropped after its call."""
+        return [kernel(matrix_stack(self.adj[lo : lo + ROWS], self.matrix)) for lo in range(0, max(self.count, 1), ROWS)]
+
+    def without_edges(self) -> tuple[np.ndarray, np.ndarray, "AdjacencyTable"]:
+        u, v = np.triu_indices(self.n, 1)  # the pairs of mask_pairs(n), in order
+        rows, edges = np.nonzero(self.adj[:, u, v])
+        sub, j = self.adj[rows], np.arange(rows.size)
+        sub[j, u[edges], v[edges]] = sub[j, v[edges], u[edges]] = False
+        return rows, edges, self._sub(self.n, sub)
+
+    def without_vertices(self) -> "AdjacencyTable":
+        n = self.n
+        rest = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)  # row v: every vertex but v
+        sub = self.adj[:, rest[:, :, None], rest[:, None, :]]
+        return self._sub(n - 1, sub.reshape(self.count * n, n - 1, n - 1))
+
+
+class GraphTable(AdjacencyTable):
+    """The statements' table over Graph objects of one order. A count comes
+    from the certified spectra of Q(G) (or of L(G) with matrix "L") wherever
     every eigenvalue of a row clears the threshold (jacobi.certified_below);
     exact congruence inertia of the same matrix counts the rows of where
     that do not clear. This is the one count rule of the point checkers and
-    the family grids. The other columns come on first use from the
-    invariants module, looked up here at call time. The G-e table of all
-    edges of all rows, and the G-v table of all vertices, are GraphTables
-    of their own, each with one stacked solve."""
+    the family grids. The columns other than the degrees come on first use
+    from the invariants module, looked up here at call time. The G-e and
+    G-v tables are GraphTables whose Graphs are rebuilt from the packed
+    bits of the edited stack."""
 
     def __init__(self, n: int, graphs: Sequence[Graph], matrix: str = "Q"):
-        self.n, self.graphs, self.count, self.matrix = n, list(graphs), len(graphs), matrix
+        self.graphs = list(graphs)
+        super().__init__(n, adjacency(n, self.graphs), matrix)
 
     def _column(self, f: Callable[[Graph], int], where: np.ndarray | None = None) -> np.ndarray:
         on = [True] * self.count if where is None else where.tolist()
         return np.array([f(g) if w else 0 for g, w in zip(self.graphs, on)], dtype=np.int64)
 
-    mindeg = cached_property(lambda self: self._column(lambda g: min(degrees(g), default=0)))
-    maxdeg = cached_property(lambda self: self._column(lambda g: max(degrees(g), default=0)))
     conn = cached_property(lambda self: self._column(lambda g: g.n > 0 and is_connected(g)).astype(bool))
     diam = cached_property(lambda self: self._column(diameter, self.conn))
     ell = cached_property(lambda self: self._column(longest_path_length, self.conn))
@@ -391,15 +429,6 @@ class GraphTable:
     alpha = cached_property(lambda self: self._column(independence_number))
     gamma = cached_property(lambda self: self._column(domination_number))
     kc5 = cached_property(lambda self: self._column(is_k_c5).astype(bool))
-
-    @cached_property
-    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """(vals, bounds) of jacobi_batch: nonincreasing rows and their certified error bounds."""
-        return jacobi_batch(graph_stack(self.n, self.graphs, self.matrix))
-
-    @property
-    def vals(self) -> np.ndarray:
-        return self.spectra[0]
 
     def _count(self, kernel: Callable, t, where: np.ndarray | None) -> np.ndarray:
         below, clear = certified_below(*self.spectra, t)
@@ -416,15 +445,11 @@ class GraphTable:
     def le(self, t, where: np.ndarray | None = None) -> np.ndarray:
         return self._count(exact.graph_count_le, t, where)
 
-    def without_edges(self) -> tuple[np.ndarray, np.ndarray, "GraphTable"]:
-        pairs = mask_pairs(self.n)
-        found = [(i, k) for i, g in enumerate(self.graphs) for k, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
-        rows, edges = np.array(found, dtype=np.intp).reshape(-1, 2).T
-        graphs = [remove_edge(self.graphs[i], *pairs[k]) for i, k in found]
-        return rows, edges, GraphTable(self.n, graphs, self.matrix)
-
-    def without_vertices(self) -> "GraphTable":
-        return GraphTable(self.n - 1, [delete_vertex(g, v) for g in self.graphs for v in range(self.n)], self.matrix)
+    def _sub(self, n: int, adj: np.ndarray) -> "GraphTable":
+        width = (n + 7) // 8
+        raw = np.packbits(adj, axis=2, bitorder="little").tobytes()
+        rows = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width or 1)]
+        return GraphTable(n, [Graph(n, tuple(rows[i * n : i * n + n])) for i in range(len(adj))], self.matrix)
 
 
 def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) -> TheoremReport:
@@ -469,7 +494,7 @@ check_tail_eigenvalue_bound = _checker("tail-eigenvalue-bound", tail_eigenvalue_
 
 
 FAMILY_MIN = 7  # smallest order of a verify family grid
-FAMILY_STACK = 32  # matrices per jacobi_batch call: the certificate's temporaries grow with the stack
+FAMILY_STACK = 32  # members per family GraphTable: at most one ROWS chunk, so one family call is one solve
 
 
 def family_parameters(theorem_id: str, n: int) -> Iterator[tuple[int, ...]]:

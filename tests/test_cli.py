@@ -16,6 +16,7 @@ from qdist.graphs import cycle_graph, gndt
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO / "docs" / "schemas"
+ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}  # child interpreters import qdist from this checkout
 
 
 def load_schema(name):
@@ -25,6 +26,7 @@ def load_schema(name):
 def run_cli(args, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "qdist.cli", *args],
+        env=ENV,
         capture_output=True,
         text=True,
         input=stdin,
@@ -111,6 +113,7 @@ def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_verification.py"),
          "--exhaustive", "4", "--family-max", "8", "--out", str(out)],
+        env=ENV,
         capture_output=True,
         text=True,
     )
@@ -133,6 +136,7 @@ def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
 def test_family_spectra_script_prints_one_solver_line_per_member():
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "family_spectra.py"), "--max-n", "8"],
+        env=ENV,
         capture_output=True,
         text=True,
     )
@@ -298,7 +302,7 @@ def test_a_fresh_process_runs_one_thread_and_only_the_modules_it_needs():
         "loaded = [m for m in ('qdist.sweeps', 'qdist.spectral') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code = "import os, qdist\nassert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"

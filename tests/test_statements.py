@@ -11,9 +11,20 @@ from test_invariants import longest_path_reference
 from qdist import exact, sweeps, verify
 from qdist.cli import main
 from qdist.graph6 import graph6_decode
-from qdist.graphs import complete_bipartite, complete_graph, cycle_graph, degrees, is_connected, path_graph
+from qdist.graphs import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    degrees,
+    delete_vertex,
+    is_connected,
+    make_empty,
+    path_graph,
+    remove_edge,
+)
 from qdist.invariants import matching_number
-from qdist.verify import enumerate_graphs, graph_from_mask, graph_to_mask, sample_graphs
+from qdist.jacobi import adjacency
+from qdist.verify import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs, sample_graphs
 
 FALSE_ID = "false-delta1"
 FALSE_LONGEST_PATH = "false-longest-path"
@@ -108,14 +119,10 @@ def _route_graphs(n):
     return [graph_from_mask(n, int(m)) for m in masks]
 
 
-def _rows(n, graphs):
-    return np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), n)
-
-
 def _tables(n):
-    """The route graphs of order n as a row table and as a graph table."""
+    """The route graphs of order n as a sweep table and as a graph table."""
     graphs = _route_graphs(n)
-    return sweeps.SweepTable(n, _rows(n, graphs)), verify.GraphTable(n, graphs)
+    return sweeps.SweepTable(n, adjacency(n, graphs)), verify.GraphTable(n, graphs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -142,19 +149,66 @@ def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_table_sources_agree_on_columns(n):
     """The columns and sub-tables every predicate reads, from the sweep
-    kernels and from the per-graph kernels, equal in both directions. The
-    edited row stacks of the G-e and G-v tables hold the graphs of the
-    per-graph G-e and G-v tables, in the same order."""
+    kernels and from the per-graph kernels, equal in both directions."""
     by_rows, by_graphs = _tables(n)
     _same_columns(by_rows, by_graphs)
     (rows_r, edges_r, sub_r), (rows_g, edges_g, sub_g) = by_rows.without_edges(), by_graphs.without_edges()
     assert np.array_equal(rows_r, rows_g) and np.array_equal(edges_r, edges_g)
-    assert np.array_equal(sub_r.rows, _rows(n, sub_g.graphs))
     _same_columns(sub_r, sub_g, names=())
-    if n >= 2:
-        sub_r, sub_g = by_rows.without_vertices(), by_graphs.without_vertices()
-        assert np.array_equal(sub_r.rows, _rows(n - 1, sub_g.graphs))
-        assert np.abs(sub_r.vals - sub_g.vals).max(initial=0.0) < 1e-9
+    sub_r, sub_g = by_rows.without_vertices(), by_graphs.without_vertices()
+    assert np.abs(sub_r.vals - sub_g.vals).max(initial=0.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_table_edits_match_the_graph_edits(n):
+    """The shell's G-e and G-v stacks against graphs.remove_edge and
+    graphs.delete_vertex on each route graph, in contract order: by row,
+    then by edge bit of mask_pairs(n) or by vertex. The G-e and G-v
+    GraphTables hold those same Graphs, rebuilt from the edited bits."""
+    graphs = _route_graphs(n)
+    pairs = mask_pairs(n)
+    found = [(i, k) for i, g in enumerate(graphs) for k, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
+    minus_e = [remove_edge(graphs[i], *pairs[k]) for i, k in found]
+    minus_v = [delete_vertex(g, v) for g in graphs for v in range(n)]
+    for tab in _tables(n):
+        rows, edges, sub = tab.without_edges()
+        assert [(i, k) for i, k in zip(rows.tolist(), edges.tolist())] == found
+        assert sub.n == n and np.array_equal(sub.adj, adjacency(n, minus_e))
+        sub_v = tab.without_vertices()
+        assert sub_v.n == n - 1 and np.array_equal(sub_v.adj, adjacency(n - 1, minus_v))
+        if isinstance(tab, verify.GraphTable):
+            assert sub.graphs == minus_e and sub_v.graphs == minus_v
+
+
+def test_order_one_tables_lose_their_vertex():
+    """K1 minus its vertex is one graph of order 0 in both tables: a row of
+    no eigenvalues, not connected."""
+    for tab in (sweeps.sweep_data(1).table, verify.GraphTable(1, [make_empty(1)])):
+        sub = tab.without_vertices()
+        assert (sub.n, sub.count, sub.adj.shape, sub.vals.shape) == (0, 1, (1, 0, 0), (1, 0))
+        assert sub.conn.tolist() == [False]
+    assert verify.GraphTable(1, [make_empty(1)]).without_vertices().graphs == [make_empty(0)]
+
+
+# the point checkers' reports on C70, whose adjacency rows do not fit int64;
+# domination-bound, alpha-sandwich and longest-path refuse order 70
+C70_REPORTS = {
+    "edge-interlacing": (True, {"edges_checked": 70}),
+    "vertex-deletion": (True, {}),
+    "matching-upper": (True, {"m01": 23, "nu": 35, "strengthened": True}),
+    "delta2": (True, {"m01": 23, "nu": 35}),
+    "m02-bound": (True, {"m02": 35, "nu": 35, "n": 70}),
+    "diameter-main": (True, {"d": 35, "m_below_n-2": 70, "m_below_n-d+1": 70, "required": 35}),
+    "diameter-3": (False, {"note": "hypothesis fails"}),
+    "tail-eigenvalue-bound": (True, {"delta": 2, "count_above_n-3": 0}),
+}
+
+
+def test_point_checkers_run_on_a_cycle_of_order_70():
+    g = cycle_graph(70)
+    for tid, (applicable, witness) in C70_REPORTS.items():
+        rep = verify.GRAPH_THEOREMS[tid].check(g)
+        assert (rep.passed, rep.applicable, rep.witness) == (True, applicable, witness), tid
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

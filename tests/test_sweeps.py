@@ -3,22 +3,28 @@ polynomials by Faddeev-LeVerrier and counts by Descartes' rule of signs,
 checked against exact congruence inertia."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from qdist import exact, jacobi, sweeps
-from qdist.graphs import Graph, complete_graph, degrees, is_connected
+from test_statements import _route_graphs
+
+from qdist import exact, jacobi, sweeps, verify
+from qdist.graphs import complete_graph, cycle_graph, degrees, disjoint_union, is_connected
 from qdist.invariants import diameter, domination_number, independence_number, matching_number
 from qdist.spectral import q_float
 from qdist.verify import graph_from_mask, mask_pairs
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _bareiss(n, mask, t):
@@ -115,7 +121,7 @@ def test_count_path_needs_no_inertia_and_no_pool(monkeypatch):
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -135,21 +141,25 @@ def test_labeled_caches_are_the_class_counts():
 
 
 def test_float_columns_equal_one_solve_of_the_whole_stack():
-    """The spectra and char polys that a table solves ROWS rows at a time
-    equal one jacobi_batch and one char_poly_batch call over its whole Q(G)
-    stack (built from Graphs by graph_stack), dtype included, on the
-    representatives', G-e and G-v tables of every n <= 7; the n = 7 G-e
-    table has 10,962 rows, 43 chunks."""
+    """The spectra and char polys that a table solves ROWS graphs at a time
+    equal one jacobi_batch and one char_poly_batch call over its whole
+    float stack (matrix_stack), dtype included, on the representatives',
+    G-e and G-v tables of every n <= 7 (the n = 7 G-e table has 10,962
+    rows, 43 chunks), and the spectra of Q and of L on the G-e GraphTable
+    of the n = 8 route graphs (1,412 rows, 6 chunks)."""
     for n in range(1, 8):
         reps = sweeps.sweep_data(n).table
-        tables = [("reps", reps), ("G-e", reps.without_edges()[2])]
-        if n > 1:
-            tables.append(("G-v", reps.without_vertices()))
-        for name, tab in tables:
-            Q = jacobi.graph_stack(tab.n, [Graph(tab.n, tuple(row)) for row in tab.rows.tolist()])
+        for name, tab in (("reps", reps), ("G-e", reps.without_edges()[2]), ("G-v", reps.without_vertices())):
+            Q = jacobi.matrix_stack(tab.adj)
             vals, bound = jacobi.jacobi_batch(Q)
             for got, want in ((tab.vals, vals), (tab.bound, bound), (tab.poly, sweeps.char_poly_batch(Q))):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (n, name)
+    for matrix in ("Q", "L"):
+        tab = verify.GraphTable(8, _route_graphs(8), matrix).without_edges()[2]
+        assert tab.count > verify.ROWS, tab.count
+        vals, bound = jacobi.jacobi_batch(jacobi.matrix_stack(tab.adj, matrix))
+        for got, want in ((tab.vals, vals), (tab.bound, bound)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), matrix
 
 
 def test_float_columns_take_one_chunk_of_memory():
@@ -166,6 +176,19 @@ def test_float_columns_take_one_chunk_of_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak / 2**20
+
+
+def test_sweep_tables_refuse_orders_above_nine():
+    """The kc5 column and the char poly bounds hold for n <= 9 only. At
+    n = 10 the kc5 formula would miss 2C5, and delta2 would call it
+    applicable and failing, where its point checker finds the hypothesis
+    false."""
+    two_c5 = disjoint_union(cycle_graph(5), cycle_graph(5))
+    assert not verify.check_delta2(two_c5).applicable
+    with pytest.raises(ValueError, match="n <= 9, got 10"):
+        sweeps.SweepTable(10, jacobi.adjacency(10, [two_c5]))
+    nine = sweeps.SweepTable(9, jacobi.adjacency(9, [complete_graph(9)]))
+    assert nine.poly.shape == (1, 10)
 
 
 def test_table_invariants_match_per_graph_kernels():
@@ -196,14 +219,19 @@ def test_table_invariants_match_per_graph_kernels():
 
 
 def test_subset_scan_beyond_the_sweep_orders():
-    """The subset scan of a row table against blossom and branch-and-bound
-    on 100 seeded graphs at each of n = 8, 9, 10, where the sweeps do not
-    reach yet."""
+    """The subset scan against blossom and branch-and-bound on 100 seeded
+    graphs at each of n = 8, 9, 10, where the sweeps do not reach yet: the
+    columns of a sweep table at n = 8, 9, the kernel itself at n = 10,
+    beyond the tables' orders."""
     rng = np.random.default_rng(8)
     for n in (8, 9, 10):
         masks = rng.integers(0, 1 << n * (n - 1) // 2, size=100, dtype=np.int64)
-        tab = sweeps.SweepTable(n, sweeps.mask_rows(n, masks))
-        got = tab.nu, tab.alpha, tab.gamma
+        adj = sweeps.mask_adjacency(n, masks)
+        if n <= 9:
+            tab = sweeps.SweepTable(n, adj)
+            got = tab.nu, tab.alpha, tab.gamma
+        else:
+            got = sweeps._subset_scan(adj | np.eye(n, dtype=bool))
         graphs = [graph_from_mask(n, int(m)) for m in masks]
         for col, kernel in zip(got, (matching_number, independence_number, domination_number)):
             want = [kernel(g) for g in graphs]
@@ -280,7 +308,7 @@ def test_class_polynomials_match_every_labeled_graph():
         data = sweeps.sweep_data(n)
         for lo in range(0, data.count, 1 << 16):
             masks = np.arange(lo, min(lo + (1 << 16), data.count), dtype=np.int64)
-            got = sweeps.SweepTable(n, sweeps.mask_rows(n, masks)).poly
+            got = sweeps.SweepTable(n, sweeps.mask_adjacency(n, masks)).poly
             assert np.array_equal(got, data.table.poly[data.class_of[masks]]), (n, lo)
 
 
@@ -314,8 +342,8 @@ def test_bipartite_classes_count_through_the_laplacian():
     0..2n-2."""
     for n in range(1, 8):
         tab = sweeps.sweep_data(n).table
-        graphs = [Graph(n, tuple(row)) for row in tab.rows.tolist()]
-        same = (sweeps.char_poly_batch(jacobi.graph_stack(n, graphs, "L")) == tab.poly).all(axis=1)
+        graphs = [graph_from_mask(n, int(mask)) for mask in sweeps.sweep_data(n).reps]
+        same = (sweeps.char_poly_batch(jacobi.matrix_stack(tab.adj, "L")) == tab.poly).all(axis=1)
         bipartite = np.array([_two_colourable(g) for g in graphs])
         assert np.array_equal(same, bipartite), n
         assert int(bipartite.sum()) == A033995[n - 1], n
