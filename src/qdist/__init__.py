@@ -9,7 +9,7 @@ Submodules:
               matrix_stack (every float Q/L stack), inequality checkers
   spectral    one-graph Q/L builders, interval counting, closed-form spectra
   invariants  matching, diameter, independence, domination, longest path
-  verify      theorem catalog, enumeration, sampling, counterexample search
+  verify      theorem catalog, graph tables, enumeration, sampling, search
   sweeps      exhaustive sweeps at n <= 7, one isomorphism class at a time
   cli         command-line front end
 

@@ -149,35 +149,25 @@ def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_table_sources_agree_on_columns(n):
     """The columns and sub-tables every predicate reads, from the sweep
-    kernels and from the per-graph kernels, equal in both directions."""
+    kernels and from the per-graph kernels, equal in both directions. The
+    shell's G-e and G-v stacks equal graphs.remove_edge and
+    graphs.delete_vertex on each route graph, in contract order (by row,
+    then by edge bit of mask_pairs(n) or by vertex), and the G-e and G-v
+    GraphTables hold those Graphs, rebuilt from the edited bits."""
     by_rows, by_graphs = _tables(n)
     _same_columns(by_rows, by_graphs)
-    (rows_r, edges_r, sub_r), (rows_g, edges_g, sub_g) = by_rows.without_edges(), by_graphs.without_edges()
-    assert np.array_equal(rows_r, rows_g) and np.array_equal(edges_r, edges_g)
-    _same_columns(sub_r, sub_g, names=())
-    sub_r, sub_g = by_rows.without_vertices(), by_graphs.without_vertices()
-    assert np.abs(sub_r.vals - sub_g.vals).max(initial=0.0) < 1e-9
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
-def test_table_edits_match_the_graph_edits(n):
-    """The shell's G-e and G-v stacks against graphs.remove_edge and
-    graphs.delete_vertex on each route graph, in contract order: by row,
-    then by edge bit of mask_pairs(n) or by vertex. The G-e and G-v
-    GraphTables hold those same Graphs, rebuilt from the edited bits."""
-    graphs = _route_graphs(n)
-    pairs = mask_pairs(n)
+    graphs, pairs = by_graphs.graphs, mask_pairs(n)
     found = [(i, k) for i, g in enumerate(graphs) for k, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
     minus_e = [remove_edge(graphs[i], *pairs[k]) for i, k in found]
     minus_v = [delete_vertex(g, v) for g in graphs for v in range(n)]
-    for tab in _tables(n):
-        rows, edges, sub = tab.without_edges()
-        assert [(i, k) for i, k in zip(rows.tolist(), edges.tolist())] == found
-        assert sub.n == n and np.array_equal(sub.adj, adjacency(n, minus_e))
-        sub_v = tab.without_vertices()
-        assert sub_v.n == n - 1 and np.array_equal(sub_v.adj, adjacency(n - 1, minus_v))
-        if isinstance(tab, verify.GraphTable):
-            assert sub.graphs == minus_e and sub_v.graphs == minus_v
+    (rows_r, edges_r, sub_r), (rows_g, edges_g, sub_g) = by_rows.without_edges(), by_graphs.without_edges()
+    assert list(zip(rows_r.tolist(), edges_r.tolist())) == found
+    assert np.array_equal(rows_r, rows_g) and np.array_equal(edges_r, edges_g)
+    assert np.array_equal(sub_r.adj, adjacency(n, minus_e)) and sub_g.graphs == minus_e
+    _same_columns(sub_r, sub_g, names=())
+    sub_r, sub_g = by_rows.without_vertices(), by_graphs.without_vertices()
+    assert np.array_equal(sub_r.adj, adjacency(n - 1, minus_v)) and sub_g.graphs == minus_v
+    assert np.abs(sub_r.vals - sub_g.vals).max(initial=0.0) < 1e-9
 
 
 def test_order_one_tables_lose_their_vertex():
