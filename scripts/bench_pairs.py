@@ -18,6 +18,13 @@ tier-1 test suite on each side (`python -m pytest -q
 --continue-on-collection-errors`, with src on PYTHONPATH). The record also
 names the machine and the two commits, and counts each side's source lines
 (src/qdist/*.py plus scripts/*.py, as `wc -l` counts them).
+
+Every child runs in a process group of its own. Stopped with SIGTERM or
+SIGINT, the script kills the group of the child it is waiting for, reaps
+that child and exits with 128 plus the signal number, writing no record.
+perfbench/run.py starts each of its own qdist children in a further
+process group, so a qdist run that is already going is not in the killed
+group: it finishes its one command by itself.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,15 +45,32 @@ PAIRS = 10  # the fewest interleaved pairs that can support a claimed gain
 SEED = 1
 VERIFY = ["verify", "--theorem", "all", "--exhaustive", "7", "--family-max", "12"]
 SIDES = ("parent", "change")
+RUNNING: list[subprocess.Popen] = []  # the child being waited for
+
+
+def stop(signum: int, frame) -> None:
+    """Kill the process group of the running child, reap it, and exit 128 + signum."""
+    for proc in RUNNING:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # already reaped
+            pass
+        proc.wait()
+    sys.exit(128 + signum)
 
 
 def spawn(cmd: list[str], cwd: Path) -> dict:
     """Run cmd in cwd with cwd/src on PYTHONPATH; exit code, wall, CPU, peak RSS and stdout."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
     t0 = time.perf_counter()
-    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
+    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                            process_group=0)
+    RUNNING.append(proc)
+    try:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        RUNNING.remove(proc)
     proc.stdout.close()
     return {
         "returncode": os.waitstatus_to_exitcode(status),
@@ -91,6 +116,8 @@ def main() -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    signal.signal(signal.SIGTERM, stop)
+    signal.signal(signal.SIGINT, stop)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     commits = {side: subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=dirs[side], check=True,

@@ -5,8 +5,9 @@ Submodules:
   graphs      immutable bitmask graphs, editing ops, named families
   graph6      graph6 text codec
   exact       rational matrices, congruence inertia, quotient matrices
-  jacobi      certified floating eigensolver (LAPACK eigh), adjacency stacks,
-              matrix_stack (every float Q/L stack), inequality checkers
+  jacobi      certified floating eigensolver (LAPACK eigh), adjacency stacks
+              to and from Graphs, matrix_stack (every float Q/L stack),
+              inequality checkers
   spectral    one-graph Q/L builders, interval counting, closed-form spectra
   invariants  matching, diameter, independence, domination, longest path
   verify      theorem catalog, graph tables, enumeration, sampling, search

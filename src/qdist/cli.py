@@ -10,6 +10,7 @@ sampled search or a family verify starts without loading either.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from typing import Iterator
@@ -223,9 +224,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(line)
         failures.extend(bad)
     if args.output == "csv":
-        print("theorem,instance,passed")
-        for rep in failures:
-            print(f"{rep.theorem_id},{rep.instance},{rep.passed}")
+        out = csv.writer(sys.stdout, lineterminator="\n")  # family instances hold commas
+        out.writerow(["theorem", "instance", "passed"])
+        out.writerows([rep.theorem_id, rep.instance, rep.passed] for rep in failures)
     elif args.output == "jsonl":
         for rep in failures:
             print(rep.to_json_line())

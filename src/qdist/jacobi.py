@@ -1,5 +1,6 @@
 """Floating symmetric eigensolver with an a-posteriori certificate, the
-matrix-inequality checkers built on it, adjacency stacks of Graphs, and
+matrix-inequality checkers built on it, the one conversion between Graphs
+and bool adjacency stacks (adjacency, and its inverse graphs_of), and
 matrix_stack, the one builder of the float Q(G)/L(G) stacks it solves.
 
 Spectra come from LAPACK's symmetric eigensolver: one stacked
@@ -148,6 +149,15 @@ def adjacency(n: int, graphs: Sequence[Graph]) -> np.ndarray:
     raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj)
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
     return np.unpackbits(bits, axis=2, count=n, bitorder="little").view(bool)
+
+
+def graphs_of(adj: np.ndarray) -> list[Graph]:
+    """The Graphs of a (count, n, n) bool adjacency stack, any n: the inverse of adjacency."""
+    count, n, _ = adj.shape
+    width = (n + 7) // 8
+    raw = np.packbits(adj, axis=2, bitorder="little").tobytes()
+    rows = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width or 1)]
+    return [Graph(n, tuple(rows[i * n : i * n + n])) for i in range(count)]
 
 
 def matrix_stack(adj: np.ndarray, matrix: str = "Q") -> np.ndarray:

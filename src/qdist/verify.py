@@ -7,7 +7,8 @@ Both graph tables share one shell, AdjacencyTable: a bool adjacency stack,
 its degrees, its G-e and G-v edits and its certified floating spectra
 (jacobi.matrix_stack into jacobi_batch, ROWS graphs per solve). A point
 checker is its statement's predicate on the one-row GraphTable of one
-graph, whose other columns come from the per-graph kernels. The exhaustive
+graph's stack, whose other columns come from the per-graph kernels over
+Graphs that jacobi.graphs_of builds back from the stack. The exhaustive
 sweeps evaluate the same predicates on the sweeps.SweepTable of the class
 representatives (stacked kernels) and hand every labeled member of a class
 that does not pass to the point checkers, so a reported failure always
@@ -50,7 +51,7 @@ from .invariants import (
     longest_path_length,
     matching_number,
 )
-from .jacobi import INEQ_SLACK, adjacency, certified_below, jacobi_batch, matrix_stack
+from .jacobi import INEQ_SLACK, adjacency, certified_below, graphs_of, jacobi_batch, matrix_stack
 # unused here, but kept bound: the benchmark's tracer (perfbench/layers.py) wraps verify.eigenvalues_sym
 from .jacobi import eigenvalues_sym  # noqa: F401
 
@@ -159,9 +160,9 @@ def is_k_c5(g: Graph) -> bool:
 # -- statements as predicates over a graph table ----------------------------------
 #
 # Each per-graph statement is written once, as a predicate over a table of
-# graphs of one order n on the AdjacencyTable shell below: GraphTable (Graphs
-# and the per-graph kernels; a point checker is the predicate on a one-row
-# table) or sweeps.SweepTable (stacked kernels, the sweeps' table), each with
+# graphs of one order n on the AdjacencyTable shell below: GraphTable (the
+# per-graph kernels; a point checker is the predicate on a one-row table) or
+# sweeps.SweepTable (stacked kernels, the sweeps' table), each with
 # G-e and G-v tables of its own kind. A table has n, count, adj and
 #   mindeg, maxdeg, conn (False at n = 0), diam and ell (diameter and longest
 #   path, where conn), nu, alpha, gamma, kc5: (count,) columns;
@@ -404,19 +405,16 @@ class AdjacencyTable:
 
 
 class GraphTable(AdjacencyTable):
-    """The statements' table over Graph objects of one order. A count comes
-    from the certified spectra of Q(G) (or of L(G) with matrix "L") wherever
-    every eigenvalue of a row clears the threshold (jacobi.certified_below);
-    exact congruence inertia of the same matrix counts the rows of where
-    that do not clear. This is the one count rule of the point checkers and
-    the family grids. The columns other than the degrees come on first use
-    from the invariants module, looked up here at call time. The G-e and
-    G-v tables are GraphTables whose Graphs are rebuilt from the packed
-    bits of the edited stack."""
+    """The statements' table of the point checkers and the family grids,
+    over an adjacency stack of any order. A count comes from the certified
+    spectra of Q(G) (or of L(G) with matrix "L") wherever every eigenvalue
+    of a row clears the threshold (jacobi.certified_below); exact
+    congruence inertia of the same matrix counts the rows of where that do
+    not clear. Inertia and the columns other than the degrees (per-graph
+    kernels of the invariants module, looked up here at call time) read
+    the column graphs, which jacobi.graphs_of builds from adj on first use."""
 
-    def __init__(self, n: int, graphs: Sequence[Graph], matrix: str = "Q"):
-        self.graphs = list(graphs)
-        super().__init__(n, adjacency(n, self.graphs), matrix)
+    graphs = cached_property(lambda self: graphs_of(self.adj))
 
     def _column(self, f: Callable[[Graph], int], where: np.ndarray | None = None) -> np.ndarray:
         on = [True] * self.count if where is None else where.tolist()
@@ -446,15 +444,12 @@ class GraphTable(AdjacencyTable):
         return self._count(exact.graph_count_le, t, where)
 
     def _sub(self, n: int, adj: np.ndarray) -> "GraphTable":
-        width = (n + 7) // 8
-        raw = np.packbits(adj, axis=2, bitorder="little").tobytes()
-        rows = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width or 1)]
-        return GraphTable(n, [Graph(n, tuple(rows[i * n : i * n + n])) for i in range(len(adj))], self.matrix)
+        return GraphTable(n, adj, self.matrix)
 
 
 def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) -> TheoremReport:
     """The predicate on the one-row table of g, as a report."""
-    verdict = predicate(GraphTable(g.n, [g]))
+    verdict = predicate(GraphTable(g.n, adjacency(g.n, [g])))
     applicable = bool(verdict.applicable[0])
     if applicable:
         witness = {k: v.item() if isinstance(v, np.generic) else v for k, v in verdict.witness(0).items()}
@@ -552,11 +547,12 @@ def _family_chunk(theorem_id: str, n: int, chunk: int) -> dict[tuple[int, ...], 
     ConvergenceError and caches nothing."""
     keys = list(_family_grid(theorem_id, n))[chunk * FAMILY_STACK : (chunk + 1) * FAMILY_STACK]
     graphs, ts = zip(*(_family_member(theorem_id, *p) for p in keys))
-    tab = GraphTable(n, graphs)
+    adj = adjacency(n, graphs)
+    tab = GraphTable(n, adj)
     if theorem_id == "diameter-3-equality":
         columns = (tab.lt(ts), tab.le(ts), tab.diam)
     elif theorem_id == "gndt-laplacian-count":
-        columns = (GraphTable(n, graphs, "L").lt(ts), tab.lt(ts))
+        columns = (GraphTable(n, adj, "L").lt(ts), tab.lt(ts))
     else:
         columns = (tab.lt(ts),)
     return dict(zip(keys, zip(*(c.tolist() for c in columns))))

@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -107,6 +110,17 @@ def test_verify_family_theorem(capsys):
     assert [line.split(" grid ")[0] for line in lines] == list(verify.FAMILY_THEOREM_IDS)
 
 
+def test_verify_csv_quotes_family_instances(monkeypatch, capsys):
+    # a family instance such as gndra(n=7,d=4,r=2,a=1) holds commas
+    real = verify.check_gndra_q5
+    monkeypatch.setattr(verify, "check_gndra_q5", lambda *a: dataclasses.replace(real(*a), passed=False))
+    assert main(["verify", "--theorem", "family-gndra-q5", "--family-max", "8", "--output", "csv"]) == 1
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    want = [real(n, t).instance for n in (7, 8) for t in range(2, n - 3)]
+    assert rows == [["theorem", "instance", "passed"]] + [["family-gndra-q5", i, "False"] for i in want]
+    assert "," in want[0]
+
+
 def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
     """scripts/run_verification.py runs the steps qdist verify prints, one CSV row each."""
     out = tmp_path / "report"
@@ -131,6 +145,52 @@ def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
     rss = [float(row["peak_rss_mb"]) for row in rows]
     assert rss[0] > 0 and rss == sorted(rss), rss
     assert Path(f"{out}.jsonl").read_text() == ""
+
+
+def test_bench_pairs_stops_its_child_on_sigterm(tmp_path):
+    """SIGTERM to scripts/bench_pairs.py kills the perfbench/run.py it waits
+    for, here a stub in a throwaway checkout that writes its pid and sleeps."""
+    bench = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}
+    stub = "import os, pathlib, time\npathlib.Path('pid').write_text(str(os.getpid()))\ntime.sleep(60)\n"
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(stub)
+        (root / "BENCHMARK.json").write_text(json.dumps(bench))
+        git = ["git", "-C", str(root), "-c", "user.name=stub", "-c", "user.email=stub@localhost"]
+        for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "stub"]):
+            subprocess.run(git + cmd, check=True, capture_output=True)
+    pid_file = tmp_path / "parent" / "pid"
+    proc = subprocess.Popen([sys.executable, str(REPO / "scripts" / "bench_pairs.py"), "--parent",
+                             str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                             "--out", str(tmp_path / "out.json")], stderr=subprocess.DEVNULL)
+    pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail(f"stub perfbench/run.py {pid} still running")
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert not (tmp_path / "out.json").exists()
+    finally:
+        proc.kill()
+        proc.wait()
+        if pid is not None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_family_spectra_script_prints_one_solver_line_per_member():

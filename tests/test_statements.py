@@ -120,9 +120,9 @@ def _route_graphs(n):
 
 
 def _tables(n):
-    """The route graphs of order n as a sweep table and as a graph table."""
-    graphs = _route_graphs(n)
-    return sweeps.SweepTable(n, adjacency(n, graphs)), verify.GraphTable(n, graphs)
+    """The route graphs of order n as a sweep table and as a graph table over one adjacency stack."""
+    adj = adjacency(n, _route_graphs(n))
+    return sweeps.SweepTable(n, adj), verify.GraphTable(n, adj)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -152,11 +152,12 @@ def test_table_sources_agree_on_columns(n):
     kernels and from the per-graph kernels, equal in both directions. The
     shell's G-e and G-v stacks equal graphs.remove_edge and
     graphs.delete_vertex on each route graph, in contract order (by row,
-    then by edge bit of mask_pairs(n) or by vertex), and the G-e and G-v
-    GraphTables hold those Graphs, rebuilt from the edited bits."""
+    then by edge bit of mask_pairs(n) or by vertex), and the GraphTables
+    hold those Graphs, built back from their stacks by jacobi.graphs_of."""
     by_rows, by_graphs = _tables(n)
     _same_columns(by_rows, by_graphs)
-    graphs, pairs = by_graphs.graphs, mask_pairs(n)
+    graphs, pairs = _route_graphs(n), mask_pairs(n)
+    assert by_graphs.graphs == graphs
     found = [(i, k) for i, g in enumerate(graphs) for k, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
     minus_e = [remove_edge(graphs[i], *pairs[k]) for i, k in found]
     minus_v = [delete_vertex(g, v) for g in graphs for v in range(n)]
@@ -173,11 +174,12 @@ def test_table_sources_agree_on_columns(n):
 def test_order_one_tables_lose_their_vertex():
     """K1 minus its vertex is one graph of order 0 in both tables: a row of
     no eigenvalues, not connected."""
-    for tab in (sweeps.sweep_data(1).table, verify.GraphTable(1, [make_empty(1)])):
+    k1 = adjacency(1, [make_empty(1)])
+    for tab in (sweeps.sweep_data(1).table, verify.GraphTable(1, k1)):
         sub = tab.without_vertices()
         assert (sub.n, sub.count, sub.adj.shape, sub.vals.shape) == (0, 1, (1, 0, 0), (1, 0))
         assert sub.conn.tolist() == [False]
-    assert verify.GraphTable(1, [make_empty(1)]).without_vertices().graphs == [make_empty(0)]
+    assert verify.GraphTable(1, k1).without_vertices().graphs == [make_empty(0)]
 
 
 # the point checkers' reports on C70, whose adjacency rows do not fit int64;

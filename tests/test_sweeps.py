@@ -155,7 +155,7 @@ def test_float_columns_equal_one_solve_of_the_whole_stack():
             for got, want in ((tab.vals, vals), (tab.bound, bound), (tab.poly, sweeps.char_poly_batch(Q))):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (n, name)
     for matrix in ("Q", "L"):
-        tab = verify.GraphTable(8, _route_graphs(8), matrix).without_edges()[2]
+        tab = verify.GraphTable(8, jacobi.adjacency(8, _route_graphs(8)), matrix).without_edges()[2]
         assert tab.count > verify.ROWS, tab.count
         vals, bound = jacobi.jacobi_batch(jacobi.matrix_stack(tab.adj, matrix))
         for got, want in ((tab.vals, vals), (tab.bound, bound)):

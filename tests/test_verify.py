@@ -23,6 +23,7 @@ from qdist.graphs import (
     remove_edge,
 )
 from qdist.invariants import diameter
+from qdist.jacobi import adjacency
 from qdist.spectral import q_float
 from qdist.verify import (
     check_alpha_sandwich,
@@ -370,7 +371,7 @@ def test_point_tables_count_exactly():
     # of its G-e table
     seeded, integral = _point_graphs()
     for g in seeded + integral:
-        tab = verify.GraphTable(g.n, [g])
+        tab = verify.GraphTable(g.n, adjacency(g.n, [g]))
         _, _, sub = tab.without_edges()
         assert sub.count == g.edge_count()
         for t in range(0, 2 * g.n - 1):
@@ -392,7 +393,7 @@ def test_laplacian_tables_count_exactly(monkeypatch):
         real = getattr(exact, name)
         monkeypatch.setattr(exact, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
     for g in graphs:
-        tab = verify.GraphTable(g.n, [g], "L")
+        tab = verify.GraphTable(g.n, adjacency(g.n, [g]), "L")
         for t in range(0, 2 * g.n - 1):
             assert (tab.lt(t)[0], tab.le(t)[0]) == want[g, t], (g, t)
     assert calls
@@ -415,12 +416,25 @@ def test_edge_interlacing_counts_each_table_once_per_threshold(monkeypatch):
     # one table of G and one of all its G-e, each counted at every threshold
     # 0..2n-2: 2(2n-1) certified_below calls per graph (one table per edge
     # made 6,281 calls on these 18 graphs)
-    calls = []
+    calls, built = [], []
     real = verify.certified_below
     monkeypatch.setattr(verify, "certified_below", lambda *a: calls.append(a) or real(*a))
     seeded, _ = _point_graphs()
     assert all(check_edge_interlacing(g).passed for g in seeded)
     assert len(seeded) == 18 and len(calls) == sum(2 * (2 * g.n - 1) for g in seeded) == 612
+    # the tables of G and of its G-e and G-v build their Graphs (verify.graphs_of)
+    # only to send a row to Bareiss, and then once: the G-e tables of the 18
+    # seeded graphs have such rows, those of the first four seeded graphs of
+    # order 16 clear every threshold, and vertex-deletion reads no count
+    real_graphs = verify.graphs_of
+    monkeypatch.setattr(verify, "graphs_of", lambda adj: built.append(adj) or real_graphs(adj))
+    for g in seeded + list(sample_graphs(16, 4, 17)):
+        tab = verify.GraphTable(g.n, adjacency(g.n, [g]))
+        stacks = [t.adj for t in (tab, tab.without_edges()[2])
+                  if not all(real(*t.spectra, k)[1].all() for k in range(2 * g.n - 1))]
+        built.clear()
+        assert verify.edge_interlacing(tab).passed.all() and verify.vertex_deletion(tab).passed.all()
+        assert [a.tolist() for a in built] == [a.tolist() for a in stacks] and (len(stacks) > 0) == (g.n < 16), g
 
 
 def test_orders_zero_and_one():
