@@ -4,13 +4,13 @@ invariants, run verification campaigns, emit reports.
 Exit codes: 0 success, 1 verification failure found, 2 usage error.
 
 sweeps and spectral are imported inside the subcommands that run them, so a
-sampled search or a family verify starts without loading either.
+sampled search or a family verify starts without loading either; csv is
+imported only for `verify --output csv`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Iterator
@@ -224,6 +224,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(line)
         failures.extend(bad)
     if args.output == "csv":
+        import csv
+
         out = csv.writer(sys.stdout, lineterminator="\n")  # family instances hold commas
         out.writerow(["theorem", "instance", "passed"])
         out.writerows([rep.theorem_id, rep.instance, rep.passed] for rep in failures)
