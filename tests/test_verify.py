@@ -416,7 +416,7 @@ def test_edge_interlacing_counts_each_table_once_per_threshold(monkeypatch):
     # one table of G and one of all its G-e, each counted at every threshold
     # 0..2n-2: 2(2n-1) certified_below calls per graph (one table per edge
     # made 6,281 calls on these 18 graphs)
-    calls, built = [], []
+    calls = []
     real = verify.certified_below
     monkeypatch.setattr(verify, "certified_below", lambda *a: calls.append(a) or real(*a))
     seeded, _ = _point_graphs()
@@ -426,7 +426,7 @@ def test_edge_interlacing_counts_each_table_once_per_threshold(monkeypatch):
     # only to send a row to Bareiss, and then once: the G-e tables of the 18
     # seeded graphs have such rows, those of the first four seeded graphs of
     # order 16 clear every threshold, and vertex-deletion reads no count
-    real_graphs = verify.graphs_of
+    built, real_graphs = [], verify.graphs_of
     monkeypatch.setattr(verify, "graphs_of", lambda adj: built.append(adj) or real_graphs(adj))
     for g in seeded + list(sample_graphs(16, 4, 17)):
         tab = verify.GraphTable(g.n, adjacency(g.n, [g]))
