@@ -6,11 +6,12 @@ Submodules:
   graph6      graph6 text codec
   exact       rational matrices, congruence inertia, quotient matrices
   jacobi      certified floating eigensolver (LAPACK eigh), adjacency stacks
-              to and from Graphs, matrix_stack (every float Q/L stack),
+              to and from Graphs, the labeled edge-mask codec (edge_pairs,
+              mask_adjacency), matrix_stack (every float Q/L stack),
               inequality checkers
   spectral    one-graph Q/L builders, interval counting, closed-form spectra
   invariants  matching, diameter, independence, domination, longest path
-  verify      theorem catalog, graph tables, enumeration, sampling, search
+  verify      theorem catalog, graph tables, sampling, search
   sweeps      exhaustive sweeps at n <= 7, one isomorphism class at a time
   cli         command-line front end
 

@@ -1,7 +1,9 @@
 """Floating symmetric eigensolver with an a-posteriori certificate, the
 matrix-inequality checkers built on it, the one conversion between Graphs
-and bool adjacency stacks (adjacency, and its inverse graphs_of), and
-matrix_stack, the one builder of the float Q(G)/L(G) stacks it solves.
+and bool adjacency stacks (adjacency, and its inverse graphs_of), the one
+labeled edge-mask codec (edge_pairs states the edge order, mask_adjacency
+decodes masks of any width into a stack), and matrix_stack, the one
+builder of the float Q(G)/L(G) stacks it solves.
 
 Spectra come from LAPACK's symmetric eigensolver: one stacked
 ``np.linalg.eigh`` call per batch, which is what the exhaustive small-graph
@@ -158,6 +160,24 @@ def graphs_of(adj: np.ndarray) -> list[Graph]:
     raw = np.packbits(adj, axis=2, bitorder="little").tobytes()
     rows = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width or 1)]
     return [Graph(n, tuple(rows[i * n : i * n + n])) for i in range(count)]
+
+
+def edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labeled edge order on n vertices: bit k of an edge mask joins
+    u[k] < v[k] of (u, v), row by row, (0,1), (0,2), ..., (n-2,n-1)."""
+    return np.triu_indices(n, 1)
+
+
+def mask_adjacency(n: int, masks: Sequence[int]) -> np.ndarray:
+    """The (len(masks), n, n) bool adjacency stack of the labeled edge masks
+    on n vertices (edge_pairs order), any n: masks are ints of any width."""
+    u, v = edge_pairs(n)
+    width = (u.size + 7) // 8
+    raw = b"".join(int(m).to_bytes(width, "little") for m in masks)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    adj = np.zeros((len(masks), n, n), dtype=bool)
+    adj[:, u, v] = adj[:, v, u] = np.unpackbits(bits, axis=1, count=u.size, bitorder="little").view(bool)
+    return adj
 
 
 def matrix_stack(adj: np.ndarray, matrix: str = "Q") -> np.ndarray:

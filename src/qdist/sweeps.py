@@ -2,15 +2,17 @@
 
 Every statement the sweeps check is invariant under relabeling, so a sweep
 evaluates it once per isomorphism class. The class map (``class_map``)
-assigns every labeled edge mask on n vertices the id of its class by orbit
-enumeration: the least mask with no class yet is the next representative,
-and its images under all n! vertex permutations are its orbit. SweepData
-carries the map (``class_of``), the representatives, the orbit sizes and
-the SweepTable of the representatives. The map has three jobs only: orbit
-sizes (labeled totals), expanding a class that does not pass into its
-labeled members for the point checker, in the same process, and the
-labeled count cache of ``counts_pair`` (int8, one byte per labeled mask
-and threshold).
+assigns every labeled edge mask on n vertices (edge bits in the order of
+``jacobi.edge_pairs``) the id of its class by orbit enumeration: the least
+mask with no class yet is the next representative, and its images under
+all n! vertex permutations are its orbit. SweepData carries the map
+(``class_of``), the representatives, the orbit sizes and the SweepTable of
+the representatives. Masks become graphs only through
+``jacobi.mask_adjacency``. The map has three jobs only: orbit sizes
+(labeled totals), expanding a class that does not pass into its labeled
+members for the point checker, in the same process and at most
+``verify.ROWS`` masks per decode, and the labeled count cache of
+``counts_pair`` (int8, one byte per labeled mask and threshold).
 
 A SweepTable holds graphs of one order n <= 9 in the adjacency-stack shell
 of the point checkers' table (``verify.AdjacencyTable``), which gives it
@@ -46,8 +48,8 @@ import numpy as np
 
 from . import exact, verify
 from .invariants import longest_path_lengths
-from .jacobi import GUARD_BAND, certified_below, jacobi_batch
-from .verify import TheoremReport, graph_from_mask, mask_pairs
+from .jacobi import GUARD_BAND, certified_below, edge_pairs, graphs_of, jacobi_batch, mask_adjacency
+from .verify import TheoremReport
 
 CHUNK = 1 << 12  # masks per step of class_map's scan for the next representative
 
@@ -90,18 +92,18 @@ def class_map(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(class_of, reps, orbit) of the labeled graphs on n vertices.
 
     image[p, k] is the edge bit that vertex permutation p sends edge bit k
-    to, so the images of a mask are one OR per edge over a column of image.
-    The least mask without a class is the least of its orbit, so it is the
-    next representative; its orbit is the set of its n! images, and every
-    mask in the orbit gets its class id.
+    to, gathered from the (n, n) table of edge bits, so the images of a mask
+    are one OR per edge over a column of image. The least mask without a
+    class is the least of its orbit, so it is the next representative; its
+    orbit is the set of its n! images, and every mask in the orbit gets its
+    class id.
     """
-    pairs = mask_pairs(n)
-    index = {pq: k for k, pq in enumerate(pairs)}
-    image = np.array(
-        [[1 << index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in pairs] for p in permutations(range(n))],
-        dtype=np.int64,
-    )
-    class_of = np.full(1 << len(pairs), -1, dtype=np.int32)
+    u, v = edge_pairs(n)
+    bit = np.zeros((n, n), dtype=np.int64)
+    bit[u, v] = bit[v, u] = 1 << np.arange(u.size)
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    image = bit[perms[:, u], perms[:, v]]
+    class_of = np.full(1 << u.size, -1, dtype=np.int32)
     reps: list[int] = []
     orbit: list[int] = []
     lo = 0
@@ -111,7 +113,7 @@ def class_map(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             lo += CHUNK
             continue
         rep = lo + int(free[0])
-        bits = [k for k in range(len(pairs)) if rep >> k & 1]
+        bits = [k for k in range(u.size) if rep >> k & 1]
         images = _distinct(np.bitwise_or.reduce(image[:, bits], axis=1))
         class_of[images] = len(reps)
         reps.append(rep)
@@ -125,15 +127,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     path, taken when no index, inverse or count is asked for, imports
     numpy.ma on first use."""
     return np.unique(a, return_counts=True)[0]
-
-
-def mask_adjacency(n: int, masks: np.ndarray) -> np.ndarray:
-    """The adjacency stack of the graph of every edge mask, (len(masks), n, n) bool."""
-    u, v = np.triu_indices(n, 1)  # edge bit k joins u[k] and v[k], as in mask_pairs(n)
-    bits = (masks[:, None] >> np.arange(u.size) & 1).astype(bool)
-    adj = np.zeros((masks.size, n, n), dtype=bool)
-    adj[:, u, v] = adj[:, v, u] = bits
-    return adj
 
 
 def _closure_and_diameter(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,10 +389,11 @@ def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> Swe
     verdict = theorem.predicate(data.table)
     escalate = np.flatnonzero((verdict.applicable & ~verdict.passed)[data.class_of])
     failures: list[TheoremReport] = []
-    for mask in escalate:
-        rep = theorem.check(graph_from_mask(n, int(mask)))
-        if rep.applicable and not rep.passed:
-            failures.append(rep)
+    for lo in range(0, escalate.size, verify.ROWS):
+        for g in graphs_of(mask_adjacency(n, escalate[lo : lo + verify.ROWS])):
+            rep = theorem.check(g)
+            if rep.applicable and not rep.passed:
+                failures.append(rep)
     applicable = int(data.orbit[verdict.applicable].sum())
     return SweepResult(tid, n, data.count, applicable, int(escalate.size), failures)
 
@@ -430,7 +424,7 @@ def eig_inertia_agreement(n: int) -> AgreementResult:
     data = sweep_data(n)
     tab = data.table
     ths = [Fraction(t) for t in range(2 * n - 1)]
-    graphs = [graph_from_mask(n, int(mask)) for mask in data.reps]
+    graphs = graphs_of(tab.adj)
     mismatches = []
     inband_total = 0
     for t in ths:

@@ -1,7 +1,7 @@
 """The theorem catalog: every per-graph statement written once, as a
 predicate over a table of graphs; the point checkers, the family checkers,
-exhaustive small-graph enumeration, seeded sampling, and counterexample
-search.
+seeded sampling (labeled edge masks decoded by jacobi.mask_adjacency), and
+counterexample search.
 
 Both graph tables share one shell, AdjacencyTable: a bool adjacency stack,
 its degrees, its G-e and G-v edits and its certified floating spectra
@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import ceil
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .invariants import (
     longest_path_length,
     matching_number,
 )
-from .jacobi import INEQ_SLACK, adjacency, certified_below, graphs_of, jacobi_batch, matrix_stack
+from .jacobi import INEQ_SLACK, adjacency, certified_below, edge_pairs, graphs_of, jacobi_batch, mask_adjacency, matrix_stack
 # unused here, but kept bound: the benchmark's tracer (perfbench/layers.py) wraps verify.eigenvalues_sym
 from .jacobi import eigenvalues_sym  # noqa: F401
 
@@ -80,57 +80,24 @@ class TheoremReport:
         return json.dumps(obj, sort_keys=True)
 
 
-# -- enumeration and sampling ---------------------------------------------------
+# -- sampling --------------------------------------------------------------------
 
 
 EXHAUSTIVE_LIMIT = 7
 SAMPLE_LIMIT = 16
 FAMILY_LIMIT = 32  # largest order of a family grid
-
-
-def mask_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs in the fixed enumeration order: (0,1),(0,2),...,(n-2,n-1)."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def graph_from_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]] | None = None) -> Graph:
-    pairs = pairs if pairs is not None else mask_pairs(n)
-    rows = [0] * n
-    for k, (u, v) in enumerate(pairs):
-        if mask >> k & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
-
-
-def graph_to_mask(g: Graph) -> int:
-    mask = 0
-    for k, (u, v) in enumerate(mask_pairs(g.n)):
-        if g.has_edge(u, v):
-            mask |= 1 << k
-    return mask
-
-
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """All labeled graphs on n vertices, in ascending bitmask order."""
-    if n > EXHAUSTIVE_LIMIT:
-        raise GraphError(
-            f"exhaustive enumeration limited to n <= {EXHAUSTIVE_LIMIT}, got {n}; use sample_graphs"
-        )
-    pairs = mask_pairs(n)
-    for mask in range(1 << len(pairs)):
-        yield graph_from_mask(n, mask, pairs)
+ROWS = 256  # graphs per float solve of a table (one chunk's Q(G) or L(G) stack at a time) and per mask decode
 
 
 def sample_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
-    """Uniform edge-probability 1/2 samples, deterministic under the seed."""
+    """Uniform edge-probability 1/2 samples, deterministic under the seed:
+    one labeled edge mask per draw, decoded ROWS draws at a time."""
     if not EXHAUSTIVE_LIMIT < n <= SAMPLE_LIMIT:
         raise GraphError(f"sampling is for {EXHAUSTIVE_LIMIT + 1} <= n <= {SAMPLE_LIMIT}, got {n}")
     rng = random.Random(seed)
-    pairs = mask_pairs(n)
-    nbits = len(pairs)
-    for _ in range(count):
-        yield graph_from_mask(n, rng.getrandbits(nbits), pairs)
+    nbits = n * (n - 1) // 2
+    for lo in range(0, count, ROWS):
+        yield from graphs_of(mask_adjacency(n, [rng.getrandbits(nbits) for _ in range(min(ROWS, count - lo))]))
 
 
 def is_k_c5(g: Graph) -> bool:
@@ -172,7 +139,7 @@ def is_k_c5(g: Graph) -> bool:
 #   needed and their values are unspecified;
 #   without_edges(): (rows, edges, table), where the table holds every
 #   graph minus each of its edges, one row per (row, edge present) pair,
-#   ordered by row and then by edge bit k of mask_pairs(n), and rows and
+#   ordered by row and then by edge bit k of jacobi.edge_pairs(n), and rows and
 #   edges hold that row and k; without_vertices(): the table of order n-1
 #   whose row i*n + v is graph i minus vertex v.
 
@@ -224,22 +191,25 @@ def edge_interlacing(tab) -> Verdict:
     checked = np.bincount(rows, minlength=tab.count)
     if not rows.size:
         return Verdict.columns(checked > 0, True, "no edges")
-    thresholds = range(0, 2 * n - 1)
+    # Q and L are positive semidefinite, so nothing lies below 0 and the
+    # thresholds start at 1
+    thresholds = range(1, 2 * n - 1)
     A, B = tab.vals[rows], sub.vals
-    cg = [tab.lt(t)[rows] for t in thresholds]
-    ch = [sub.lt(t) for t in thresholds]
+    cg = {t: tab.lt(t)[rows] for t in thresholds}
+    ch = {t: sub.lt(t) for t in thresholds}
     # failures in checking order: the chain at i = 1..n (the upper link
     # before the lower), then the counts at every threshold
-    fail = np.empty((rows.size, 4 * n - 2), dtype=bool)
+    fail = np.empty((rows.size, 4 * n - 3), dtype=bool)
     fail[:, 0 : 2 * n : 2] = ~(A >= B - INEQ_SLACK)
     fail[:, 1 : 2 * n - 1 : 2] = ~(B[:, : n - 1] >= A[:, 1:] - INEQ_SLACK)
     for t in thresholds:
-        fail[:, 2 * n - 1 + t] = np.abs(ch[t] - cg[t]) > 1
+        fail[:, 2 * n - 2 + t] = np.abs(ch[t] - cg[t]) > 1
+    u, v = edge_pairs(n)
 
     def witness(j: int, pos: int) -> dict:
-        edge, (i, lower) = list(mask_pairs(n)[edges[j]]), divmod(pos, 2)
+        edge, (i, lower) = [int(u[edges[j]]), int(v[edges[j]])], divmod(pos, 2)
         if pos >= 2 * n - 1:
-            t = pos - (2 * n - 1)
+            t = pos - (2 * n - 2)
             return {"edge": edge, "threshold": t, "count_G": cg[t][j], "count_Ge": ch[t][j]}
         if not lower:
             return {"edge": edge, "i": i + 1, "qi_G": A[j, i], "qi_Ge": B[j, i]}
@@ -362,9 +332,6 @@ def tail_eigenvalue_bound(tab) -> Verdict:
     return Verdict.columns(applicable, above <= delta + 1, note, **{"delta": delta, "count_above_n-3": above})
 
 
-ROWS = 256  # graphs per float solve of a table: one chunk's Q(G) or L(G) stack at a time
-
-
 class AdjacencyTable:
     """The shell of both graph tables: graphs of order n as a (count, n, n)
     bool stack adj, its degrees, and the certified spectra of Q(G) (or L(G),
@@ -391,7 +358,7 @@ class AdjacencyTable:
         return [kernel(matrix_stack(self.adj[lo : lo + ROWS], self.matrix)) for lo in range(0, max(self.count, 1), ROWS)]
 
     def without_edges(self) -> tuple[np.ndarray, np.ndarray, "AdjacencyTable"]:
-        u, v = np.triu_indices(self.n, 1)  # the pairs of mask_pairs(n), in order
+        u, v = edge_pairs(self.n)
         rows, edges = np.nonzero(self.adj[:, u, v])
         sub, j = self.adj[rows], np.arange(rows.size)
         sub[j, u[edges], v[edges]] = sub[j, v[edges], u[edges]] = False

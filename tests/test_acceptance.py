@@ -10,6 +10,7 @@ import random
 import sys
 
 import numpy as np
+from labeled import graph_from_mask
 
 from qdist import exact, sweeps, verify
 from qdist.graphs import (
@@ -32,7 +33,7 @@ from qdist.spectral import (
     kn_minus_e_spectrum,
     q_float,
 )
-from qdist.verify import check_diameter_main, graph_from_mask, sample_graphs
+from qdist.verify import check_diameter_main, sample_graphs
 
 _AGREEMENTS: dict[int, sweeps.AgreementResult] = {}
 

@@ -6,6 +6,7 @@ from math import inf
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from labeled import enumerate_graphs, graph_from_mask
 
 from qdist import sweeps
 from qdist.graphs import (
@@ -32,7 +33,7 @@ from qdist.invariants import (
     longest_path_length,
     matching_number,
 )
-from qdist.verify import enumerate_graphs, graph_from_mask, sample_graphs
+from qdist.verify import sample_graphs
 
 
 def diametral_path(g):

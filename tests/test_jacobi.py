@@ -1,17 +1,23 @@
 import math
+import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from labeled import graph_from_mask, mask_pairs
 
 from qdist import jacobi
 from qdist.jacobi import (
     ConvergenceError,
     SymmetryError,
+    edge_pairs,
     eigenvalues_sym,
+    graphs_of,
     interlacing_check,
     jacobi_batch,
+    mask_adjacency,
     weyl_check,
 )
 from qdist.exact import RationalMatrix, inertia
@@ -275,3 +281,40 @@ def test_large_orders_are_certified():
     s = eigenvalues_sym(q_float(cycle_graph(n)))
     expect = sorted((2 + 2 * math.cos(2 * math.pi * j / n) for j in range(n)), reverse=True)
     assert np.abs(np.array(s.values) - expect).max() <= s.residual
+
+
+# -- the labeled mask codec ------------------------------------------------------------
+
+
+def _reference_stack(n, masks):
+    rows = [[[g.has_edge(u, v) for v in range(n)] for u in range(n)] for g in map(partial(graph_from_mask, n), masks)]
+    return np.array(rows, dtype=bool).reshape(len(masks), n, n)
+
+
+def test_edge_pairs_are_the_row_order():
+    for n in range(0, 9):
+        u, v = edge_pairs(n)
+        assert list(zip(u.tolist(), v.tolist())) == mask_pairs(n), n
+
+
+def test_mask_adjacency_decodes_every_small_mask():
+    """Every mask at n <= 4 (n = 0, 1 and 2 among them) decodes to the
+    reference graph, as a bool stack and back through graphs_of."""
+    for n in range(0, 5):
+        masks = list(range(1 << len(mask_pairs(n))))
+        adj = mask_adjacency(n, masks)
+        assert adj.dtype == bool and adj.shape == (len(masks), n, n), n
+        assert np.array_equal(adj, _reference_stack(n, masks)), n
+        assert graphs_of(adj) == [graph_from_mask(n, m) for m in masks], n
+    assert mask_adjacency(3, []).shape == (0, 3, 3)
+    assert np.array_equal(mask_adjacency(3, np.array([5], dtype=np.int64)), mask_adjacency(3, [5]))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_mask_adjacency_decodes_wide_masks(n):
+    """Seeded masks of 66 and 120 bits, past int64, the full mask among them."""
+    width = len(mask_pairs(n))
+    rng = random.Random(n)
+    masks = [rng.getrandbits(width) for _ in range(40)] + [(1 << width) - 1, 1 << (width - 1)]
+    assert graphs_of(mask_adjacency(n, masks)) == [graph_from_mask(n, m) for m in masks]
+    assert np.array_equal(mask_adjacency(n, masks), _reference_stack(n, masks))

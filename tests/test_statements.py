@@ -6,9 +6,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from labeled import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs
 from test_invariants import longest_path_reference
 
-from qdist import exact, sweeps, verify
+from qdist import exact, jacobi, sweeps, verify
 from qdist.cli import main
 from qdist.graph6 import graph6_decode
 from qdist.graphs import (
@@ -24,7 +25,7 @@ from qdist.graphs import (
 )
 from qdist.invariants import matching_number
 from qdist.jacobi import adjacency
-from qdist.verify import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs, sample_graphs
+from qdist.verify import sample_graphs
 
 FALSE_ID = "false-delta1"
 FALSE_LONGEST_PATH = "false-longest-path"
@@ -99,6 +100,25 @@ def test_longest_path_negative_control_is_caught(false_statements, capsys):
             assert count == rep.witness["m_2_up"] < rep.witness["ell"] // 2 + 1
     assert (4, graph_to_mask(path_graph(4))) in found
     assert sum(mask_n == 5 for mask_n, _ in found) == 420
+
+
+def test_searches_decode_at_most_rows_masks_per_call(false_statements, monkeypatch):
+    """A search with budget 300 decodes its samples, and the 287 labeled
+    graphs that the negative control escalates at n = 5, at most
+    verify.ROWS masks per call of the one decoder (a search at n = 5 may
+    first decode the class representatives, unless they are cached)."""
+    sizes = []
+
+    def recording(n, masks):
+        sizes.append(len(masks))
+        return jacobi.mask_adjacency(n, masks)
+
+    monkeypatch.setattr(verify, "mask_adjacency", recording)
+    monkeypatch.setattr(sweeps, "mask_adjacency", recording)
+    for n in (5, 8):
+        verify.search_counterexamples(FALSE_ID, (n, n), budget=300, seed=1)
+    rows = verify.ROWS
+    assert max(sizes) == rows and sizes[-4:] == [rows, 287 - rows, rows, 300 - rows], sizes
 
 
 ROUTE_SAMPLE = 200

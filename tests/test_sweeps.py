@@ -16,13 +16,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from labeled import graph_from_mask, mask_pairs
 from test_statements import _route_graphs
 
 from qdist import exact, jacobi, sweeps, verify
 from qdist.graphs import complete_graph, cycle_graph, degrees, disjoint_union, is_connected
 from qdist.invariants import diameter, domination_number, independence_number, matching_number
 from qdist.spectral import q_float
-from qdist.verify import graph_from_mask, mask_pairs
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -226,7 +226,7 @@ def test_subset_scan_beyond_the_sweep_orders():
     rng = np.random.default_rng(8)
     for n in (8, 9, 10):
         masks = rng.integers(0, 1 << n * (n - 1) // 2, size=100, dtype=np.int64)
-        adj = sweeps.mask_adjacency(n, masks)
+        adj = jacobi.mask_adjacency(n, masks)
         if n <= 9:
             tab = sweeps.SweepTable(n, adj)
             got = tab.nu, tab.alpha, tab.gamma
@@ -308,7 +308,7 @@ def test_class_polynomials_match_every_labeled_graph():
         data = sweeps.sweep_data(n)
         for lo in range(0, data.count, 1 << 16):
             masks = np.arange(lo, min(lo + (1 << 16), data.count), dtype=np.int64)
-            got = sweeps.SweepTable(n, sweeps.mask_adjacency(n, masks)).poly
+            got = sweeps.SweepTable(n, jacobi.mask_adjacency(n, masks)).poly
             assert np.array_equal(got, data.table.poly[data.class_of[masks]]), (n, lo)
 
 

@@ -2,6 +2,7 @@ import json
 from math import ceil
 
 import pytest
+from labeled import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs
 
 from qdist import exact, sweeps, verify
 from qdist.graphs import (
@@ -41,11 +42,7 @@ from qdist.verify import (
     check_matching_upper,
     check_tail_eigenvalue_bound,
     check_vertex_deletion,
-    enumerate_graphs,
-    graph_from_mask,
-    graph_to_mask,
     is_k_c5,
-    mask_pairs,
     sample_graphs,
     search_counterexamples,
 )
@@ -69,11 +66,6 @@ def test_enumeration_excludes_c5_labelings():
 def test_enumeration_order_deterministic():
     masks = [graph_to_mask(g) for g in enumerate_graphs(3)]
     assert masks == list(range(8))
-
-
-def test_enumeration_limit():
-    with pytest.raises(Exception):
-        list(enumerate_graphs(8))
 
 
 def test_mask_round_trip():
@@ -414,14 +406,15 @@ def test_point_tables_send_few_rows_to_bareiss(monkeypatch):
 
 def test_edge_interlacing_counts_each_table_once_per_threshold(monkeypatch):
     # one table of G and one of all its G-e, each counted at every threshold
-    # 0..2n-2: 2(2n-1) certified_below calls per graph (one table per edge
-    # made 6,281 calls on these 18 graphs)
+    # 1..2n-2 (nothing lies below 0): 2(2n-2) certified_below calls per graph
+    # (one table per edge made 6,281 calls on these 18 graphs, and counting
+    # at 0 too made 612)
     calls = []
     real = verify.certified_below
     monkeypatch.setattr(verify, "certified_below", lambda *a: calls.append(a) or real(*a))
     seeded, _ = _point_graphs()
     assert all(check_edge_interlacing(g).passed for g in seeded)
-    assert len(seeded) == 18 and len(calls) == sum(2 * (2 * g.n - 1) for g in seeded) == 612
+    assert len(seeded) == 18 and len(calls) == sum(2 * (2 * g.n - 2) for g in seeded) == 576
     # the tables of G and of its G-e and G-v build their Graphs (verify.graphs_of)
     # only to send a row to Bareiss, and then once: the G-e tables of the 18
     # seeded graphs have such rows, those of the first four seeded graphs of
@@ -431,7 +424,7 @@ def test_edge_interlacing_counts_each_table_once_per_threshold(monkeypatch):
     for g in seeded + list(sample_graphs(16, 4, 17)):
         tab = verify.GraphTable(g.n, adjacency(g.n, [g]))
         stacks = [t.adj for t in (tab, tab.without_edges()[2])
-                  if not all(real(*t.spectra, k)[1].all() for k in range(2 * g.n - 1))]
+                  if not all(real(*t.spectra, k)[1].all() for k in range(1, 2 * g.n - 1))]
         built.clear()
         assert verify.edge_interlacing(tab).passed.all() and verify.vertex_deletion(tab).passed.all()
         assert [a.tolist() for a in built] == [a.tolist() for a in stacks] and (len(stacks) > 0) == (g.n < 16), g
@@ -501,6 +494,19 @@ def test_edge_interlacing_count_witness(monkeypatch):
     _spoil(monkeypatch, [(g, -0.5, None)] + [(remove_edge(g, u, v), -0.5, 10.0) for u, v in mask_pairs(5)])
     rep = check_edge_interlacing(g)
     assert (rep.passed, rep.witness) == (False, {"edge": [0, 1], "threshold": 3, "count_G": 4, "count_Ge": 1})
+
+
+def test_edge_interlacing_counts_from_threshold_one(monkeypatch):
+    """Q is positive semidefinite, so nothing lies below 0: the counts of G
+    and G-e start at threshold 1, and no row goes to Bareiss at 0. P4 and
+    C6 are bipartite, so 0 is an eigenvalue and their rows do not clear
+    there."""
+    calls, real = [], exact.graph_count_lt
+    monkeypatch.setattr(exact, "graph_count_lt", lambda g, t, matrix="Q": calls.append(t) or real(g, t, matrix))
+    for g in (path_graph(4), cycle_graph(6)):
+        calls.clear()
+        assert check_edge_interlacing(g).passed
+        assert calls and 0 not in calls, calls
 
 
 def test_vertex_deletion_witness(monkeypatch):
