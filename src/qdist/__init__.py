@@ -4,12 +4,13 @@ Laplacian eigenvalues of graphs.
 Submodules:
   graphs      immutable bitmask graphs, editing ops, named families
   graph6      graph6 text codec
-  exact       rational matrices, congruence inertia, quotient matrices
+  exact       congruence inertia of integer Q/L rows, rational matrices,
+              characteristic polynomials, quotient matrices
   jacobi      certified floating eigensolver (LAPACK eigh), adjacency stacks
               to and from Graphs, the labeled edge-mask codec (edge_pairs,
-              mask_adjacency), matrix_stack (every float Q/L stack),
-              inequality checkers
-  spectral    one-graph Q/L builders, interval counting, closed-form spectra
+              mask_adjacency), matrix_stack (every float Q/L stack)
+  spectral    one-graph Q/L builders, interval counting, the closed-form
+              spectra of K_n minus an edge and the split-clique family
   invariants  matching, diameter, independence, domination, longest path
   verify      theorem catalog, graph tables, sampling, search
   sweeps      exhaustive sweeps at n <= 7, one isomorphism class at a time

@@ -1,23 +1,25 @@
-"""Exact rational symmetric-matrix arithmetic.
+"""Exact integer and rational arithmetic for graph matrices.
 
-Inertia is computed by symmetric congruence elimination on an integer
-rescaling of the matrix (Sylvester's law of inertia makes the eigenvalue
-sign counts invariant under congruence, and scaling by a positive integer
-changes nothing). That turns "how many eigenvalues of Q(G) lie below the
-rational threshold x" into an exact integer computation, which is the
-authoritative counter everywhere the theorems compare counts against
-integer thresholds.
+Eigenvalue counts come from inertia, computed by fraction-free symmetric
+congruence elimination on integer rows (Sylvester's law of inertia makes
+the eigenvalue sign counts invariant under congruence, and scaling by a
+positive integer changes nothing). That turns "how many eigenvalues of
+Q(G) lie below the rational threshold x" into an exact integer
+computation, which is the authoritative counter everywhere the theorems
+compare counts against integer thresholds.
 
 graph_shift_rows builds the integer rows of Q(G) and L(G) (shifted by a
 threshold) that the congruence counter reads. Every float form of either
-matrix comes from jacobi.matrix_stack instead.
+matrix comes from jacobi.matrix_stack instead. RationalMatrix, char_poly
+and the quotient matrices of vertex partitions serve `qdist quotient` and
+the closed-form spectra of spectral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .graphs import Graph, GraphError
@@ -25,19 +27,6 @@ from .graphs import Graph, GraphError
 
 class MatrixError(ValueError):
     """Malformed matrix input (non-square, asymmetric where symmetry is required)."""
-
-
-@dataclass(frozen=True)
-class Inertia:
-    """Eigenvalue sign counts of a symmetric matrix: (negative, zero, positive)."""
-
-    n_minus: int
-    n_zero: int
-    n_plus: int
-
-    @property
-    def order(self) -> int:
-        return self.n_minus + self.n_zero + self.n_plus
 
 
 class RationalMatrix:
@@ -55,10 +44,6 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def is_symmetric(self) -> bool:
-        m = self.order
-        return all(self.rows[i][j] == self.rows[j][i] for i in range(m) for j in range(i + 1, m))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalMatrix) and self.rows == other.rows
 
@@ -73,15 +58,6 @@ class RationalMatrix:
     @staticmethod
     def identity(m: int) -> RationalMatrix:
         return RationalMatrix([[1 if i == j else 0 for j in range(m)] for i in range(m)])
-
-
-def _scaled_int_rows(M: RationalMatrix) -> tuple[list[list[int]], int]:
-    """Integer rows of den*M, with den the least common denominator of the entries."""
-    den = 1
-    for row in M.rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    return [[int(x * den) for x in row] for row in M.rows], den
 
 
 def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
@@ -177,45 +153,7 @@ def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
     return neg, zero, pos
 
 
-def inertia(M: RationalMatrix) -> Inertia:
-    if not M.is_symmetric():
-        raise MatrixError("inertia requires a symmetric matrix")
-    neg, zero, pos = _inertia_int(_scaled_int_rows(M)[0])
-    return Inertia(neg, zero, pos)
-
-
-# -- determinants and characteristic polynomials -----------------------------
-
-
-def _det_int(a: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    m = len(a)
-    if m == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, m) if a[i][k]), -1)
-            if swap < 0:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, m):
-            ai = a[i]
-            c = ai[k]
-            ak = a[k]
-            for j in range(k + 1, m):
-                ai[j] = (p * ai[j] - c * ak[j]) // prev
-            ai[k] = 0
-        prev = p
-    return sign * a[m - 1][m - 1]
-
-
-def det(M: RationalMatrix) -> Fraction:
-    rows, den = _scaled_int_rows(M)
-    return Fraction(_det_int(rows), den**M.order)
+# -- characteristic polynomials ------------------------------------------------
 
 
 def char_poly(M: RationalMatrix) -> list[Fraction]:

@@ -1,8 +1,9 @@
 """Simple undirected graphs on vertices 0..n-1, stored as adjacency bitmask rows.
 
 Graphs are immutable values: every editing operation returns a new Graph.
-Bitrow storage makes degree queries popcounts and induced subgraphs cheap,
-which is what the exhaustive enumeration workloads spend their time on.
+Bitrow storage makes degree queries popcounts and a BFS step one OR of
+neighbour rows per frontier vertex; bfs_distances is the one BFS, which
+is_connected and verify.is_k_c5 read.
 """
 
 from __future__ import annotations
@@ -105,30 +106,6 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph on the given vertex set, relabeled 0..|S|-1 preserving order."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise GraphError("induced subgraph needs a nonempty vertex set")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise GraphError(f"vertex out of range in {vs} with n={g.n}")
-    pos = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
-    for v in vs:
-        for w in _bits(g.adj[v]):
-            if w in pos:
-                rows[pos[v]] |= 1 << pos[w]
-    return Graph(len(vs), tuple(rows))
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range with n={g.n}")
-    if g.n == 1:
-        return make_empty(0)
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.adj) + [row << g.n for row in h.adj]
     return Graph(g.n + h.n, tuple(rows))
@@ -173,18 +150,7 @@ def bfs_distances(g: Graph, src: int) -> list[float]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adj[u]
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == (1 << g.n) - 1
+    return g.n <= 1 or inf not in bfs_distances(g, 0)
 
 
 # -- named families ----------------------------------------------------------

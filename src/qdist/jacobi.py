@@ -1,6 +1,5 @@
 """Floating symmetric eigensolver with an a-posteriori certificate, the
-matrix-inequality checkers built on it, the one conversion between Graphs
-and bool adjacency stacks (adjacency, and its inverse graphs_of), the one
+one conversion between Graphs and bool adjacency stacks (adjacency, and its inverse graphs_of), the one
 labeled edge-mask codec (edge_pairs states the edge order, mask_adjacency
 decodes masks of any width into a stack), and matrix_stack, the one
 builder of the float Q(G)/L(G) stacks it solves.
@@ -76,10 +75,6 @@ class Spectrum:
 
     values: tuple[float, ...]
     residual: float
-
-    def q(self, i: int) -> float:
-        """1-indexed i-th largest eigenvalue."""
-        return self.values[i - 1]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -214,58 +209,3 @@ def eigenvalues_sym(mat: Sequence[Sequence[float]] | np.ndarray) -> Spectrum:
     vals, residuals = jacobi_batch(A[None, :, :])
     return Spectrum(tuple(float(v) for v in vals[0]), float(residuals[0]))
 
-
-def weyl_check(
-    A: Sequence[Sequence[float]] | np.ndarray,
-    B: Sequence[Sequence[float]] | np.ndarray,
-    i: int,
-    j: int,
-    slack: float = INEQ_SLACK,
-) -> tuple[bool, tuple[float, float, float]]:
-    """Check rho_{i+j-1}(A+B) <= rho_i(A) + rho_j(B) (1-indexed) with slack.
-
-    Returns the flag and the witness triple (lhs, rho_i(A), rho_j(B)).
-    """
-    A = np.array(A, dtype=float)
-    B = np.array(B, dtype=float)
-    n = A.shape[0]
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    if not (1 <= i <= n and 1 <= j <= n and i + j - 1 <= n):
-        raise IndexError(f"indices (i={i}, j={j}) out of range for order {n}")
-    sa = eigenvalues_sym(A)
-    sb = eigenvalues_sym(B)
-    ss = eigenvalues_sym(A + B)
-    lhs = ss.q(i + j - 1)
-    ra, rb = sa.q(i), sb.q(j)
-    return lhs <= ra + rb + slack, (lhs, ra, rb)
-
-
-def interlacing_check(
-    M: Sequence[Sequence[float]] | np.ndarray,
-    rows: Sequence[int],
-    slack: float = INEQ_SLACK,
-) -> tuple[bool, list[tuple[float, float, float]]]:
-    """Cauchy interlacing for the principal submatrix on the given rows.
-
-    For each i, the witness row is (rho_{n-p+i}(M), rho_i(B), rho_i(M)); the
-    check passes iff the left value <= middle <= right holds with slack.
-    """
-    M = np.array(M, dtype=float)
-    idx = sorted(set(int(r) for r in rows))
-    if not idx:
-        raise ValueError("row subset must be nonempty")
-    n = M.shape[0]
-    if idx[0] < 0 or idx[-1] >= n:
-        raise IndexError(f"row subset {idx} out of range for order {n}")
-    p = len(idx)
-    sm = eigenvalues_sym(M)
-    sb = eigenvalues_sym(M[np.ix_(idx, idx)])
-    ok = True
-    witness = []
-    for i in range(1, p + 1):
-        lo, mid, hi = sm.q(n - p + i), sb.q(i), sm.q(i)
-        witness.append((lo, mid, hi))
-        if not (lo <= mid + slack and mid <= hi + slack):
-            ok = False
-    return ok, witness

@@ -1,7 +1,9 @@
 """Signless Laplacian and Laplacian matrices of one graph (q_float through
 jacobi.matrix_stack; the exact side builds its integer rows with
-exact.graph_shift_rows), interval eigenvalue counting, and closed-form
-spectra for the special families, kept symbolic where exact.
+exact.graph_shift_rows), interval eigenvalue counting, and the closed-form
+spectra that scripts/family_spectra.py prints: K_n minus an edge, and the
+diameter-3 split-clique family through its equitable quotient, kept
+symbolic where exact.
 
 Interval counts go through the exact congruence counter, never through
 floats: the statements under test compare counts at integer or rational
@@ -13,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, isqrt, pi, sqrt
+from math import isqrt, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -51,10 +53,6 @@ class Interval:
         lo = "[" if self.lo_closed else "("
         hi = "]" if self.hi_closed else ")"
         return f"{lo}{self.lo},{self.hi}{hi}"
-
-
-def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = False) -> Interval:
-    return Interval(Fraction(lo), Fraction(hi), lo_closed, hi_closed)
 
 
 _BOUND_RE = re.compile(
@@ -192,31 +190,6 @@ class Surd:
 
 
 @dataclass(frozen=True)
-class Cosine:
-    """2 + 2*cos(2*pi*j/n), the cycle eigenvalue form."""
-
-    n: int
-    j: int
-    mult: int
-
-    def to_float(self) -> float:
-        return 2.0 + 2.0 * cos(2.0 * pi * self.j / self.n)
-
-    def exact_value(self) -> Fraction | None:
-        # cos(2pi j/n) is rational only when it is 0, +-1/2 or +-1 (Niven)
-        frac = Fraction(self.j, self.n) % 1
-        if frac > Fraction(1, 2):
-            frac = 1 - frac
-        return {
-            Fraction(0): Fraction(4),
-            Fraction(1, 6): Fraction(3),
-            Fraction(1, 4): Fraction(2),
-            Fraction(1, 3): Fraction(1),
-            Fraction(1, 2): Fraction(0),
-        }.get(frac)
-
-
-@dataclass(frozen=True)
 class PolyRoot:
     """Root of a stored exact polynomial, located numerically inside a bracket."""
 
@@ -233,7 +206,7 @@ class PolyRoot:
         return None
 
 
-Entry = Rat | Surd | Cosine | PolyRoot
+Entry = Rat | Surd | PolyRoot
 
 
 @dataclass(frozen=True)
@@ -260,28 +233,6 @@ class ClosedFormSpectrum:
         return out
 
 
-def cycle_spectrum(n: int) -> ClosedFormSpectrum:
-    """Cycle eigenvalues 2 + 2cos(2pi*j/n), j = 0..n-1, grouped by conjugate pairs."""
-    if n < 3:
-        raise GraphError(f"cycle spectrum needs n >= 3, got {n}")
-    entries: list[Entry] = [Cosine(n, 0, 1)]
-    for j in range(1, n // 2 + 1):
-        if 2 * j == n:
-            entries.append(Cosine(n, j, 1))
-        else:
-            entries.append(Cosine(n, j, 2))
-    return ClosedFormSpectrum(tuple(entries))
-
-
-def complete_spectrum(n: int) -> ClosedFormSpectrum:
-    """{2n-2, (n-2)^[n-1]} for the complete graph (single vertex: {0})."""
-    if n < 1:
-        raise GraphError(f"complete spectrum needs n >= 1, got {n}")
-    if n == 1:
-        return ClosedFormSpectrum((Rat(Fraction(0), 1),))
-    return ClosedFormSpectrum((Rat(Fraction(2 * n - 2), 1), Rat(Fraction(n - 2), n - 1)))
-
-
 def kn_minus_e_spectrum(n: int) -> ClosedFormSpectrum:
     """{(3n-6 +- sqrt(n^2+4n-12))/2, (n-2)^[n-2]} for the complete graph minus an edge."""
     if n < 5:
@@ -294,17 +245,6 @@ def kn_minus_e_spectrum(n: int) -> ClosedFormSpectrum:
             Rat(Fraction(n - 2), n - 2),
         )
     )
-
-
-def k2_bipartite_spectrum(n: int) -> ClosedFormSpectrum:
-    """{n, n-2, 2^[n-3], 0} for the complete bipartite graph with a side of two."""
-    if n < 4:
-        raise GraphError(f"two-sided bipartite spectrum needs n >= 4, got {n}")
-    entries: list[Entry] = [Rat(Fraction(n), 1), Rat(Fraction(n - 2), 1)]
-    if n > 3:
-        entries.append(Rat(Fraction(2), n - 3))
-    entries.append(Rat(Fraction(0), 1))
-    return ClosedFormSpectrum(tuple(e for e in entries if e.mult > 0))
 
 
 def _bisect_root(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> float:
@@ -385,17 +325,6 @@ def gn32a_partial_spectrum(n: int, a: int) -> ClosedFormSpectrum:
         entries.append(Surd(5 * a + 4, disc, -1, 2, 1))
         entries.append(Rat(Fraction(a), 1))
     return ClosedFormSpectrum(tuple(entries))
-
-
-def path_q1_below_four(n: int) -> bool:
-    """Exact check that every Q(P_n) eigenvalue is strictly below 4.
-
-    Kept for the fact it states: the eigenvalues of Q(P_n) are
-    2 + 2cos(pi j/n), j = 1..n, all in [0, 4), the bound below which the
-    q_5 < 4 statements of the path-plus-clique families count."""
-    from .graphs import path_graph
-
-    return exact.graph_count_lt(path_graph(n), 4) == n
 
 
 # -- reports -------------------------------------------------------------------

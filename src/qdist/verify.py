@@ -28,7 +28,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import ceil
+from math import ceil, inf
 from typing import Callable, Iterator
 
 import numpy as np
@@ -38,7 +38,7 @@ from .graph6 import graph6_encode
 from .graphs import (
     Graph,
     GraphError,
-    _bits,
+    bfs_distances,
     cycle_graph,
     gndra,
     gndt,
@@ -101,27 +101,11 @@ def sample_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
 
 
 def is_k_c5(g: Graph) -> bool:
-    """True iff every component is a 5-cycle (all degrees 2, components of size 5)."""
-    if g.n == 0 or g.n % 5:
+    """True iff every component is a 5-cycle: all degrees 2 (so every
+    component is a cycle), and every vertex reaches exactly four others."""
+    if g.n == 0 or g.n % 5 or any(row.bit_count() != 2 for row in g.adj):
         return False
-    if any(row.bit_count() != 2 for row in g.adj):
-        return False
-    seen = 0
-    full = (1 << g.n) - 1
-    while seen != full:
-        start = (full ^ seen) & -(full ^ seen)
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        if comp.bit_count() != 5:
-            return False
-        seen |= comp
-    return True
+    return all(bfs_distances(g, v).count(inf) == g.n - 5 for v in range(g.n))
 
 
 # -- statements as predicates over a graph table ----------------------------------

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 from labeled import graph_from_mask
+from reference import complete_spectrum, cycle_spectrum, interlacing_check, k2_bipartite_spectrum, weyl_check
 
 from qdist import exact, sweeps, verify
 from qdist.graphs import (
@@ -22,17 +23,8 @@ from qdist.graphs import (
     path_graph,
 )
 from qdist.invariants import matching_number
-from qdist.jacobi import eigenvalues_sym, interlacing_check, weyl_check
-from qdist.spectral import (
-    PolyRoot,
-    Surd,
-    complete_spectrum,
-    cycle_spectrum,
-    gn32a_partial_spectrum,
-    k2_bipartite_spectrum,
-    kn_minus_e_spectrum,
-    q_float,
-)
+from qdist.jacobi import eigenvalues_sym
+from qdist.spectral import PolyRoot, Surd, gn32a_partial_spectrum, kn_minus_e_spectrum, q_float
 from qdist.verify import check_diameter_main, sample_graphs
 
 _AGREEMENTS: dict[int, sweeps.AgreementResult] = {}

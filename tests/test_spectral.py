@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import Cosine, complete_spectrum, cycle_spectrum, k2_bipartite_spectrum
 
 from qdist import exact
 from qdist.graphs import (
@@ -19,20 +20,14 @@ from qdist.graphs import (
 )
 from qdist.jacobi import eigenvalues_sym
 from qdist.spectral import (
-    Cosine,
     Interval,
     IntervalError,
     PolyRoot,
     Surd,
-    complete_spectrum,
-    cycle_spectrum,
     gn32a_partial_spectrum,
-    interval,
-    k2_bipartite_spectrum,
     kn_minus_e_spectrum,
     m_count,
     parse_interval,
-    path_q1_below_four,
     q_float,
     spectrum_report,
 )
@@ -97,7 +92,7 @@ def test_nonbipartite_spectra_differ():
 
 
 def test_interval_basics():
-    iv = interval(0, 1)
+    iv = Interval(Fraction(0), Fraction(1), True, False)
     assert str(iv) == "[0,1)"
     assert str(Interval(Fraction(2), Fraction(2), True, True)) == "[2,2]"
     with pytest.raises(IntervalError):
@@ -136,9 +131,9 @@ def test_parse_interval_rejects():
 
 
 def test_m_count_examples():
-    assert m_count(cycle_graph(5), interval(0, 1)) == 2
-    assert m_count(complete_bipartite(2, 3), interval(0, 1)) == 1
-    assert m_count(complete_graph(6), interval(0, 4)) == 0
+    assert m_count(cycle_graph(5), Interval(Fraction(0), Fraction(1), True, False)) == 2
+    assert m_count(complete_bipartite(2, 3), Interval(Fraction(0), Fraction(1), True, False)) == 1
+    assert m_count(complete_graph(6), Interval(Fraction(0), Fraction(4), True, False)) == 0
     # closed interval picks up the eigenvalue n-2 = 4 with multiplicity n-1
     assert m_count(complete_graph(6), Interval(Fraction(0), Fraction(4), True, True)) == 5
 
@@ -156,7 +151,7 @@ def test_m_count_additivity(g, frac):
 @given(small_random_graphs(4), small_random_graphs(4))
 @settings(max_examples=40, deadline=None)
 def test_m_count_disjoint_union_additive(g, h):
-    iv = interval(0, 1)
+    iv = Interval(Fraction(0), Fraction(1), True, False)
     assert m_count(disjoint_union(g, h), iv) == m_count(g, iv) + m_count(h, iv)
 
 
@@ -289,7 +284,8 @@ def test_surd_exact_when_square():
 
 @pytest.mark.parametrize("n", [2, 5, 17, 40, 64])
 def test_path_q1_below_four(n):
-    assert path_q1_below_four(n)
+    # Q(P_n) has the eigenvalues 2 + 2cos(pi j/n), j = 1..n, all in [0, 4)
+    assert exact.graph_count_lt(path_graph(n), 4) == n
 
 
 def test_spectrum_report_shape():

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 from labeled import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs
+from reference import delete_vertex
 from test_invariants import longest_path_reference
 
 from qdist import exact, jacobi, sweeps, verify
@@ -17,7 +18,6 @@ from qdist.graphs import (
     complete_graph,
     cycle_graph,
     degrees,
-    delete_vertex,
     is_connected,
     make_empty,
     path_graph,
@@ -170,8 +170,8 @@ def _same_columns(a, b, names=("mindeg", "maxdeg", "conn", "nu", "alpha", "gamma
 def test_table_sources_agree_on_columns(n):
     """The columns and sub-tables every predicate reads, from the sweep
     kernels and from the per-graph kernels, equal in both directions. The
-    shell's G-e and G-v stacks equal graphs.remove_edge and
-    graphs.delete_vertex on each route graph, in contract order (by row,
+    shell's G-e and G-v stacks equal graphs.remove_edge and the reference
+    delete_vertex on each route graph, in contract order (by row,
     then by edge bit of mask_pairs(n) or by vertex), and the GraphTables
     hold those Graphs, built back from their stacks by jacobi.graphs_of."""
     by_rows, by_graphs = _tables(n)

@@ -1,6 +1,7 @@
 import json
 from math import ceil
 
+import networkx as nx
 import pytest
 from labeled import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs
 
@@ -93,6 +94,30 @@ def test_is_k_c5():
     assert not is_k_c5(disjoint_union(cycle_graph(5), cycle_graph(6)))
     assert not is_k_c5(complete_graph(5))
     assert not is_k_c5(make_empty(5))
+
+
+def _bfs_cases():
+    """Every labeled graph with n <= 5, seeded samples at n = 10..16, kC5
+    for k = 1..4, and graphs near kC5 that are not: C10 and C15 (every
+    degree 2, n divisible by 5), C5 + C6, C3 + C7 and C5 + K1."""
+    yield from (g for n in range(6) for g in enumerate_graphs(n))
+    yield from (g for n in range(10, 17) for g in sample_graphs(n, 30, seed=n))
+    yield from (k_copies(cycle_graph(5), k) for k in range(1, 5))
+    yield from (cycle_graph(10), cycle_graph(15), disjoint_union(cycle_graph(5), cycle_graph(6)))
+    yield from (disjoint_union(cycle_graph(3), cycle_graph(7)), disjoint_union(cycle_graph(5), make_empty(1)))
+
+
+def test_one_bfs_matches_networkx():
+    """is_connected and is_k_c5 both read graphs.bfs_distances; networkx
+    decides the same questions its own way. networkx calls no graph on no
+    vertices connected or not; qdist calls it connected."""
+    c5 = nx.cycle_graph(5)
+    for g in _bfs_cases():
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        assert is_connected(g) == (g.n == 0 or nx.is_connected(h)), g
+        components = [h.subgraph(c) for c in nx.connected_components(h)]
+        assert is_k_c5(g) == (g.n > 0 and all(nx.is_isomorphic(c, c5) for c in components)), g
 
 
 # -- point checkers -----------------------------------------------------------------
