@@ -13,11 +13,14 @@ Submodules:
               spectra of K_n minus an edge and the split-clique family
   invariants  matching, diameter, independence, domination, longest path
   verify      theorem catalog, graph tables, sampling, search
+  quotients   family-grid counts on the twin quotient: exact clique
+              eigenvalues, certified stacked quotients, no member graphs
   sweeps      exhaustive sweeps at n <= 7, one isomorphism class at a time
   cli         command-line front end
 
 Each subcommand of cli imports only the modules it runs: sweeps only for an
-exhaustive sweep, spectral only for `qdist spectrum` and `qdist count`.
+exhaustive sweep, quotients only for a family grid or checker, spectral
+only for `qdist spectrum` and `qdist count`.
 """
 
 import os

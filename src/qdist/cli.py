@@ -4,8 +4,9 @@ invariants, run verification campaigns, emit reports.
 Exit codes: 0 success, 1 verification failure found, 2 usage error.
 
 sweeps and spectral are imported inside the subcommands that run them, so a
-sampled search or a family verify starts without loading either; csv is
-imported only for `verify --output csv`.
+sampled search or a family verify starts without loading either (verify
+loads quotients only for a family grid or checker); csv is imported only
+for `verify --output csv`.
 """
 
 from __future__ import annotations

@@ -13,12 +13,14 @@ sweeps evaluate the same predicates on the sweeps.SweepTable of the class
 representatives (stacked kernels) and hand every labeled member of a class
 that does not pass to the point checkers, so a reported failure always
 rests on the per-graph kernels. Interval counts are exact or certified,
-never rounded floats: integer characteristic polynomials in the sweeps,
-and in GraphTable, which serves both the point checkers and the family
-grids, the certified spectra wherever every eigenvalue clears the
-threshold by its certified bound, with congruence inertia for every other
-row that is needed. The interlacing-chain statements also compare floating
-eigenvalues directly, with a fixed 1e-8 slack. Hypothesis failures report
+never rounded floats: integer characteristic polynomials in the sweeps;
+in GraphTable, the point checkers' table, the certified spectra wherever
+every eigenvalue clears the threshold by its certified bound, with
+congruence inertia for every other row that is needed; and in the family
+grids, exact twin eigenvalues plus the certified spectra of the equitable
+quotient, with inertia of its integer form where they do not clear. The
+interlacing-chain statements also compare floating eigenvalues directly,
+with a fixed 1e-8 slack. Hypothesis failures report
 "not applicable" rather than "pass" so pass counts measure real coverage.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import ceil, inf
 from typing import Callable, Iterator
 
@@ -35,15 +37,9 @@ import numpy as np
 
 from . import exact
 from .graph6 import graph6_encode
-from .graphs import (
-    Graph,
-    GraphError,
-    bfs_distances,
-    cycle_graph,
-    gndra,
-    gndt,
-    is_connected,
-)
+from .graphs import Graph, GraphError, bfs_distances, is_connected
+# unused here, but kept bound: the benchmark's tracer (perfbench/layers.py) wraps verify.gndt, gndra and cycle_graph
+from .graphs import cycle_graph, gndra, gndt  # noqa: F401
 from .invariants import (
     diameter,
     domination_number,
@@ -356,8 +352,8 @@ class AdjacencyTable:
 
 
 class GraphTable(AdjacencyTable):
-    """The statements' table of the point checkers and the family grids,
-    over an adjacency stack of any order. A count comes from the certified
+    """The statements' table of the point checkers, over an adjacency stack
+    of any order. A count comes from the certified
     spectra of Q(G) (or of L(G) with matrix "L") wherever every eigenvalue
     of a row clears the threshold (jacobi.certified_below); exact
     congruence inertia of the same matrix counts the rows of where that do
@@ -434,13 +430,15 @@ check_tail_eigenvalue_bound = _checker("tail-eigenvalue-bound", tail_eigenvalue_
 #
 # A family statement has one instance per parameter tuple, and one checker
 # that takes the tuple as its positional arguments. family_parameters lists
-# the tuples of one order; it feeds both the grid (iter_family_reports) and
-# the counts the checkers read, which _family_chunk takes from the GraphTable
-# of FAMILY_STACK members at a time.
+# the tuples of one order. iter_family_reports counts every tuple of one
+# order at a time with quotients.family_counts (exact twin eigenvalues plus
+# the certified equitable quotient; no member graph is built) and hands
+# each checker call its own counts; a checker called without them counts
+# only its own instance. quotients is imported only here, so a run without
+# a family grid never loads it.
 
 
 FAMILY_MIN = 7  # smallest order of a verify family grid
-FAMILY_STACK = 32  # members per family GraphTable: at most one ROWS chunk, so one family call is one solve
 
 
 def family_parameters(theorem_id: str, n: int) -> Iterator[tuple[int, ...]]:
@@ -472,70 +470,30 @@ def family_parameters(theorem_id: str, n: int) -> Iterator[tuple[int, ...]]:
         raise KeyError(f"{theorem_id!r} is not a family theorem")
 
 
-def _family_member(theorem_id: str, n: int, *rest: int) -> tuple[Graph, int]:
-    """The graph of one family instance and the threshold of its counts."""
-    if theorem_id == "cycle-matching":
-        return cycle_graph(n), 1
-    if theorem_id == "family-counts":
-        d, t, *a = rest
-        return (gndra(n, d, t, *a) if a else gndt(n, d, t)), n - d + 1
-    if theorem_id == "family-gndra-q5":
-        return gndra(n, n - 3, rest[0], 1), 4
-    if theorem_id == "diameter-3-equality":
-        return (gndra(n, 3, 2, *rest) if rest else gndt(n, 3, 2)), n - 3
-    d, t = rest  # gndt-laplacian-count
-    return gndt(n, d, t), n - d + 1
-
-
-@lru_cache(maxsize=None)
-def _family_chunk(theorem_id: str, n: int, chunk: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The counts of the FAMILY_STACK instances from position chunk *
-    FAMILY_STACK of family_parameters(theorem_id, n), keyed by their checker
-    arguments: the count below the instance's threshold, from the GraphTable
-    of the chunk's members; for diameter-3-equality also the count at most
-    it and the member's diameter; for gndt-laplacian-count the count of
-    L(G) first, then that of Q(G). A failed certificate raises
-    ConvergenceError and caches nothing."""
-    keys = list(_family_grid(theorem_id, n))[chunk * FAMILY_STACK : (chunk + 1) * FAMILY_STACK]
-    graphs, ts = zip(*(_family_member(theorem_id, *p) for p in keys))
-    adj = adjacency(n, graphs)
-    tab = GraphTable(n, adj)
-    if theorem_id == "diameter-3-equality":
-        columns = (tab.lt(ts), tab.le(ts), tab.diam)
-    elif theorem_id == "gndt-laplacian-count":
-        columns = (GraphTable(n, adj, "L").lt(ts), tab.lt(ts))
-    else:
-        columns = (tab.lt(ts),)
-    return dict(zip(keys, zip(*(c.tolist() for c in columns))))
-
-
-@lru_cache(maxsize=None)
-def _family_grid(theorem_id: str, n: int) -> dict[tuple[int, ...], int]:
-    """The position of every tuple of family_parameters(theorem_id, n)."""
-    return {p: i for i, p in enumerate(family_parameters(theorem_id, n))}
-
-
 def _family_row(theorem_id: str, *key: int) -> tuple[int, ...]:
-    """The counts of the instance whose checker arguments are key (n
-    first), from the one chunk that holds it. Raises GraphError, before
-    any table is built, when key is not a tuple of family_parameters."""
-    position = _family_grid(theorem_id, key[0]).get(key)
-    if position is None:
+    """The counts of the one instance whose checker arguments are key (n
+    first). Raises GraphError, before any count, when key is not a tuple
+    of family_parameters."""
+    if key not in family_parameters(theorem_id, key[0]):
         raise GraphError(f"{theorem_id} has no instance with arguments {key}")
-    return _family_chunk(theorem_id, key[0], position // FAMILY_STACK)[key]
+    from . import quotients
+
+    return quotients.family_counts(theorem_id, [key])[0]
 
 
-def check_cycle_matching(n: int) -> TheoremReport:
+def check_cycle_matching(n: int, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
     """Cycle count below 1 matches the ceil(n/3) residue formula and, off the
     5-cycle, stays at most the matching number minus one (n >= 3)."""
-    (m,) = _family_row("cycle-matching", n)
+    (m,) = counts or _family_row("cycle-matching", n)
     expected = ceil(n / 3) if n % 3 == 2 else ceil(n / 3) - 1
     nu = n // 2
     ok = m == expected and (n == 5 or m <= nu - 1)
     return TheoremReport("cycle-matching", f"cycle(n={n})", ok, witness={"m01": m, "formula": expected, "nu": nu})
 
 
-def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> TheoremReport:
+def check_family_counts(
+    n: int, d: int, t: int, a: int | None = None, *, counts: tuple[int, ...] | None = None
+) -> TheoremReport:
     """Interval-count bounds for the path-plus-clique families.
 
     Three-parameter family (a is None, 2 <= t <= d <= n-3): at least d
@@ -543,10 +501,10 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
     1 <= a <= n-d-2): the same bound; when d = n-3 additionally q_5 < 4.
     """
     if a is None:
-        (below,) = _family_row("family-counts", n, d, t)
+        (below,) = counts or _family_row("family-counts", n, d, t)
         instance = f"gndt(n={n},d={d},t={t})"
     else:
-        (below,) = _family_row("family-counts", n, d, t, a)
+        (below,) = counts or _family_row("family-counts", n, d, t, a)
         instance = f"gndra(n={n},d={d},r={t},a={a})"
     witness: dict = {"m_below_n-d+1": below, "required": d}
     ok = below >= d
@@ -557,9 +515,9 @@ def check_family_counts(n: int, d: int, t: int, a: int | None = None) -> Theorem
     return TheoremReport("family-counts", instance, ok, witness=witness)
 
 
-def check_gndra_q5(n: int, t: int) -> TheoremReport:
+def check_gndra_q5(n: int, t: int, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
     """q_5 < 4 for the four-parameter family at d = n-3, a = 1 (2 <= t <= n-4)."""
-    (below4,) = _family_row("family-gndra-q5", n, t)
+    (below4,) = counts or _family_row("family-gndra-q5", n, t)
     return TheoremReport(
         "family-gndra-q5",
         f"gndra(n={n},d={n - 3},r={t},a=1)",
@@ -568,25 +526,25 @@ def check_gndra_q5(n: int, t: int) -> TheoremReport:
     )
 
 
-def check_diameter3_equality(n: int, a: int | None = None) -> TheoremReport:
+def check_diameter3_equality(n: int, a: int | None = None, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
     """Equality witnesses for the diameter-3 bound (n >= 7, 1 <= a <= n-5):
     the path-plus-clique families have exactly two eigenvalues below n-3,
     exactly n-4 equal to n-3, and the rest above."""
     if a is None:
-        lt, le, diam = _family_row("diameter-3-equality", n)
+        lt, le, diam = counts or _family_row("diameter-3-equality", n)
         instance = f"gndt(n={n},d=3,t=2)"
     else:
-        lt, le, diam = _family_row("diameter-3-equality", n, a)
+        lt, le, diam = counts or _family_row("diameter-3-equality", n, a)
         instance = f"gndra(n={n},d=3,r=2,a={a})"
     witness = {"m_below_n-3": lt, "mult_at_n-3": le - lt}
     ok = lt == 2 and le - lt == n - 4 and diam == 3
     return TheoremReport("diameter-3-equality", instance, ok, witness=witness)
 
 
-def check_gndt_laplacian_count(n: int, d: int, t: int) -> TheoremReport:
+def check_gndt_laplacian_count(n: int, d: int, t: int, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
     """The three-parameter family has exactly d-1 Laplacian eigenvalues in
     [0, n-d+1) when d <= n-5 and 3 <= t <= d-1, against at least d signless ones."""
-    lap, signless = _family_row("gndt-laplacian-count", n, d, t)
+    lap, signless = counts or _family_row("gndt-laplacian-count", n, d, t)
     ok = lap == d - 1 and signless >= d
     return TheoremReport(
         "gndt-laplacian-count",
@@ -648,12 +606,23 @@ def canonical_theorem_id(theorem_id: str) -> str:
 
 def iter_family_reports(theorem_id: str, n_lo: int, n_hi: int) -> Iterator[TheoremReport]:
     """Run a family checker over every instance of the grid n_lo..n_hi, one
-    report at a time. The checker is looked up on this module at each call."""
+    report at a time. The counts of one order are computed together, before
+    its first report, and handed to each call; no more than one order's
+    counts are held. The checker is looked up on this module at each call."""
     tid = canonical_theorem_id(theorem_id)
     if tid not in FAMILY_THEOREM_IDS:
         raise KeyError(f"{theorem_id!r} is not a family theorem")
     name = FAMILY_CHECKERS[tid]
-    return (globals()[name](*p) for n in range(n_lo, n_hi + 1) for p in family_parameters(tid, n))
+
+    def reports() -> Iterator[TheoremReport]:
+        from . import quotients
+
+        for n in range(n_lo, n_hi + 1):
+            params = list(family_parameters(tid, n))
+            for p, counts in zip(params, quotients.family_counts(tid, params)):
+                yield globals()[name](*p, counts=counts)
+
+    return reports()
 
 
 def family_grid_reports(theorem_id: str, n_lo: int, n_hi: int) -> list[TheoremReport]:

@@ -113,7 +113,7 @@ def test_verify_family_theorem(capsys):
 def test_verify_csv_quotes_family_instances(monkeypatch, capsys):
     # a family instance such as gndra(n=7,d=4,r=2,a=1) holds commas
     real = verify.check_gndra_q5
-    monkeypatch.setattr(verify, "check_gndra_q5", lambda *a: dataclasses.replace(real(*a), passed=False))
+    monkeypatch.setattr(verify, "check_gndra_q5", lambda *a, **k: dataclasses.replace(real(*a, **k), passed=False))
     assert main(["verify", "--theorem", "family-gndra-q5", "--family-max", "8", "--output", "csv"]) == 1
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     want = [real(n, t).instance for n in (7, 8) for t in range(2, n - 3)]
@@ -300,7 +300,6 @@ def test_failed_family_certificate_exits_two_without_a_grid_line(monkeypatch, ca
         w, v = real(a)
         return w + 1e-10, v
 
-    verify._family_chunk.cache_clear()
     monkeypatch.setattr(jacobi.np.linalg, "eigh", shifted)
     assert main(["verify", "--theorem", "family-counts", "--family-max", "8"]) == 2
     out = capsys.readouterr()

@@ -1,11 +1,11 @@
 import json
-from math import ceil
 
 import networkx as nx
+import numpy as np
 import pytest
 from labeled import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs
 
-from qdist import exact, sweeps, verify
+from qdist import exact, quotients, sweeps, verify
 from qdist.graphs import (
     Graph,
     GraphError,
@@ -249,28 +249,36 @@ def test_gndt_laplacian_count_examples():
 
 
 def _family_rows(tid, n):
-    """The counts of every instance at order n, read through the chunks in order."""
-    chunks = range(ceil(len(list(verify.family_parameters(tid, n))) / verify.FAMILY_STACK))
-    return {key: row for s in chunks for key, row in verify._family_chunk(tid, n, s).items()}
+    """The engine's counts of every instance at order n, keyed by checker arguments."""
+    params = list(verify.family_parameters(tid, n))
+    return dict(zip(params, quotients.family_counts(tid, params)))
+
+
+def _member(tid, params):
+    """The member Graph of one family instance and the threshold of its counts, built here."""
+    n, *rest = params
+    if tid == "cycle-matching":
+        return cycle_graph(n), 1
+    if tid == "family-counts":
+        d, t, *a = rest
+        return (gndra(n, d, t, *a) if a else gndt(n, d, t)), n - d + 1
+    if tid == "family-gndra-q5":
+        return gndra(n, n - 3, rest[0], 1), 4
+    if tid == "diameter-3-equality":
+        return (gndra(n, 3, 2, *rest) if rest else gndt(n, 3, 2)), n - 3
+    d, t = rest
+    return gndt(n, d, t), n - d + 1
 
 
 def _bareiss_row(tid, params):
-    """The counts _family_chunk should hold for one instance, from Bareiss on the member built here."""
-    n, *rest = params
+    """The counts the engine should give one instance, from Bareiss on the member built here."""
+    g, x = _member(tid, params)
     lt = exact.graph_count_lt
-    if tid == "cycle-matching":
-        return (lt(cycle_graph(n), 1),)
-    if tid == "family-counts":
-        d, t, *a = rest
-        return (lt(gndra(n, d, t, *a) if a else gndt(n, d, t), n - d + 1),)
-    if tid == "family-gndra-q5":
-        return (lt(gndra(n, n - 3, rest[0], 1), 4),)
     if tid == "diameter-3-equality":
-        g = gndra(n, 3, 2, *rest) if rest else gndt(n, 3, 2)
-        return (lt(g, n - 3), exact.graph_count_le(g, n - 3), diameter(g))
-    d, t = rest
-    g = gndt(n, d, t)
-    return (lt(g, n - d + 1, matrix="L"), lt(g, n - d + 1))
+        return (lt(g, x), exact.graph_count_le(g, x), diameter(g))
+    if tid == "gndt-laplacian-count":
+        return (lt(g, x, matrix="L"), lt(g, x))
+    return (lt(g, x),)
 
 
 def test_family_tables_equal_bareiss():
@@ -282,55 +290,118 @@ def test_family_tables_equal_bareiss():
                 assert row == _bareiss_row(tid, params), (tid, params)
 
 
+def test_family_tables_equal_full_matrix_tables():
+    # an independent float route: the certified spectra of every member's
+    # full Q(G) (and L(G)) in GraphTable, with its own Bareiss rows
+    for tid in verify.FAMILY_THEOREM_IDS:
+        for n in range(7, 23):
+            rows = _family_rows(tid, n)
+            if not rows:
+                continue
+            graphs, ts = zip(*(_member(tid, p) for p in rows))
+            tab = verify.GraphTable(n, adjacency(n, graphs))
+            if tid == "diameter-3-equality":
+                columns = (tab.lt(ts), tab.le(ts), tab.diam)
+            elif tid == "gndt-laplacian-count":
+                columns = (verify.GraphTable(n, tab.adj, "L").lt(ts), tab.lt(ts))
+            else:
+                columns = (tab.lt(ts),)
+            assert list(rows.values()) == list(zip(*(c.tolist() for c in columns))), (tid, n)
+
+
+def test_family_cells_are_equitable_with_the_integer_quotient():
+    # the cells are consecutive vertex ranges of the member; each partition
+    # is equitable and its integer form at threshold 0 is diag(s) times the
+    # quotient matrix of Q(G)
+    members = 0
+    for tid in verify.FAMILY_THEOREM_IDS:
+        for n in range(7, 17):
+            for params in verify.family_parameters(tid, n):
+                d, joins, t = quotients._family_cells(tid, *params)
+                E, s = quotients._cell_edges(d + 1 + len(joins), [(d, joins, t)], tid == "cycle-matching")
+                ends = np.cumsum(s[0]).tolist()
+                cells = exact.Partition.of([range(hi - k, hi) for hi, k in zip(ends, s[0].tolist())])
+                g, x = _member(tid, params)
+                assert ends[-1] == g.n and t == x
+                assert exact.is_equitable(g, cells), (tid, params)
+                B = exact.quotient_matrix(g, cells).rows
+                scaled = [[k * b for b in row] for k, row in zip(s[0].tolist(), B)]
+                assert quotients._integer_form(E[0], s[0], 1, 0) == scaled, (tid, params)
+                members += 1
+    assert members == 1630
+
+
+def test_cell_graph_diameter_equals_the_member_diameter():
+    members = 0
+    for n in range(7, verify.FAMILY_LIMIT + 1):
+        for params, (_, _, diam) in _family_rows("diameter-3-equality", n).items():
+            assert diam == diameter(_member("diameter-3-equality", params)[0]) == 3, params
+            members += 1
+    assert members == 403
+
+
 def test_family_tables_send_only_threshold_eigenvalues_to_bareiss(monkeypatch):
     # C_n has the eigenvalue 1 when 3 divides n, every diameter-3 member
-    # has n-3 with multiplicity n-4, and 7 family-counts members have
-    # n-d+1; every other member of orders 7..16 is counted from the floats
+    # has n-3 in its quotient, and the quotients of 7 family-counts members
+    # have n-d+1; every other member of orders 7..16 is counted from the
+    # twins and the certified floats. A member and its mirror image share
+    # one count (the 75 diameter-3 members are 45 up to mirroring, the 7
+    # family-counts members 6), and one inertia gives both counts of a
+    # diameter-3-equality member.
     calls = []
-    for name in ("graph_count_lt", "graph_count_le"):
-        real = getattr(exact, name)
-        monkeypatch.setattr(exact, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
-    verify._family_chunk.cache_clear()
+    real = exact._inertia_int
+    monkeypatch.setattr(exact, "_inertia_int", lambda a: calls.append(len(a)) or real(a))
     resolved = {}
-    try:
-        for tid in verify.FAMILY_THEOREM_IDS:
-            before = len(calls)
-            for n in range(7, 17):
-                _family_rows(tid, n)
-            resolved[tid] = len(calls) - before
-    finally:
-        verify._family_chunk.cache_clear()
-    # one call per count read: diameter-3-equality reads the count below and at most n-3
+    for tid in verify.FAMILY_THEOREM_IDS:
+        before = len(calls)
+        for n in range(7, 17):
+            _family_rows(tid, n)
+        resolved[tid] = len(calls) - before
     assert resolved == {
         "cycle-matching": 3,
-        "family-counts": 7,
+        "family-counts": 6,
         "family-gndra-q5": 0,
-        "diameter-3-equality": 2 * 75,
+        "diameter-3-equality": 45,
         "gndt-laplacian-count": 0,
     }
-    assert len(calls) == 3 + 7 + 2 * 75
+    assert len(calls) == 3 + 6 + 45
+
+
+def test_family_stacks_hold_the_quotients_only(monkeypatch):
+    # orders 7..22: the stacked quotients hold at most half the entries of
+    # the member matrices they stand for (one per instance, two for
+    # gndt-laplacian-count; 1,250,440 with every mirror image solved too),
+    # and no stack has more than FAMILY_STACK rows
+    stacks = []
+    real = quotients.jacobi_batch
+    monkeypatch.setattr(quotients, "jacobi_batch", lambda mats: stacks.append(mats.shape) or real(mats))
+    member_entries = 0
+    for tid in verify.FAMILY_THEOREM_IDS:
+        matrices = 2 if tid == "gndt-laplacian-count" else 1
+        for n in range(7, 23):
+            member_entries += matrices * n * n * len(_family_rows(tid, n))
+    quotient_entries = sum(rows * m * m for rows, m, _ in stacks)
+    assert max(rows for rows, _, _ in stacks) <= quotients.FAMILY_STACK
+    assert (quotient_entries, member_entries) == (642_768, 2_630_628)
+    assert quotient_entries <= 0.5 * member_entries
 
 
 def test_one_off_family_call_counts_one_chunk(monkeypatch):
-    # check_family_counts(32, 3, 2) needs one of the 4,060 members of order
-    # 32; only the FAMILY_STACK chunk that holds it is built and counted
-    counted = []
-    real = verify.jacobi_batch
-    monkeypatch.setattr(verify, "jacobi_batch", lambda mats: counted.append(len(mats)) or real(mats))
-    verify._family_chunk.cache_clear()
-    try:
-        rep = check_family_counts(32, 3, 2)
-    finally:
-        verify._family_chunk.cache_clear()
+    # check_family_counts(32, 3, 2) solves only its own quotient: a path of
+    # four cells and one clique cell of 28 vertices, order 5
+    stacks = []
+    real = quotients.jacobi_batch
+    monkeypatch.setattr(quotients, "jacobi_batch", lambda mats: stacks.append(mats.shape) or real(mats))
+    rep = check_family_counts(32, 3, 2)
     assert rep.passed and rep.witness["m_below_n-d+1"] == exact.graph_count_lt(gndt(32, 3, 2), 30)
-    assert sum(counted) <= verify.FAMILY_STACK
+    assert stacks == [(1, 5, 5)]
 
 
 def test_family_checkers_validate_before_any_table(monkeypatch):
     def built(*args):
         raise AssertionError("a family table was built")
 
-    monkeypatch.setattr(verify, "_family_chunk", built)
+    monkeypatch.setattr(quotients, "family_counts", built)
     illegal = [
         lambda: check_cycle_matching(2),
         lambda: check_family_counts(8, 6, 2),
