@@ -136,6 +136,7 @@ def family_counts(theorem_id: str, params: list[tuple[int, ...]]) -> list[tuple[
     image (which maps the join (k, first) to (k, d - 2 - first)) once. A
     failed certificate raises ConvergenceError."""
     signs = (-1, 1) if theorem_id == "gndt-laplacian-count" else (1,)
+    k, per = len(signs), FAMILY_STACK // len(signs)
     cells = [_family_cells(theorem_id, *p) for p in params]
     by_order: dict[int, list[int]] = {}
     for i, (d, joins, _) in enumerate(cells):
@@ -147,11 +148,10 @@ def family_counts(theorem_id: str, params: list[tuple[int, ...]]) -> list[tuple[
             d, joins, _ = cells[i]
             images.setdefault(min(tuple(sorted(joins)), tuple(sorted((k, d - 2 - f) for k, f in joins))), []).append(i)
         groups = list(images.values())
-        for lo in range(0, len(groups), FAMILY_STACK // len(signs)):
-            group = groups[lo : lo + FAMILY_STACK // len(signs)]
+        for lo in range(0, len(groups), per):
+            group = groups[lo : lo + per]
             E, s = _cell_edges(m, [cells[g[0]] for g in group], theorem_id == "cycle-matching")
             t = np.array([cells[g[0]][2] for g in group])
-            k = len(signs)
             lt, le = _quotient_counts(np.tile(E, (k, 1, 1)), np.tile(s, (k, 1)), np.tile(t, k), np.repeat(signs, len(group)))
             counts = np.zeros((3, len(group)), dtype=np.int64)
             counts[:k] = lt.reshape(k, -1)
