@@ -146,13 +146,15 @@ def family_counts(theorem_id: str, params: list[tuple[int, ...]]) -> list[tuple[
         images: dict[tuple, list[int]] = {}
         for i in rows:
             d, joins, _ = cells[i]
-            images.setdefault(min(tuple(sorted(joins)), tuple(sorted((k, d - 2 - f) for k, f in joins))), []).append(i)
+            mirrored = tuple(sorted((size, d - 2 - first) for size, first in joins))
+            images.setdefault(min(tuple(sorted(joins)), mirrored), []).append(i)
         groups = list(images.values())
         for lo in range(0, len(groups), per):
             group = groups[lo : lo + per]
             E, s = _cell_edges(m, [cells[g[0]] for g in group], theorem_id == "cycle-matching")
             t = np.array([cells[g[0]][2] for g in group])
-            lt, le = _quotient_counts(np.tile(E, (k, 1, 1)), np.tile(s, (k, 1)), np.tile(t, k), np.repeat(signs, len(group)))
+            stacked = np.tile(E, (k, 1, 1)), np.tile(s, (k, 1)), np.tile(t, k), np.repeat(signs, len(group))
+            lt, le = _quotient_counts(*stacked)
             counts = np.zeros((3, len(group)), dtype=np.int64)
             counts[:k] = lt.reshape(k, -1)
             if theorem_id == "diameter-3-equality":
