@@ -5,16 +5,17 @@ Submodules:
   graphs      immutable bitmask graphs, editing ops, named families
   graph6      graph6 text codec
   exact       congruence inertia of integer Q/L rows, rational matrices,
-              characteristic polynomials, quotient matrices
+              quotient matrices
   jacobi      certified floating eigensolver (LAPACK eigh), adjacency stacks
               to and from Graphs, the labeled edge-mask codec (edge_pairs,
               mask_adjacency), matrix_stack (every float Q/L stack)
-  spectral    one-graph Q/L builders, interval counting, the closed-form
-              spectra of K_n minus an edge and the split-clique family
+  spectral    one-graph Q(G), interval and rational literals, interval
+              counting, the spectrum report
   invariants  matching, diameter, independence, domination, longest path
   verify      theorem catalog, graph tables, sampling, search
-  quotients   family-grid counts on the twin quotient: exact clique
-              eigenvalues, certified stacked quotients, no member graphs
+  quotients   family-grid counts and spectra on the twin quotient: exact
+              clique eigenvalues, certified stacked quotients, no member
+              graphs
   sweeps      exhaustive sweeps at n <= 7, one isomorphism class at a time
   cli         command-line front end
 

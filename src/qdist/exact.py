@@ -10,9 +10,8 @@ compare counts against integer thresholds.
 
 graph_shift_rows builds the integer rows of Q(G) and L(G) (shifted by a
 threshold) that the congruence counter reads. Every float form of either
-matrix comes from jacobi.matrix_stack instead. RationalMatrix, char_poly
-and the quotient matrices of vertex partitions serve `qdist quotient` and
-the closed-form spectra of spectral.
+matrix comes from jacobi.matrix_stack instead. RationalMatrix and the
+quotient matrices of vertex partitions serve `qdist quotient`.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class RationalMatrix:
         import json
 
         return json.dumps([[str(x) for x in row] for row in self.rows])
-
-    @staticmethod
-    def identity(m: int) -> RationalMatrix:
-        return RationalMatrix([[1 if i == j else 0 for j in range(m)] for i in range(m)])
 
 
 def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
@@ -151,35 +146,6 @@ def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
             if g > 1:
                 a = [[x // g for x in row] for row in a]
     return neg, zero, pos
-
-
-# -- characteristic polynomials ------------------------------------------------
-
-
-def char_poly(M: RationalMatrix) -> list[Fraction]:
-    """Coefficients c0..cm of det(xI - M), ascending degree (cm = 1).
-
-    Faddeev-LeVerrier over Fractions: M_1 = I, c_{m-k} = -tr(M M_k)/k,
-    M_{k+1} = M M_k + c_{m-k} I (the recurrence ``sweeps.char_poly_batch``
-    runs in float64 on stacks of graph matrices).
-    """
-    m = M.order
-    A = M.rows
-    coeffs = [Fraction(0)] * m + [Fraction(1)]
-    Mk = RationalMatrix.identity(m).rows
-    for k in range(1, m + 1):
-        AM = [[sum(A[i][l] * Mk[l][j] for l in range(m)) for j in range(m)] for i in range(m)]
-        c = -sum(AM[i][i] for i in range(m)) / k
-        coeffs[m - k] = c
-        Mk = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
-    return coeffs
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
 
 
 # -- partitions and quotient matrices ----------------------------------------

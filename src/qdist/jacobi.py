@@ -26,12 +26,13 @@ bound: with u = 2^-53, γ = (n+2)u / (1 - (n+2)u) and w² = n(1 + eta) >=
 ||V||_F², the computed ||R||_F and eta are raised by γ·w·(||A||_F +
 max|λ̃|) and γ·w² before they enter the fraction, and the result is scaled
 by 1 + (n² + 5)u for the rounding of the norms themselves and of the
-spread max λ̃ - min λ̃. This margin is a worst case of order n²·u·||A||_F
-(about 4e-14 · scale at order 16, the largest graphs the float route
-checks), so it is not held against the tolerance. Acceptance depends on the computed fraction alone: a result
-whose eta reaches 1/2, whose computed fraction exceeds RESIDUAL_RTOL ·
-scale (scale = 1 + ||A||_F), or whose eigenvalue sum drifts from the trace
-raises ConvergenceError. Spectrum.residual and the bounds of
+spread max λ̃ - min λ̃. This margin is a worst case of about
+(n+2)(n+2√n)·u·||A||_F: 1.8e-14, 4.8e-14 and 1.6e-13 times ||A||_F at
+orders 9, 16 and 32, so it is not held against the tolerance. Acceptance
+depends on the computed fraction alone: a result whose eta reaches 1/2,
+whose computed fraction exceeds RESIDUAL_RTOL · scale (scale = 1 +
+||A||_F), or whose eigenvalue sum drifts from the trace raises
+ConvergenceError. Spectrum.residual and the bounds of
 ``jacobi_batch`` are the rigorous bound, margin included.
 
 The module and its batch entry point ``jacobi_batch`` keep the names of
@@ -39,8 +40,19 @@ the cyclic Jacobi solver they replace, because ``sweeps``, ``verify`` and
 outside callers import them by those names.
 
 Tolerance ledger: certified eigenvalue error <= 1e-12 * scale plus the
-rounding margin (for Q(G) of order n <= 16, scale <= 63, so under 7e-11),
-inequality checks 1e-8 slack. No verdict and no gate reads GUARD_BAND
+rounding margin, at the orders solved:
+
+  * graph stacks (sweep tables at n <= 9, point tables and samples at
+    n <= 16): Q(G) of order n has ||A||_F <= n·sqrt(n - 1) <= 62, so
+    under 7e-11;
+  * the family grids' quotients (quotients, up to order 32 at
+    --family-max 32, where C_32 has only singleton cells): the largest
+    ||C||_F is 82.8, at family-counts (32, 3, 2, 1), so under 1e-10;
+  * `qdist spectrum` reads a graph of any order n: its bound is
+    1e-12 · (1 + ||A||_F) plus the margin above, with ||A||_F <=
+    n·sqrt(n - 1).
+
+Inequality checks take 1e-8 slack. No verdict and no gate reads GUARD_BAND
 (1e-6): only sweeps.inband_flags does, to report which graphs have an
 eigenvalue within it of a threshold.
 """

@@ -1,5 +1,5 @@
-"""Eigenvalue counts of the family grids' members on their twin quotients,
-with no member graph built.
+"""Eigenvalue counts and spectra of the family grids' members on their
+twin quotients, with no member graph built.
 
 Every member of G(n,d,t), G(n,d,r,a) and the cycle is described by its
 cells (_family_cells, from the instance's parameters alone): every path
@@ -37,6 +37,8 @@ t·s) + sign * E, which equals diag(s)^1/2 (C - tI) diag(s)^1/2 and so has
 the inertia of C - tI. A member and its mirror image (the path read from
 the other end) are isomorphic and share one solve. The diameter of a
 member is that of its cell graph (a clique cell has inner distance 1).
+family_spectra reads the same solve as a member's Q(G) spectrum: its exact
+twin values and the quotient's floats, each within that bound.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import exact
 from .invariants import diameter
-from .jacobi import certified_below, graphs_of, jacobi_batch
+from .jacobi import Spectrum, certified_below, graphs_of, jacobi_batch
 
 FAMILY_STACK = 32  # rows per stacked quotient solve, so a grid holds no more than one such stack
 
@@ -105,25 +107,57 @@ def _integer_form(E: np.ndarray, s: np.ndarray, sign: int, t: int) -> list[list[
     return (sign * E + np.diag(E.sum(axis=1) - t * s)).tolist()
 
 
-def _quotient_counts(E: np.ndarray, s: np.ndarray, t: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counts below and at most t[b] of Q(G) (sign[b] = 1) or L(G) (-1) of
-    the members with cell-edge matrices E (B, m, m) and cell sizes s (B, m),
-    in one stacked solve: the twins in integers, the quotient certified or,
-    where it does not clear, by exact inertia of its integer form."""
+def _by_order(cells: list) -> dict[int, list[int]]:
+    """The indices of the instances with cells as _family_cells gives them, by quotient order."""
+    by_order: dict[int, list[int]] = {}
+    for i, (d, joins, _) in enumerate(cells):
+        by_order.setdefault(d + 1 + len(joins), []).append(i)
+    return by_order
+
+
+def _quotient_spectra(E: np.ndarray, s: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of Q(G) (sign[b] = 1) or L(G) (-1) of the members with cell-edge
+    matrices E (B, m, m) and cell sizes s (B, m): the twin value of each
+    cell (B, m), an eigenvalue k - 1 times for a cell of size k, and the
+    quotient's eigenvalues (B, m) from one stacked jacobi_batch of the
+    float C, with bounds (B,) against the exact C."""
     k = np.arange(E.shape[1])
     deg = E.sum(axis=2) // s
     C = np.sqrt(E) * sign[:, None, None]
     C[:, k, k] = deg + sign[:, None] * (E[:, k, k] // s)
     vals, bounds = jacobi_batch(C)
-    bounds = bounds + np.finfo(float).eps * np.sqrt((C * C).sum(axis=(1, 2)))
+    return deg - sign[:, None], vals, bounds + np.finfo(float).eps * np.sqrt((C * C).sum(axis=(1, 2)))
+
+
+def _quotient_counts(E: np.ndarray, s: np.ndarray, t: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts below and at most t[b] of Q(G) (sign[b] = 1) or L(G) (-1) of
+    the members with cell-edge matrices E (B, m, m) and cell sizes s (B, m),
+    in one stacked solve: the twins in integers, the quotient certified or,
+    where it does not clear, by exact inertia of its integer form."""
+    twin, vals, bounds = _quotient_spectra(E, s, sign)
     below, clear = certified_below(vals, bounds, t)
     at = np.zeros_like(below)
     for b in np.flatnonzero(~clear).tolist():
         neg, zero, _ = exact._inertia_int(_integer_form(E[b], s[b], sign[b], t[b]))
         below[b], at[b] = neg, zero
-    twin = deg - sign[:, None]
     t = t[:, None]
     return below + ((s - 1) * (twin < t)).sum(axis=1), below + at + ((s - 1) * (twin <= t)).sum(axis=1)
+
+
+def family_spectra(theorem_id: str, params: list[tuple[int, ...]]) -> list[Spectrum]:
+    """The Q(G) spectra of the family instances params (checker arguments,
+    n first), in order: the exact twin values and the quotient's floats,
+    nonincreasing, with the quotient's bound. The members of one quotient
+    order are solved in one stack."""
+    cells = [_family_cells(theorem_id, *p) for p in params]
+    spectra: list[Spectrum] = [Spectrum((), 0.0)] * len(params)
+    for m, rows in _by_order(cells).items():
+        E, s = _cell_edges(m, [cells[i] for i in rows], theorem_id == "cycle-matching")
+        twin, vals, bounds = _quotient_spectra(E, s, np.ones(len(rows), dtype=np.int64))
+        for j, i in enumerate(rows):
+            values = np.concatenate([vals[j], np.repeat(twin[j], s[j] - 1)]).tolist()
+            spectra[i] = Spectrum(tuple(sorted(values, reverse=True)), float(bounds[j]))
+    return spectra
 
 
 def family_counts(theorem_id: str, params: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -138,11 +172,8 @@ def family_counts(theorem_id: str, params: list[tuple[int, ...]]) -> list[tuple[
     signs = (-1, 1) if theorem_id == "gndt-laplacian-count" else (1,)
     k, per = len(signs), FAMILY_STACK // len(signs)
     cells = [_family_cells(theorem_id, *p) for p in params]
-    by_order: dict[int, list[int]] = {}
-    for i, (d, joins, _) in enumerate(cells):
-        by_order.setdefault(d + 1 + len(joins), []).append(i)
     columns = np.zeros((3, len(params)), dtype=np.int64)
-    for m, rows in by_order.items():
+    for m, rows in _by_order(cells).items():
         images: dict[tuple, list[int]] = {}
         for i in rows:
             d, joins, _ = cells[i]

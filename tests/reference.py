@@ -1,18 +1,18 @@
 """Reference computations that only the tests read: the textbook closed
-forms of C_n, K_n and K_{2,n-2}, rational inertia and determinants, the
-G - v edit, and the Weyl and Cauchy-interlacing inequality checkers.
-qdist itself never calls them; the tests hold its results against them."""
+forms of C_n, K_n, K_{2,n-2} and K_n minus an edge, rational inertia,
+determinants and characteristic polynomials, the G - v edit, and the Weyl
+and Cauchy-interlacing inequality checkers. qdist itself never calls them;
+the tests hold its results against them."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, lcm, pi
+from math import cos, lcm, pi, sqrt
 
 import numpy as np
 
 from qdist.exact import MatrixError, RationalMatrix, _inertia_int
 from qdist.graphs import Graph, GraphError
 from qdist.jacobi import INEQ_SLACK, eigenvalues_sym
-from qdist.spectral import ClosedFormSpectrum, Rat
 
 # -- exact matrices ------------------------------------------------------------
 
@@ -56,46 +56,89 @@ def det(M: RationalMatrix) -> Fraction:
     return Fraction(sign * a[m - 1][m - 1] if m else 1, den**m)
 
 
+def char_poly(M: RationalMatrix) -> list[Fraction]:
+    """Coefficients c0..cm of det(xI - M), ascending degree (cm = 1).
+
+    Faddeev-LeVerrier over Fractions: M_1 = I, c_{m-k} = -tr(M M_k)/k,
+    M_{k+1} = M M_k + c_{m-k} I (the recurrence ``sweeps.char_poly_batch``
+    runs in float64 on stacks of graph matrices).
+    """
+    m, A = M.order, M.rows
+    coeffs = [Fraction(0)] * m + [Fraction(1)]
+    Mk = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for k in range(1, m + 1):
+        AM = [[sum(A[i][l] * Mk[l][j] for l in range(m)) for j in range(m)] for i in range(m)]
+        c = -sum(AM[i][i] for i in range(m)) / k
+        coeffs[m - k] = c
+        Mk = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
+    return coeffs
+
+
+def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 # -- closed-form spectra -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Cosine:
-    """2 + 2*cos(2*pi*j/n), the cycle eigenvalue form."""
+class ClosedFormSpectrum:
+    """A spectrum as (value, multiplicity) pairs: a Fraction value is exact,
+    a float one is irrational."""
 
-    n: int
-    j: int
-    mult: int
+    entries: tuple[tuple[Fraction | float, int], ...]
 
-    def to_float(self) -> float:
-        return 2.0 + 2.0 * cos(2.0 * pi * self.j / self.n)
+    @property
+    def n(self) -> int:
+        return sum(mult for _, mult in self.entries)
 
-    def exact_value(self) -> Fraction | None:
-        # cos(2pi j/n) is rational only when it is 0, +-1/2 or +-1 (Niven)
-        frac = Fraction(self.j, self.n) % 1
-        value = {0: 4, Fraction(1, 6): 3, Fraction(1, 4): 2, Fraction(1, 3): 1, Fraction(1, 2): 0}.get(min(frac, 1 - frac))
-        return None if value is None else Fraction(value)
+    def float_values(self) -> list[float]:
+        return sorted((float(v) for v, mult in self.entries for _ in range(mult)), reverse=True)
+
+    def rational_multiplicities(self) -> dict[Fraction, int]:
+        """Total multiplicity of each exact eigenvalue."""
+        out: dict[Fraction, int] = {}
+        for v, mult in self.entries:
+            if isinstance(v, Fraction):
+                out[v] = out.get(v, 0) + mult
+        return out
+
+
+def cycle_eigenvalue(n: int, j: int) -> Fraction | float:
+    """2 + 2*cos(2*pi*j/n), exact where rational: cos(2pi j/n) is rational
+    only when it is 0, +-1/2 or +-1 (Niven)."""
+    frac = Fraction(j, n) % 1
+    value = {0: 4, Fraction(1, 6): 3, Fraction(1, 4): 2, Fraction(1, 3): 1, Fraction(1, 2): 0}.get(min(frac, 1 - frac))
+    return 2.0 + 2.0 * cos(2.0 * pi * j / n) if value is None else Fraction(value)
 
 
 def cycle_spectrum(n: int) -> ClosedFormSpectrum:
     """Q(C_n): 2 + 2cos(2pi*j/n), j = 0..n-1, grouped by conjugate pairs."""
-    return ClosedFormSpectrum(
-        (Cosine(n, 0, 1),) + tuple(Cosine(n, j, 1 if 2 * j == n else 2) for j in range(1, n // 2 + 1))
-    )
+    pairs = [(0, 1)] + [(j, 1 if 2 * j == n else 2) for j in range(1, n // 2 + 1)]
+    return ClosedFormSpectrum(tuple((cycle_eigenvalue(n, j), mult) for j, mult in pairs))
 
 
 def complete_spectrum(n: int) -> ClosedFormSpectrum:
     """Q(K_n): {2n-2, (n-2)^[n-1]} (single vertex: {0})."""
     if n == 1:
-        return ClosedFormSpectrum((Rat(Fraction(0), 1),))
-    return ClosedFormSpectrum((Rat(Fraction(2 * n - 2), 1), Rat(Fraction(n - 2), n - 1)))
+        return ClosedFormSpectrum(((Fraction(0), 1),))
+    return ClosedFormSpectrum(((Fraction(2 * n - 2), 1), (Fraction(n - 2), n - 1)))
 
 
 def k2_bipartite_spectrum(n: int) -> ClosedFormSpectrum:
     """Q(K_{2,n-2}), n >= 4: {n, n-2, 2^[n-3], 0}."""
-    return ClosedFormSpectrum(
-        (Rat(Fraction(n), 1), Rat(Fraction(n - 2), 1), Rat(Fraction(2), n - 3), Rat(Fraction(0), 1))
-    )
+    return ClosedFormSpectrum(((Fraction(n), 1), (Fraction(n - 2), 1), (Fraction(2), n - 3), (Fraction(0), 1)))
+
+
+def kn_minus_e_spectrum(n: int) -> ClosedFormSpectrum:
+    """Q(K_n minus an edge), n >= 5: {(3n-6 +- sqrt(n^2+4n-12))/2, (n-2)^[n-2]}.
+    n^2+4n-12 = (n+2)^2 - 16 is a square k^2 only if (n+2-k)(n+2+k) = 16,
+    so only for n <= 3: the pair is irrational."""
+    root = sqrt(n * n + 4 * n - 12)
+    return ClosedFormSpectrum((((3 * n - 6 + root) / 2, 1), ((3 * n - 6 - root) / 2, 1), (Fraction(n - 2), n - 2)))
 
 
 # -- the G - v edit -----------------------------------------------------------

@@ -8,10 +8,18 @@ its cached counts.
 
 import random
 import sys
+from functools import partial
 
 import numpy as np
 from labeled import graph_from_mask
-from reference import complete_spectrum, cycle_spectrum, interlacing_check, k2_bipartite_spectrum, weyl_check
+from reference import (
+    complete_spectrum,
+    cycle_spectrum,
+    interlacing_check,
+    k2_bipartite_spectrum,
+    kn_minus_e_spectrum,
+    weyl_check,
+)
 
 from qdist import exact, sweeps, verify
 from qdist.graphs import (
@@ -24,7 +32,7 @@ from qdist.graphs import (
 )
 from qdist.invariants import matching_number
 from qdist.jacobi import eigenvalues_sym
-from qdist.spectral import PolyRoot, Surd, gn32a_partial_spectrum, kn_minus_e_spectrum, q_float
+from qdist.spectral import q_float
 from qdist.verify import check_diameter_main, sample_graphs
 
 _AGREEMENTS: dict[int, sweeps.AgreementResult] = {}
@@ -63,25 +71,21 @@ def test_criterion_1_closed_form_agreement():
 
 
 def test_criterion_2_split_family_bracketing():
-    tol = 1e-8
+    # exact counts of G(n,3,2,a); a and n-4-a give mirror images of one
+    # graph, so the brackets are stated for a' = min(a, n-4-a)
     for n in range(7, 15):
         for a in range(1, n - 4):
             g = gndra(n, 3, 2, a)
-            lt = exact.graph_count_lt(g, n - 3)
-            le = exact.graph_count_le(g, n - 3)
-            assert le - lt >= n - 4, (n, a, "multiplicity")
-            assert lt == 2, (n, a, "below-count")
-            cf = gn32a_partial_spectrum(n, a)
+            lt, le = partial(exact.graph_count_lt, g), partial(exact.graph_count_le, g)
             aa = min(a, n - 4 - a)
+            # two eigenvalues below n-3, n-3 with multiplicity n-4, one above n-2
+            assert (lt(n - 3), le(n - 3), le(n - 2)) == (2, n - 2, n - 1), (n, a)
             if aa != n - 4 - aa:
-                roots = sorted(e.to_float() for e in cf.entries if isinstance(e, PolyRoot))
-                beta, theta = roots[1], roots[2]
-                assert aa + 1 - tol < beta < n - 3 + tol, (n, a)
-                assert n - 3 - tol < theta < n - 2 + tol, (n, a)
+                # rho4 <= a'+1 < beta < n-3 < theta < n-2 < rho1
+                assert (lt(n - 2), le(aa + 1)) == (n - 1, 1), (n, a)
             else:
-                gammas = [e.to_float() for e in cf.entries if isinstance(e, Surd) and e.sign < 0]
-                assert len(gammas) == 1
-                assert aa - tol < gammas[0] < aa + 1 + tol, (n, a)
+                # a' is the least eigenvalue and n-2 one more, each once; a' < gamma < a'+1
+                assert (lt(n - 2), lt(aa), le(aa), lt(aa + 1)) == (n - 2, 0, 1, 2), (n, a)
     note("ACCEPTANCE 2: PASS split-family bracketing certified for n in [7,14], a in [1,n-5]")
 
 

@@ -205,8 +205,19 @@ def test_family_spectra_script_prints_one_solver_line_per_member():
     members = [i for i, line in enumerate(lines) if not line.startswith(" ")]
     # K_n - e for n = 5..8, C_n for n = 3..8, G(n,3,2) and G(n,3,2,a) for n = 7, 8
     assert len(members) == 4 + 6 + (1 + 2) + (1 + 3)
+    closed = []
     for start, end in zip(members, members[1:] + [len(lines)]):
-        assert sum(line.startswith("  solver: ") for line in lines[start:end]) == 1, lines[start]
+        block = lines[start:end]
+        solver = [line.removeprefix("  solver: ") for line in block if line.startswith("  solver: ")]
+        assert len(solver) == 1, block[0]
+        for line in block:
+            if line.startswith("  closed: "):
+                assert line.removeprefix("  closed: ") == solver[0], block[0]
+                closed.append(block[0])
+    # the twin-quotient spectra: K_n - e for n = 5..8 and G(n,3,2,a) for n = 7, 8
+    assert closed == [f"complete-minus-edge n={n}" for n in range(5, 9)] + [
+        f"gndra(n={n},d=3,r=2,a={a})" for n in (7, 8) for a in range(1, n - 4)
+    ]
 
 
 def test_search_cli(capsys):
@@ -228,6 +239,20 @@ def test_usage_errors_exit_two():
         proc = run_cli(["count", option, "", "--interval", "[0,1)"], stdin="")
         assert (proc.returncode, proc.stdout) == (2, ""), option
         assert message in proc.stderr, option
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["count", "--graph6", "Dhc", "--interval", "[0,/2n)"], "/2n"),
+        (["spectrum", "--graph6", "Dhc", "--threshold", "abc"], "abc"),
+    ],
+    ids=["count", "spectrum"],
+)
+def test_unparsable_literals_are_usage_errors_naming_their_text(args, text):
+    proc = run_cli(args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and repr(text) in proc.stderr, proc.stderr
 
 
 def test_count_resolves_every_interval_before_printing(tmp_path):

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Inertia, det, inertia
+from reference import Inertia, char_poly, det, inertia, poly_eval
 
 from qdist.exact import (
     MatrixError,
     Partition,
     RationalMatrix,
-    char_poly,
     graph_shift_rows,
     is_equitable,
-    poly_eval,
     quotient_matrix,
 )
 from qdist.graphs import (

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Cosine, complete_spectrum, cycle_spectrum, k2_bipartite_spectrum
+from reference import complete_spectrum, cycle_eigenvalue, cycle_spectrum, k2_bipartite_spectrum, kn_minus_e_spectrum
+from test_verify import _member
 
-from qdist import exact
+from qdist import exact, quotients, verify
 from qdist.graphs import (
     complete_bipartite,
     complete_graph,
@@ -18,14 +19,10 @@ from qdist.graphs import (
     gndra,
     path_graph,
 )
-from qdist.jacobi import eigenvalues_sym
+from qdist.jacobi import adjacency, eigenvalues_sym, jacobi_batch, matrix_stack
 from qdist.spectral import (
     Interval,
     IntervalError,
-    PolyRoot,
-    Surd,
-    gn32a_partial_spectrum,
-    kn_minus_e_spectrum,
     m_count,
     parse_interval,
     q_float,
@@ -122,7 +119,7 @@ def test_parse_interval_round_trip():
 
 
 def test_parse_interval_rejects():
-    for bad in ["[5,1)", "0,1", "[0;1)", "[a,b)", "[1,2,3)", "[0,1"]:
+    for bad in ["[5,1)", "0,1", "[0;1)", "[a,b)", "[1,2,3)", "[0,1", "[0,/2n)"]:
         with pytest.raises(IntervalError):
             parse_interval(bad)
 
@@ -231,55 +228,48 @@ def test_k2_bipartite_values():
     )
 
 
+def test_family_spectra_match_the_full_matrix_solver():
+    # every member of the five grids at orders 7..22: its exact twin values
+    # and quotient floats against jacobi_batch of its full Q(G), within the
+    # sum of the two certified bounds
+    members = 0
+    for tid in verify.FAMILY_THEOREM_IDS:
+        for n in range(7, 23):
+            params = list(verify.family_parameters(tid, n))
+            if not params:
+                continue
+            graphs = [_member(tid, p)[0] for p in params]
+            vals, bounds = jacobi_batch(matrix_stack(adjacency(n, graphs)))
+            for p, spec, want, bound in zip(params, quotients.family_spectra(tid, params), vals, bounds):
+                assert np.abs(np.array(spec.values) - want).max() <= spec.residual + bound, (tid, p)
+            members += len(params)
+    assert members == 6876
+
+
 @pytest.mark.parametrize("n,a", [(7, 1), (8, 2), (9, 1), (10, 3), (11, 2), (12, 4)])
 def test_gn32a_spectrum(n, a):
-    cf = gn32a_partial_spectrum(n, a)
-    assert cf.n == n
-    _check_against_solver(cf, gndra(n, 3, 2, a))
+    # the twin-quotient spectrum places every eigenvalue as Bareiss on the
+    # member does, at every integer threshold
+    (spec,) = quotients.family_spectra("diameter-3-equality", [(n, a)])
+    values, g = np.array(spec.values), gndra(n, 3, 2, a)
+    assert len(values) == n
+    for t in range(2 * n - 1):
+        below, at_most = (values < t - spec.residual).sum(), (values <= t + spec.residual).sum()
+        assert (below, at_most) == (exact.graph_count_lt(g, t), exact.graph_count_le(g, t)), t
 
 
 def test_gn32a_brackets_unbalanced():
+    # rho1 >= 3(n-2)/2: every other eigenvalue lies below it
     n, a = 9, 1
-    cf = gn32a_partial_spectrum(n, a)
-    roots = sorted(e.to_float() for e in cf.entries if isinstance(e, PolyRoot))
-    assert len(roots) == 4
-    rho4, beta, theta, rho1 = roots
-    assert rho4 <= a + 1 + 1e-8
-    assert a + 1 - 1e-8 < beta < n - 3 + 1e-8
-    assert n - 3 - 1e-8 < theta < n - 2 + 1e-8
-    assert rho1 >= 1.5 * (n - 2) - 1e-8
-
-
-def test_gn32a_balanced_case():
-    n = 8
-    a = 2  # a == n-4-a
-    cf = gn32a_partial_spectrum(n, a)
-    rationals = cf.rational_multiplicities()
-    assert rationals[Fraction(n - 3)] == n - 4
-    assert rationals[Fraction(n - 2)] == 1
-    assert rationals[Fraction(a)] == 1
-    gammas = [e.to_float() for e in cf.entries if isinstance(e, Surd) and e.sign < 0]
-    assert len(gammas) == 1 and a < gammas[0] < a + 1
-
-
-def test_gn32a_mirrored_attachment_is_isomorphic():
-    # a and n-4-a label isomorphic graphs; spectra must agree
-    left = gn32a_partial_spectrum(9, 1).float_values()
-    right = gn32a_partial_spectrum(9, 4).float_values()
-    assert np.allclose(left, right, atol=1e-10)
+    assert exact.graph_count_lt(gndra(n, 3, 2, a), Fraction(3 * (n - 2), 2)) == n - 1
 
 
 def test_cosine_rationality():
-    assert Cosine(6, 1, 1).exact_value() == 3
-    assert Cosine(4, 1, 1).exact_value() == 2
-    assert Cosine(3, 1, 1).exact_value() == 1
-    assert Cosine(2, 1, 1).exact_value() == 0
-    assert Cosine(5, 1, 1).exact_value() is None
-
-
-def test_surd_exact_when_square():
-    assert Surd(3, 4, 1, 2, 1).exact_value() == Fraction(5, 2)
-    assert Surd(3, 5, 1, 2, 1).exact_value() is None
+    assert cycle_eigenvalue(6, 1) == Fraction(3)
+    assert cycle_eigenvalue(4, 1) == Fraction(2)
+    assert cycle_eigenvalue(3, 1) == Fraction(1)
+    assert cycle_eigenvalue(2, 1) == Fraction(0)
+    assert isinstance(cycle_eigenvalue(5, 1), float)
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 40, 64])
