@@ -258,6 +258,21 @@ def test_gn32a_spectrum(n, a):
         assert (below, at_most) == (exact.graph_count_lt(g, t), exact.graph_count_le(g, t)), t
 
 
+def test_gn32a_balanced_case():
+    # a == n-4-a: n-3 with multiplicity n-4, n-2 and a once, one gamma in (a, a+1)
+    n, a = 8, 2
+    g = gndra(n, 3, 2, a)
+
+    def mult(t):
+        return exact.graph_count_le(g, t) - exact.graph_count_lt(g, t)
+
+    assert (mult(n - 3), mult(n - 2), mult(a)) == (n - 4, 1, 1)
+    assert exact.graph_count_lt(g, a + 1) - exact.graph_count_le(g, a) == 1
+    (spec,) = quotients.family_spectra("diameter-3-equality", [(n, a)])
+    gammas = [v for v in spec.values if a + spec.residual < v < a + 1 - spec.residual]
+    assert len(gammas) == 1
+
+
 def test_gn32a_brackets_unbalanced():
     # rho1 >= 3(n-2)/2: every other eigenvalue lies below it
     n, a = 9, 1
