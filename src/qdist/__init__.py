@@ -4,8 +4,8 @@ Laplacian eigenvalues of graphs.
 Submodules:
   graphs      immutable bitmask graphs, editing ops, named families
   graph6      graph6 text codec
-  exact       congruence inertia of integer Q/L rows, rational matrices,
-              quotient matrices
+  exact       congruence inertia of integer Q/L rows, the quotient matrix
+              of a vertex partition and whether it is equitable
   jacobi      certified floating eigensolver (LAPACK eigh), adjacency stacks
               to and from Graphs, the labeled edge-mask codec (edge_pairs,
               mask_adjacency), matrix_stack (every float Q/L stack)

@@ -18,40 +18,29 @@ from typing import Iterator
 
 from . import exact, jacobi, verify
 from .graph6 import graph6_decode, graph6_encode
-from .graphs import FamilyKind, FamilySpec, Graph, GraphError, make_family
+from .graphs import FAMILIES, Graph, GraphError, k_copies, make_family
 from .invariants import invariant_bundle
 
 
-def _family_spec_from_args(args: argparse.Namespace) -> FamilySpec:
-    kind = FamilyKind(args.kind)
-    params = {}
-    for name in ("n", "d", "t", "r", "a", "k"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    inner = None
-    if kind is FamilyKind.K_COPIES:
-        if args.of is None:
-            raise GraphError("kcopies needs --of INNER_KIND")
-        inner_params = {k: v for k, v in params.items() if k != "k"}
-        inner = FamilySpec(FamilyKind(args.of), inner_params)
-        params = {"k": params["k"]}
-    return FamilySpec(kind, params, inner)
-
-
-def _parse_family_string(text: str) -> FamilySpec:
+def _parse_family_string(text: str) -> tuple[str, dict[str, int]]:
     """Compact family syntax: kind,key=value,... e.g. 'gndt,n=9,d=3,t=2'."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise GraphError(f"empty family spec {text!r}")
-    kind = FamilyKind(parts[0])
-    params = {}
+    if parts[0] == "kcopies":
+        raise GraphError("kcopies is built only by `qdist family --kind kcopies --of KIND`")
+    params: dict[str, int] = {}
     for p in parts[1:]:
-        if "=" not in p:
+        key, eq, val = (x.strip() for x in p.partition("="))
+        if not eq:
             raise GraphError(f"family parameter {p!r} is not key=value")
-        key, val = p.split("=", 1)
-        params[key.strip()] = int(val)
-    return FamilySpec(kind, params)
+        if key in params:
+            raise GraphError(f"family parameter {key!r} is given twice in {text!r}")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise GraphError(f"family parameter {p!r} is not key=integer") from None
+    return parts[0], params
 
 
 def _input_graphs(args: argparse.Namespace) -> list[Graph]:
@@ -65,7 +54,7 @@ def _input_graphs(args: argparse.Namespace) -> list[Graph]:
         with fh:
             return [graph6_decode(line) for line in fh if line.strip()]
     if getattr(args, "family", None) is not None:
-        return [make_family(_parse_family_string(args.family))]
+        return [make_family(*_parse_family_string(args.family))]
     if not sys.stdin.isatty():
         return [graph6_decode(line) for line in sys.stdin if line.strip()]
     raise GraphError("no graph input: use --graph6, --file, --family, or pipe graph6 lines")
@@ -89,22 +78,32 @@ def _each_graph(args: argparse.Namespace, compute) -> list[tuple[Graph, object]]
     return out
 
 
-def _emit(obj, fmt: str) -> None:
+def _emit(obj: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True))
     else:
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                print(f"{k}: {v}")
-        else:
-            print(obj)
+        for k, v in obj.items():
+            print(f"{k}: {v}")
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    spec = _family_spec_from_args(args)
-    g = make_family(spec)
+    params = {name: getattr(args, name) for name in ("n", "d", "t", "r", "a", "k") if getattr(args, name) is not None}
+    kind = args.kind
+    if kind == "kcopies":
+        if args.of is None:
+            raise GraphError("kcopies needs --of INNER_KIND")
+        if args.k is None:
+            raise GraphError("kcopies needs --k")
+        kind = args.of
+        del params["k"]
+    elif args.of is not None:
+        raise GraphError(f"--of is for --kind kcopies only, not {kind}")
+    g = make_family(kind, params)
+    label = f"{kind}({','.join(f'{k}={v}' for k, v in sorted(params.items()))})"
+    if args.kind == "kcopies":
+        g, label = k_copies(g, args.k), f"kcopies(k={args.k};of={label})"
     if args.format == "json":
-        _emit({"family": spec.describe(), "n": g.n, "graph6": graph6_encode(g), "edges": g.edges()}, "json")
+        _emit({"family": label, "n": g.n, "graph6": graph6_encode(g), "edges": g.edges()}, "json")
     else:
         print(graph6_encode(g))
     return 0
@@ -156,15 +155,20 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    blocks = [[int(v) for v in block.split(",") if v != ""] for block in args.blocks.split(";")]
-    partition = exact.Partition.of(blocks)
+    blocks = []
+    for block in args.blocks.split(";"):
+        try:
+            blocks.append(sorted(int(v) for v in block.split(",") if v != ""))
+        except ValueError:
+            raise GraphError(f"partition block {block!r} is not a list of integers") from None
 
     def quotient(g: Graph) -> dict:
+        rows, equitable = exact.quotient(g, blocks)
         return {
             "graph6": graph6_encode(g),
-            "blocks": [list(b) for b in partition.blocks],
-            "matrix": [[str(x) for x in row] for row in exact.quotient_matrix(g, partition).rows],
-            "equitable": exact.is_equitable(g, partition),
+            "blocks": blocks,
+            "matrix": [[str(x) for x in row] for row in rows],
+            "equitable": equitable,
         }
 
     for _, obj in _each_graph(args, quotient):
@@ -258,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("family", help="construct a named family member, print graph6")
-    p.add_argument("--kind", required=True, choices=[k.value for k in FamilyKind])
+    p.add_argument("--kind", required=True, choices=[*FAMILIES, "kcopies"])
     for name in ("n", "d", "t", "r", "a", "k"):
         p.add_argument(f"--{name}", type=int)
-    p.add_argument("--of", choices=[k.value for k in FamilyKind], help="inner kind for kcopies")
+    p.add_argument("--of", choices=list(FAMILIES), help="inner kind for kcopies")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_family)
 

@@ -10,49 +10,17 @@ compare counts against integer thresholds.
 
 graph_shift_rows builds the integer rows of Q(G) and L(G) (shifted by a
 threshold) that the congruence counter reads. Every float form of either
-matrix comes from jacobi.matrix_stack instead. RationalMatrix and the
-quotient matrices of vertex partitions serve `qdist quotient`.
+matrix comes from jacobi.matrix_stack instead. quotient reads the Q-row-sums
+of each vertex into the blocks of a partition once, for `qdist quotient`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable
 
 from .graphs import Graph, GraphError
-
-
-class MatrixError(ValueError):
-    """Malformed matrix input (non-square, asymmetric where symmetry is required)."""
-
-
-class RationalMatrix:
-    """Dense square matrix with exact Fraction entries."""
-
-    __slots__ = ("order", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[Fraction | int | str]]):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
-        self.order = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.order:
-                raise MatrixError(f"row of length {len(row)} in matrix of order {self.order}")
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows!r})"
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps([[str(x) for x in row] for row in self.rows])
 
 
 def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
@@ -151,73 +119,38 @@ def _inertia_int(a: list[list[int]]) -> tuple[int, int, int]:
 # -- partitions and quotient matrices ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered partition of the vertex set into nonempty disjoint blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(blocks: Sequence[Sequence[int]]) -> Partition:
-        return Partition(tuple(tuple(sorted(b)) for b in blocks))
-
-    def validate(self, n: int) -> None:
-        seen = 0
-        for b in self.blocks:
-            if not b:
-                raise GraphError("partition block is empty")
-            for v in b:
-                if not 0 <= v < n:
-                    raise GraphError(f"partition vertex {v} out of range for n={n}")
-                if seen & (1 << v):
-                    raise GraphError(f"vertex {v} appears in two partition blocks")
-                seen |= 1 << v
-        if seen != (1 << n) - 1:
-            raise GraphError("partition does not cover every vertex")
-
-    def masks(self) -> list[int]:
-        return [sum(1 << v for v in b) for b in self.blocks]
+def partition_blocks(n: int, blocks: Iterable[Iterable[int]]) -> list[list[int]]:
+    """The blocks, each sorted, checked to split 0..n-1 into nonempty disjoint blocks."""
+    out = [sorted(b) for b in blocks]
+    seen = 0
+    for b in out:
+        if not b:
+            raise GraphError("partition block is empty")
+        for v in b:
+            if not 0 <= v < n:
+                raise GraphError(f"partition vertex {v} out of range for n={n}")
+            if seen >> v & 1:
+                raise GraphError(f"vertex {v} appears in two partition blocks")
+            seen |= 1 << v
+    if seen != (1 << n) - 1:
+        raise GraphError("partition does not cover every vertex")
+    return out
 
 
-def quotient_matrix(g: Graph, partition: Partition) -> RationalMatrix:
-    """Block-averaged row sums of the signless Laplacian over the partition.
+def quotient(g: Graph, blocks: Iterable[Iterable[int]]) -> tuple[list[list[Fraction]], bool]:
+    """The quotient matrix of Q(G) over the partition, and whether the partition is equitable.
 
-    Entry (i, j) is the average over u in block i of the Q-row-sum of u into
-    block j. Generally nonsymmetric.
+    Entry (i, j) averages over u in block i the Q-row-sum of u into block j
+    (generally nonsymmetric); equitable means those sums agree within each block.
     """
-    partition.validate(g.n)
-    masks = partition.masks()
-    m = len(masks)
-    rows = []
-    for i, bi in enumerate(partition.blocks):
-        row = []
-        for j in range(m):
-            total = 0
-            for u in bi:
-                total += (g.adj[u] & masks[j]).bit_count()
-                if i == j:
-                    total += g.adj[u].bit_count()
-            row.append(Fraction(total, len(bi)))
-        rows.append(row)
-    return RationalMatrix(rows)
-
-
-def is_equitable(g: Graph, partition: Partition) -> bool:
-    """True iff every vertex of each block has the same Q-row-sum into each block."""
-    partition.validate(g.n)
-    masks = partition.masks()
-    for i, bi in enumerate(partition.blocks):
-        for j, mask in enumerate(masks):
-            first = None
-            for u in bi:
-                s = (g.adj[u] & mask).bit_count()
-                if i == j:
-                    s += g.adj[u].bit_count()
-                if first is None:
-                    first = s
-                elif s != first:
-                    return False
-    return True
+    blocks = partition_blocks(g.n, blocks)
+    masks = [sum(1 << v for v in b) for b in blocks]
+    rows, equitable = [], True
+    for i, block in enumerate(blocks):
+        sums = [[(g.adj[u] & m).bit_count() + (i == j) * g.adj[u].bit_count() for j, m in enumerate(masks)] for u in block]
+        rows.append([Fraction(sum(col), len(block)) for col in zip(*sums)])
+        equitable = equitable and all(s == sums[0] for s in sums)
+    return rows, equitable
 
 
 # -- graph matrices and their eigenvalue counts -------------------------------

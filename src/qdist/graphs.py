@@ -9,10 +9,9 @@ is_connected and verify.is_k_c5 read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -156,35 +155,6 @@ def is_connected(g: Graph) -> bool:
 # -- named families ----------------------------------------------------------
 
 
-class FamilyKind(str, Enum):
-    PATH = "path"
-    CYCLE = "cycle"
-    COMPLETE = "complete"
-    COMPLETE_BIPARTITE = "complete_bipartite"
-    COMPLETE_MINUS_EDGE = "complete_minus_edge"
-    GNDT = "gndt"
-    GNDRA = "gndra"
-    K_COPIES = "kcopies"
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family plus its integer parameters.
-
-    ``kcopies`` nests another spec: k disjoint copies of ``inner``.
-    """
-
-    kind: FamilyKind
-    params: dict[str, int] = field(default_factory=dict)
-    inner: FamilySpec | None = None
-
-    def describe(self) -> str:
-        ps = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        if self.inner is not None:
-            return f"{self.kind.value}({ps};of={self.inner.describe()})"
-        return f"{self.kind.value}({ps})"
-
-
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
@@ -264,44 +234,33 @@ def _path_plus_clique(n: int, d: int, joins: Sequence[tuple[int, int, int]]) -> 
     return Graph(n, tuple(rows))
 
 
-def _require(params: dict[str, int], names: Sequence[str], kind: FamilyKind) -> list[int]:
+def _complete_bipartite_split(n: int, a: int) -> Graph:
+    if not 1 <= a <= n - 1:
+        raise GraphError(f"complete_bipartite requires 1 <= a <= n-1, got a={a}, n={n}")
+    return complete_bipartite(a, n - a)
+
+
+# kind -> (builder, the names of its integer parameters in argument order)
+FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "complete_bipartite": (_complete_bipartite_split, ("n", "a")),
+    "complete_minus_edge": (complete_minus_edge, ("n",)),
+    "gndt": (gndt, ("n", "d", "t")),
+    "gndra": (gndra, ("n", "d", "r", "a")),
+}
+
+
+def make_family(kind: str, params: dict[str, int]) -> Graph:
+    """The member of the named family with exactly these parameters."""
+    if kind not in FAMILIES:
+        raise GraphError(f"unknown family kind {kind!r}; known kinds: {', '.join(FAMILIES)}")
+    build, names = FAMILIES[kind]
     missing = [k for k in names if k not in params]
     if missing:
-        raise GraphError(f"{kind.value} needs parameters {list(names)}, missing {missing}")
+        raise GraphError(f"{kind} needs parameters {list(names)}, missing {missing}")
     extra = [k for k in params if k not in names]
     if extra:
-        raise GraphError(f"{kind.value} got unexpected parameters {extra}")
-    return [params[k] for k in names]
-
-
-def make_family(spec: FamilySpec) -> Graph:
-    kind, params = spec.kind, spec.params
-    if kind is FamilyKind.PATH:
-        (n,) = _require(params, ["n"], kind)
-        return path_graph(n)
-    if kind is FamilyKind.CYCLE:
-        (n,) = _require(params, ["n"], kind)
-        return cycle_graph(n)
-    if kind is FamilyKind.COMPLETE:
-        (n,) = _require(params, ["n"], kind)
-        return complete_graph(n)
-    if kind is FamilyKind.COMPLETE_BIPARTITE:
-        n, a = _require(params, ["n", "a"], kind)
-        if not 1 <= a <= n - 1:
-            raise GraphError(f"complete_bipartite requires 1 <= a <= n-1, got a={a}, n={n}")
-        return complete_bipartite(a, n - a)
-    if kind is FamilyKind.COMPLETE_MINUS_EDGE:
-        (n,) = _require(params, ["n"], kind)
-        return complete_minus_edge(n)
-    if kind is FamilyKind.GNDT:
-        n, d, t = _require(params, ["n", "d", "t"], kind)
-        return gndt(n, d, t)
-    if kind is FamilyKind.GNDRA:
-        n, d, r, a = _require(params, ["n", "d", "r", "a"], kind)
-        return gndra(n, d, r, a)
-    if kind is FamilyKind.K_COPIES:
-        (k,) = _require(params, ["k"], kind)
-        if spec.inner is None:
-            raise GraphError("kcopies needs an inner family spec")
-        return k_copies(make_family(spec.inner), k)
-    raise GraphError(f"unknown family kind {kind!r}")
+        raise GraphError(f"{kind} got unexpected parameters {extra}")
+    return build(*(params[k] for k in names))

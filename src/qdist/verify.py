@@ -642,6 +642,8 @@ def search_counterexamples(
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise GraphError(f"empty vertex range {n_range}")
+    if n_lo < 1:
+        raise GraphError(f"--n-min must be at least 1, got {n_lo}")
     if budget < 1:
         raise GraphError(f"budget must be at least 1, got {budget}")
     if tid in FAMILY_THEOREM_IDS:

@@ -1,20 +1,51 @@
 """Reference computations that only the tests read: the textbook closed
-forms of C_n, K_n, K_{2,n-2} and K_n minus an edge, rational inertia,
-determinants and characteristic polynomials, the G - v edit, and the Weyl
-and Cauchy-interlacing inequality checkers. qdist itself never calls them;
-the tests hold its results against them."""
+forms of C_n, K_n, K_{2,n-2} and K_n minus an edge, the tests' exact
+matrix type with its rational inertia, determinants and characteristic
+polynomials, the G - v edit, and the Weyl and Cauchy-interlacing
+inequality checkers. qdist itself never calls them; the tests hold its
+results against them."""
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, lcm, pi, sqrt
 
 import numpy as np
 
-from qdist.exact import MatrixError, RationalMatrix, _inertia_int
+from qdist.exact import _inertia_int
 from qdist.graphs import Graph, GraphError
 from qdist.jacobi import INEQ_SLACK, eigenvalues_sym
 
 # -- exact matrices ------------------------------------------------------------
+
+
+class MatrixError(ValueError):
+    """Malformed matrix input (non-square, asymmetric where symmetry is required)."""
+
+
+class RationalMatrix:
+    """Dense square matrix with exact Fraction entries."""
+
+    __slots__ = ("order", "rows")
+
+    def __init__(self, rows):
+        self.rows = [[Fraction(x) for x in row] for row in rows]
+        self.order = len(self.rows)
+        for row in self.rows:
+            if len(row) != self.order:
+                raise MatrixError(f"row of length {len(row)} in matrix of order {self.order}")
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.rows[i][j]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RationalMatrix) and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix({self.rows!r})"
+
+    def to_json(self) -> str:
+        return json.dumps([[str(x) for x in row] for row in self.rows])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from qdist import jacobi, sweeps, verify
 from qdist.cli import main
 from qdist.graph6 import graph6_decode, graph6_encode
-from qdist.graphs import cycle_graph, gndt
+from qdist.graphs import cycle_graph, gndt, k_copies
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO / "docs" / "schemas"
@@ -38,21 +38,47 @@ def run_cli(args, stdin=None):
 
 
 def test_family_gndt(capsys):
-    assert main(["family", "--kind", "gndt", "--n", "9", "--d", "3", "--t", "2"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert graph6_decode(out) == gndt(9, 3, 2)
+    for n, d, t in [(9, 3, 2), (8, 4, 3), (10, 5, 5)]:
+        assert main(["family", "--kind", "gndt", "--n", str(n), "--d", str(d), "--t", str(t)]) == 0
+        out = capsys.readouterr().out.strip()
+        assert graph6_decode(out) == gndt(n, d, t), (n, d, t)
+
+
+# one member of every kind: its options, graph6 line and JSON family label
+FAMILY_OUTPUTS = [
+    (["path", "--n", "5"], "DhC", "path(n=5)"),
+    (["cycle", "--n", "5"], "Dhc", "cycle(n=5)"),
+    (["complete", "--n", "4"], "C~", "complete(n=4)"),
+    (["complete_bipartite", "--n", "5", "--a", "2"], "D]o", "complete_bipartite(a=2,n=5)"),
+    (["complete_minus_edge", "--n", "5"], "D^{", "complete_minus_edge(n=5)"),
+    (["gndt", "--n", "9", "--d", "3", "--t", "2"], "Hhzn^^n", "gndt(d=3,n=9,t=2)"),
+    (["gndra", "--n", "9", "--d", "3", "--r", "2", "--a", "2"], "Hhzjz|~", "gndra(a=2,d=3,n=9,r=2)"),
+    (["kcopies", "--k", "2", "--of", "cycle", "--n", "5"], "Ihc?GC@@G", "kcopies(k=2;of=cycle(n=5))"),
+]
 
 
 def test_family_json(capsys):
-    assert main(["family", "--kind", "cycle", "--n", "5", "--format", "json"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["n"] == 5 and obj["graph6"] == graph6_encode(cycle_graph(5))
+    for options, g6, label in FAMILY_OUTPUTS:
+        assert main(["family", "--kind", *options]) == 0
+        assert capsys.readouterr().out == g6 + "\n", options
+        assert main(["family", "--kind", *options, "--format", "json"]) == 0
+        g = graph6_decode(g6)
+        obj = {"edges": [list(e) for e in g.edges()], "family": label, "graph6": g6, "n": g.n}
+        assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n", options
 
 
 def test_family_kcopies(capsys):
-    assert main(["family", "--kind", "kcopies", "--k", "2", "--of", "cycle", "--n", "5"]) == 0
-    g = graph6_decode(capsys.readouterr().out.strip())
-    assert g.n == 10 and g.edge_count() == 10
+    for inner, member, g6, label in [
+        (["cycle", "--n", "5"], cycle_graph(5), "Ihc?GC@@G", "kcopies(k=2;of=cycle(n=5))"),
+        (["gndt", "--n", "7", "--d", "3", "--t", "2"], gndt(7, 3, 2), "MhznW?@?G?_M?\\?\\_",
+         "kcopies(k=2;of=gndt(d=3,n=7,t=2))"),
+    ]:
+        assert main(["family", "--kind", "kcopies", "--k", "2", "--of", *inner]) == 0
+        out = capsys.readouterr().out
+        assert out == g6 + "\n", inner
+        assert graph6_decode(out.strip()) == k_copies(member, 2), inner
+        assert main(["family", "--kind", "kcopies", "--k", "2", "--of", *inner, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["family"] == label, inner
 
 
 def test_count_c5(capsys):
@@ -87,11 +113,39 @@ def test_invariants_json(capsys):
     assert obj["nu"] == 2 and obj["gamma_dom"] == 2 and obj["diam"] == 2
 
 
+K5E_QUOTIENTS = {
+    # an equitable partition and one that is not, in both formats
+    ("2,3,4;0,1", "json"): '{"blocks": [[2, 3, 4], [0, 1]], "equitable": true, "graph6": "D^{", '
+                           '"matrix": [["6", "2"], ["3", "3"]]}\n',
+    ("2,3,4;0,1", "text"): "graph6: D^{\nblocks: [[2, 3, 4], [0, 1]]\nmatrix: [['6', '2'], ['3', '3']]\n"
+                           "equitable: True\n",
+    ("0;4,3,2,1", "json"): '{"blocks": [[0], [1, 2, 3, 4]], "equitable": false, "graph6": "D^{", '
+                           '"matrix": [["3", "3"], ["3/4", "27/4"]]}\n',
+    ("0;4,3,2,1", "text"): "graph6: D^{\nblocks: [[0], [1, 2, 3, 4]]\nmatrix: [['3', '3'], ['3/4', '27/4']]\n"
+                           "equitable: False\n",
+}
+
+
 def test_quotient_json(capsys):
-    assert main(["quotient", "--family", "complete_minus_edge,n=5", "--blocks", "2,3,4;0,1"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["matrix"] == [["6", "2"], ["3", "3"]]
-    assert obj["equitable"] is True
+    for (blocks, fmt), want in K5E_QUOTIENTS.items():
+        args = ["quotient", "--family", "complete_minus_edge,n=5", "--blocks", blocks, "--format", fmt]
+        assert main(args) == 0
+        assert capsys.readouterr().out == want, (blocks, fmt)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ("0,1;;2,3,4", "partition block is empty"),
+        ("0,1;2,3,4,5", "partition vertex 5 out of range for n=5"),
+        ("0,1;1,2,3,4", "vertex 1 appears in two partition blocks"),
+        ("0,1;2,3", "partition does not cover every vertex"),
+    ],
+    ids=["empty", "range", "twice", "cover"],
+)
+def test_quotient_partition_errors(capsys, blocks, message):
+    assert main(["quotient", "--family", "complete_minus_edge,n=5", "--blocks", blocks]) == 2
+    assert capsys.readouterr() == ("", f"error: graph D^{{: {message}\n")
 
 
 def test_verify_exit_zero(capsys):
@@ -246,13 +300,37 @@ def test_usage_errors_exit_two():
     [
         (["count", "--graph6", "Dhc", "--interval", "[0,/2n)"], "/2n"),
         (["spectrum", "--graph6", "Dhc", "--threshold", "abc"], "abc"),
+        (["spectrum", "--family", "gndt,n=9,d=x,t=2"], "d=x"),
+        (["quotient", "--graph6", "Dhc", "--blocks", "0,a;1,2,3,4"], "0,a"),
     ],
-    ids=["count", "spectrum"],
+    ids=["count", "spectrum", "family", "blocks"],
 )
 def test_unparsable_literals_are_usage_errors_naming_their_text(args, text):
     proc = run_cli(args)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and repr(text) in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["spectrum", "--family", "gndt,n=9,d=3,t=2,n=10"], "family parameter 'n' is given twice"),
+        (["spectrum", "--family", "nope,n=3"],
+         "unknown family kind 'nope'; known kinds: path, cycle, complete, complete_bipartite, "
+         "complete_minus_edge, gndt, gndra"),
+        (["spectrum", "--family", "kcopies,k=2"], "kcopies is built only by `qdist family --kind kcopies --of KIND`"),
+        (["family", "--kind", "kcopies", "--k", "2", "--of", "kcopies"], "argument --of: invalid choice: 'kcopies'"),
+        (["family", "--kind", "gndt", "--n", "9", "--d", "3", "--t", "2", "--of", "cycle"],
+         "--of is for --kind kcopies only, not gndt"),
+        (["family", "--kind", "kcopies", "--of", "cycle", "--n", "5"], "kcopies needs --k"),
+        (["search", "--theorem", "delta2", "--n-min", "0", "--n-max", "3"], "--n-min must be at least 1, got 0"),
+    ],
+    ids=["repeated-key", "unknown-kind", "kcopies-string", "of-kcopies", "of-ignored", "kcopies-without-k", "n-min"],
+)
+def test_bad_family_and_range_input_is_a_usage_error_naming_it(args, message):
+    proc = run_cli(args)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stdout
+    assert message in proc.stderr, proc.stderr
 
 
 def test_count_resolves_every_interval_before_printing(tmp_path):
@@ -300,6 +378,7 @@ def test_out_of_range_orders_exit_two_before_any_work(monkeypatch):
     assert main(["verify", "--theorem", "delta2", "--exhaustive", "-1"]) == 2
     assert main(["verify", "--theorem", "all", "--exhaustive", "0", "--family-max", "200"]) == 2
     assert main(["search", "--theorem", "diameter-3-equality", "--n-min", "7", "--n-max", "300"]) == 2
+    assert main(["search", "--theorem", "delta2", "--n-min", "0", "--n-max", "3"]) == 2
     # selections that check nothing
     assert main(["verify", "--theorem", "all", "--exhaustive", "0", "--family-max", "-5"]) == 2
     assert main(["verify", "--theorem", "delta2", "--exhaustive", "0"]) == 2

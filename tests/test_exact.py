@@ -5,16 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Inertia, char_poly, det, inertia, poly_eval
+from reference import Inertia, MatrixError, RationalMatrix, char_poly, det, inertia, poly_eval
 
-from qdist.exact import (
-    MatrixError,
-    Partition,
-    RationalMatrix,
-    graph_shift_rows,
-    is_equitable,
-    quotient_matrix,
-)
+from qdist.exact import graph_shift_rows, partition_blocks, quotient
 from qdist.graphs import (
     GraphError,
     complete_bipartite,
@@ -173,17 +166,16 @@ def test_char_poly_eval_scalar():
 def test_quotient_matrix_kn_minus_e():
     # degree-(n-1) block vs the two endpoints of the missing edge
     k5e = complete_minus_edge(5)
-    part = Partition.of([[2, 3, 4], [0, 1]])
-    B = quotient_matrix(k5e, part)
-    assert B.rows == [[Fraction(6), Fraction(2)], [Fraction(3), Fraction(3)]]
-    assert is_equitable(k5e, part)
+    B, equitable = quotient(k5e, [[2, 3, 4], [0, 1]])
+    assert B == [[Fraction(6), Fraction(2)], [Fraction(3), Fraction(3)]]
+    assert equitable
 
 
 def test_quotient_matrix_dia3_family():
     n = 7
     h = gndt(n, 3, 2)
-    part = Partition.of([[0], [1, 4, 5, 6], [2], [3]])
-    B = quotient_matrix(h, part)
+    rows, equitable = quotient(h, [[0], [1, 4, 5, 6], [2], [3]])
+    B = RationalMatrix(rows)
     expect = [
         [n - 3, n - 3, 0, 0],
         [1, 2 * n - 6, 1, 0],
@@ -191,7 +183,7 @@ def test_quotient_matrix_dia3_family():
         [0, 0, 1, 1],
     ]
     assert B.rows == [[Fraction(x) for x in row] for row in expect]
-    assert is_equitable(h, part)
+    assert equitable
     assert char_poly_eval(B, n - 2) == -((n - 4) ** 2)
     assert char_poly_eval(B, n - 3) == (n - 3) ** 2
     assert char_poly_eval(B, 2) == -2 * (n - 3) * (n - 4) * (n - 6)
@@ -200,8 +192,8 @@ def test_quotient_matrix_dia3_family():
 @pytest.mark.parametrize("n,a", [(8, 1), (9, 2), (11, 3)])
 def test_quotient_matrix_split_family(n, a):
     g = gndra(n, 3, 2, a)
-    part = Partition.of([[0], [1] + list(range(4, 4 + a)), [2] + list(range(4 + a, n)), [3]])
-    M = quotient_matrix(g, part)
+    rows, equitable = quotient(g, [[0], [1] + list(range(4, 4 + a)), [2] + list(range(4 + a, n)), [3]])
+    M = RationalMatrix(rows)
     expect = [
         [a + 1, a + 1, 0, 0],
         [1, n - 2 + a, n - 3 - a, 0],
@@ -209,44 +201,44 @@ def test_quotient_matrix_split_family(n, a):
         [0, 0, n - 3 - a, n - 3 - a],
     ]
     assert M.rows == [[Fraction(x) for x in row] for row in expect]
-    assert is_equitable(g, part)
+    assert equitable
     assert char_poly_eval(M, n - 2) == 4 * a * (n - 4 - a) - (n - 4) ** 2
     assert char_poly_eval(M, n - 3) == (n - 3) * ((n - 4 - a) * a + n - 3)
     assert char_poly_eval(M, a + 1) == -(a + 1) * (2 * (n - 4 - a) * (n - 2 * a - 4) - a - 1)
 
 
 def test_quotient_single_block():
-    B = quotient_matrix(complete_graph(3), Partition.of([[0, 1, 2]]))
-    assert B.rows == [[Fraction(4)]]
+    B, _ = quotient(complete_graph(3), [[0, 1, 2]])
+    assert B == [[Fraction(4)]]
 
 
 def test_is_equitable_negative():
-    assert not is_equitable(path_graph(4), Partition.of([[0], [1, 2, 3]]))
-    assert is_equitable(path_graph(4), Partition.of([[0], [1], [2], [3]]))
+    assert not quotient(path_graph(4), [[0], [1, 2, 3]])[1]
+    assert quotient(path_graph(4), [[0], [1], [2], [3]])[1]
 
 
 def test_quotient_row_sums_are_block_averages():
     g = gndt(9, 4, 3)
-    part = Partition.of([[0, 1, 2, 3, 4], list(range(5, 9))])
-    B = quotient_matrix(g, part)
+    blocks = [[0, 1, 2, 3, 4], list(range(5, 9))]
+    B, _ = quotient(g, blocks)
     q = RationalMatrix(graph_shift_rows(g, "Q"))
-    for i, block in enumerate(part.blocks):
+    for i, block in enumerate(blocks):
         avg = Fraction(sum(q.entry(u, v) for u in block for v in range(g.n)), len(block))
-        assert sum(B.rows[i]) == avg
+        assert sum(B[i]) == avg
 
 
-def quotient_eigenvalues(g, part):
+def quotient_eigenvalues(g, blocks):
     """Eigenvalues of the quotient via the similar symmetric matrix
     diag(sqrt(|V_i|)) B diag(1/sqrt(|V_i|))."""
     import math
 
     from qdist.jacobi import eigenvalues_sym
 
-    B = quotient_matrix(g, part)
-    sizes = [len(b) for b in part.blocks]
+    B, _ = quotient(g, blocks)
+    sizes = [len(b) for b in blocks]
     m = len(sizes)
     C = [
-        [float(B.entry(i, j)) * math.sqrt(sizes[i] / sizes[j]) for j in range(m)]
+        [float(B[i][j]) * math.sqrt(sizes[i] / sizes[j]) for j in range(m)]
         for i in range(m)
     ]
     return eigenvalues_sym(C).values
@@ -266,12 +258,12 @@ def test_equitable_quotient_spectrum_contained(g, blocks):
     from qdist.jacobi import eigenvalues_sym
     from qdist.spectral import q_float
 
-    part = Partition.of(blocks)
-    assert is_equitable(g, part)
-    B = quotient_matrix(g, part)
+    rows, equitable = quotient(g, blocks)
+    assert equitable
+    B = RationalMatrix(rows)
     q_eigs = eigenvalues_sym(q_float(g)).values
     # floating route: every quotient eigenvalue appears among Q's
-    for mu in quotient_eigenvalues(g, part):
+    for mu in quotient_eigenvalues(g, blocks):
         assert min(abs(mu - lam) for lam in q_eigs) < 1e-8
     # exact route: integer roots of the quotient polynomial are Q-eigenvalues
     # with positive inertia multiplicity
@@ -288,9 +280,9 @@ def test_matrix_json_is_exact():
 
 def test_partition_validation():
     with pytest.raises(GraphError):
-        Partition.of([[0, 1], [1, 2]]).validate(3)
+        partition_blocks(3, [[0, 1], [1, 2]])
     with pytest.raises(GraphError):
-        Partition.of([[0, 1]]).validate(3)
+        partition_blocks(3, [[0, 1]])
     with pytest.raises(GraphError):
-        Partition.of([[0], []]).validate(1)
-    Partition.of([[2, 0], [1]]).validate(3)
+        partition_blocks(1, [[0], []])
+    assert partition_blocks(3, [[2, 0], [1]]) == [[0, 2], [1]]

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from reference import delete_vertex, induced_subgraph
 
 from qdist.graphs import (
-    FamilyKind,
-    FamilySpec,
     GraphError,
     bfs_distances,
     complete_bipartite,
@@ -226,14 +224,15 @@ def test_family_parameter_validation():
 
 
 def test_make_family_dispatch():
-    assert make_family(FamilySpec(FamilyKind.CYCLE, {"n": 5})) == cycle_graph(5)
-    assert make_family(FamilySpec(FamilyKind.COMPLETE_BIPARTITE, {"n": 5, "a": 2})) == complete_bipartite(2, 3)
-    assert make_family(FamilySpec(FamilyKind.COMPLETE_MINUS_EDGE, {"n": 5})) == complete_minus_edge(5)
+    assert make_family("cycle", {"n": 5}) == cycle_graph(5)
+    assert make_family("complete_bipartite", {"n": 5, "a": 2}) == complete_bipartite(2, 3)
+    assert make_family("complete_minus_edge", {"n": 5}) == complete_minus_edge(5)
     assert complete_minus_edge(5).edge_count() == 9
-    spec = FamilySpec(FamilyKind.K_COPIES, {"k": 2}, FamilySpec(FamilyKind.CYCLE, {"n": 5}))
-    assert make_family(spec) == k_copies(cycle_graph(5), 2)
+    # kcopies nests another kind, so only `qdist family --of` builds it
+    with pytest.raises(GraphError, match="unknown family kind 'kcopies'; known kinds: path, cycle,"):
+        make_family("kcopies", {"k": 2})
     with pytest.raises(GraphError, match="missing"):
-        make_family(FamilySpec(FamilyKind.GNDT, {"n": 8}))
+        make_family("gndt", {"n": 8})
 
 
 @given(small_graphs())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from labeled import graph_from_mask, mask_pairs
-from reference import inertia, interlacing_check, weyl_check
+from reference import RationalMatrix, inertia, interlacing_check, weyl_check
 
 from qdist import jacobi
 from qdist.jacobi import (
@@ -19,7 +19,6 @@ from qdist.jacobi import (
     jacobi_batch,
     mask_adjacency,
 )
-from qdist.exact import RationalMatrix
 from qdist.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
 from qdist.jacobi import GUARD_BAND
 from qdist.spectral import q_float

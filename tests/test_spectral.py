@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import complete_spectrum, cycle_eigenvalue, cycle_spectrum, k2_bipartite_spectrum, kn_minus_e_spectrum
+from reference import (
+    RationalMatrix,
+    complete_spectrum,
+    cycle_eigenvalue,
+    cycle_spectrum,
+    k2_bipartite_spectrum,
+    kn_minus_e_spectrum,
+)
 from test_verify import _member
 
 from qdist import exact, quotients, verify
@@ -45,23 +52,23 @@ def small_random_graphs(max_n=7):
 
 
 def test_q_matrix_small():
-    q = exact.RationalMatrix(exact.graph_shift_rows(path_graph(3), "Q"))
+    q = RationalMatrix(exact.graph_shift_rows(path_graph(3), "Q"))
     assert q.rows == [[Fraction(x) for x in row] for row in [[1, 1, 0], [1, 2, 1], [0, 1, 1]]]
-    q = exact.RationalMatrix(exact.graph_shift_rows(complete_graph(3), "Q"))
+    q = RationalMatrix(exact.graph_shift_rows(complete_graph(3), "Q"))
     assert q.rows == [[Fraction(x) for x in row] for row in [[2, 1, 1], [1, 2, 1], [1, 1, 2]]]
 
 
 def test_l_matrix_small():
-    l = exact.RationalMatrix(exact.graph_shift_rows(path_graph(2), "L"))
+    l = RationalMatrix(exact.graph_shift_rows(path_graph(2), "L"))
     assert l.rows == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]]
-    for row in exact.RationalMatrix(exact.graph_shift_rows(cycle_graph(5), "L")).rows:
+    for row in RationalMatrix(exact.graph_shift_rows(cycle_graph(5), "L")).rows:
         assert sum(row) == 0
 
 
 @given(small_random_graphs())
 @settings(max_examples=50)
 def test_trace_is_twice_edges(g):
-    q = exact.RationalMatrix(exact.graph_shift_rows(g, "Q"))
+    q = RationalMatrix(exact.graph_shift_rows(g, "Q"))
     assert sum(q.entry(i, i) for i in range(g.n)) == 2 * g.edge_count()
     for u in range(g.n):
         assert sum(q.rows[u]) == 2 * g.degree(u)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from labeled import graph_from_mask, mask_pairs
-from reference import char_poly
+from reference import RationalMatrix, char_poly
 from test_statements import _route_graphs
 
 from qdist import exact, jacobi, sweeps, verify
@@ -64,7 +64,7 @@ def test_char_poly_batch_matches_fraction_recurrence():
         got = sweeps.char_poly_batch(A)
         assert got.dtype == np.int32 and got.shape == (len(masks), n + 1)
         for mask in list(masks)[:: max(1, len(masks) // 200)]:
-            want = char_poly(exact.RationalMatrix(A[mask].astype(int).tolist()))
+            want = char_poly(RationalMatrix(A[mask].astype(int).tolist()))
             assert got[mask].tolist() == [int(c) for c in want], (n, mask)
 
 
