@@ -88,20 +88,19 @@ def _emit(obj: dict, fmt: str) -> None:
 
 def cmd_family(args: argparse.Namespace) -> int:
     params = {name: getattr(args, name) for name in ("n", "d", "t", "r", "a", "k") if getattr(args, name) is not None}
-    kind = args.kind
+    kind, copies = args.kind, None
     if kind == "kcopies":
         if args.of is None:
             raise GraphError("kcopies needs --of INNER_KIND")
         if args.k is None:
             raise GraphError("kcopies needs --k")
-        kind = args.of
-        del params["k"]
+        kind, copies = args.of, params.pop("k")
     elif args.of is not None:
         raise GraphError(f"--of is for --kind kcopies only, not {kind}")
     g = make_family(kind, params)
-    label = f"{kind}({','.join(f'{k}={v}' for k, v in sorted(params.items()))})"
-    if args.kind == "kcopies":
-        g, label = k_copies(g, args.k), f"kcopies(k={args.k};of={label})"
+    label = f"{kind}({','.join(f'{p}={v}' for p, v in sorted(params.items()))})"
+    if copies is not None:
+        g, label = k_copies(g, copies), f"kcopies(k={copies};of={label})"
     if args.format == "json":
         _emit({"family": label, "n": g.n, "graph6": graph6_encode(g), "edges": g.edges()}, "json")
     else:
