@@ -17,7 +17,8 @@ workload on each side for its per-layer counters, and one run of the
 tier-1 test suite on each side (`python -m pytest -q
 --continue-on-collection-errors`, with src on PYTHONPATH). The record also
 names the machine and the two commits, and counts each side's source lines
-(src/qdist/*.py plus scripts/*.py, as `wc -l` counts them).
+as `wc -l` counts them: the program (src/qdist/*.py plus scripts/*.py) and
+the tests (tests/*.py).
 
 Every child runs in a process group of its own. Stopped with SIGTERM or
 SIGINT, the script kills the group of the child it is waiting for, reaps
@@ -81,8 +82,9 @@ def spawn(cmd: list[str], cwd: Path) -> dict:
     }
 
 
-def source_lines(root: Path) -> int:
-    return sum(p.read_bytes().count(b"\n") for glob in ("src/qdist/*.py", "scripts/*.py") for p in root.glob(glob))
+def source_lines(root: Path) -> dict[str, int]:
+    globs = {"program": ("src/qdist/*.py", "scripts/*.py"), "tests": ("tests/*.py",)}
+    return {k: sum(p.read_bytes().count(b"\n") for glob in gs for p in root.glob(glob)) for k, gs in globs.items()}
 
 
 def summary(values: list[float]) -> dict:

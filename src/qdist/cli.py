@@ -44,16 +44,15 @@ def _parse_family_string(text: str) -> tuple[str, dict[str, int]]:
 
 
 def _input_graphs(args: argparse.Namespace) -> list[Graph]:
-    if getattr(args, "graph6", None) is not None:
+    if args.graph6 is not None:
         return [graph6_decode(args.graph6)]
-    if getattr(args, "file", None) is not None:
+    if args.file is not None:
         try:
-            fh = open(args.file)
+            with open(args.file) as fh:
+                return [graph6_decode(line) for line in fh if line.strip()]
         except OSError as err:
             raise GraphError(f"cannot read --file: {err}") from err
-        with fh:
-            return [graph6_decode(line) for line in fh if line.strip()]
-    if getattr(args, "family", None) is not None:
+    if args.family is not None:
         return [make_family(*_parse_family_string(args.family))]
     if not sys.stdin.isatty():
         return [graph6_decode(line) for line in sys.stdin if line.strip()]
@@ -61,19 +60,21 @@ def _input_graphs(args: argparse.Namespace) -> list[Graph]:
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph6", help="graph6 string")
-    p.add_argument("--file", help="file with one graph6 string per line")
-    p.add_argument("--family", help="family spec, e.g. 'gndt,n=9,d=3,t=2'")
+    """At most one of the three inputs; stdin when none is given."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--graph6", help="graph6 string")
+    group.add_argument("--file", help="file with one graph6 string per line")
+    group.add_argument("--family", help="family spec, e.g. 'gndt,n=9,d=3,t=2'")
 
 
-def _each_graph(args: argparse.Namespace, compute) -> list[tuple[Graph, object]]:
-    """(g, compute(g)) for every input graph, all computed before the caller
-    prints its first line; an error on one graph names it."""
+def _each_graph(args: argparse.Namespace, compute) -> list[tuple[str, object]]:
+    """(graph6, compute(g)) for every input graph g, all computed before the
+    caller prints its first line; an input error on one graph names it."""
     out = []
     for g in _input_graphs(args):
         try:
-            out.append((g, compute(g)))
-        except GraphError as err:
+            out.append((graph6_encode(g), compute(g)))
+        except ValueError as err:
             raise GraphError(f"graph {graph6_encode(g)}: {err}") from None
     return out
 
@@ -112,8 +113,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     from . import spectral
 
     thresholds = [spectral.parse_rational(t) for t in args.threshold or []]
-    for g in _input_graphs(args):
-        rep = spectral.spectrum_report(g, args.matrix, thresholds)
+    for _, rep in _each_graph(args, lambda g: spectral.spectrum_report(g, args.matrix, thresholds)):
         if args.format == "json":
             print(json.dumps(rep, sort_keys=True))
         else:
@@ -127,29 +127,25 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     from . import spectral
 
-    sym = spectral.parse_interval(args.interval)
-    graphs = _input_graphs(args)
-    intervals = []
-    for g in graphs:  # every interval is resolved before the first line is printed
-        try:
-            intervals.append(sym.resolve(g.n))
-        except spectral.IntervalError as err:
-            raise spectral.IntervalError(f"{sym} at n = {g.n} (graph {graph6_encode(g)}): {err}") from None
-    for g, iv in zip(graphs, intervals):
-        c = spectral.m_count(g, iv, matrix=args.matrix)
+    interval = spectral.parse_interval(args.interval)
+
+    def count(g: Graph) -> tuple[str, int]:
+        return str(interval.resolve(g.n)), spectral.m_count(g, interval, matrix=args.matrix)
+
+    for g6, (iv, c) in _each_graph(args, count):
         if args.format == "json":
-            _emit({"graph6": graph6_encode(g), "interval": str(iv), "count": c, "matrix": args.matrix}, "json")
+            _emit({"graph6": g6, "interval": iv, "count": c, "matrix": args.matrix}, "json")
         else:
             print(c)
     return 0
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    for g, bundle in _each_graph(args, invariant_bundle):
+    for g6, inv in _each_graph(args, invariant_bundle):
         if args.format == "json":
-            print(json.dumps({"graph6": graph6_encode(g), **json.loads(bundle.to_json())}, sort_keys=True))
+            print(json.dumps({"graph6": g6, **inv}, sort_keys=True))
         else:
-            print(f"{graph6_encode(g)}: {bundle.to_json()}")
+            print(f"{g6}: {json.dumps(inv)}")
     return 0
 
 
@@ -163,15 +159,10 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
     def quotient(g: Graph) -> dict:
         rows, equitable = exact.quotient(g, blocks)
-        return {
-            "graph6": graph6_encode(g),
-            "blocks": blocks,
-            "matrix": [[str(x) for x in row] for row in rows],
-            "equitable": equitable,
-        }
+        return {"blocks": blocks, "matrix": [[str(x) for x in row] for row in rows], "equitable": equitable}
 
-    for _, obj in _each_graph(args, quotient):
-        _emit(obj, args.format)
+    for g6, obj in _each_graph(args, quotient):
+        _emit({"graph6": g6, **obj}, args.format)
     return 0
 
 

@@ -8,7 +8,6 @@ is_connected and verify.is_k_c5 read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,22 +31,7 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
-    def validate(self) -> None:
-        if self.n < 0 or len(self.adj) != self.n:
-            raise GraphError(f"adjacency has {len(self.adj)} rows for n={self.n}")
-        for u, row in enumerate(self.adj):
-            if row >> self.n:
-                raise GraphError(f"row {u} mentions vertices >= n")
-            if row & (1 << u):
-                raise GraphError(f"self-loop at vertex {u}")
-            for v in _bits(row):
-                if not self.adj[v] & (1 << u):
-                    raise GraphError(f"asymmetric adjacency between {u} and {v}")
-
     # -- queries ------------------------------------------------------------
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
@@ -59,14 +43,6 @@ class Graph:
             for d in _bits(row):
                 out.append((u, u + 1 + d))
         return out
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def to_json(self) -> str:
-        """Adjacency-list JSON export: {"n": ..., "edges": [[u, v], ...]}."""
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges()]})
-
 
 
 # -- constructors and editing ----------------------------------------------

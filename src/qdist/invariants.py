@@ -9,8 +9,6 @@ limits: branch and bound, and a path-end DP over a stack for the longest path.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
 from math import inf
 
 import numpy as np
@@ -209,33 +207,22 @@ def longest_path_length(g: Graph) -> int:
     return int(longest_path_lengths(np.array(g.adj, dtype=np.int64).reshape(1, g.n))[0])
 
 
-# -- bundle ------------------------------------------------------------------------
+# -- all invariants of one graph ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
-    """All invariants the theorem checkers reference, for one graph."""
-
-    nu: int
-    alpha: int
-    gamma_dom: int
-    diam: float
-    longest_path_len: int
-    delta: int
-    Delta: int
-
-    def to_json(self) -> str:
-        return json.dumps({**asdict(self), "diam": None if self.diam is inf else self.diam})
-
-
-def invariant_bundle(g: Graph) -> InvariantBundle:
+def invariant_bundle(g: Graph) -> dict:
+    """Every invariant the statements reference, for one graph, keyed as
+    `qdist invariants` prints them; diam is None when g is disconnected."""
     degs = degrees(g)
-    return InvariantBundle(
-        nu=matching_number(g),
-        alpha=independence_number(g),
-        gamma_dom=domination_number(g),
-        diam=diameter(g),
-        longest_path_len=longest_path_length(g),
-        delta=min(degs),
-        Delta=max(degs),
-    )
+    out = {
+        "nu": matching_number(g),
+        "alpha": independence_number(g),
+        "gamma_dom": domination_number(g),
+        "diam": diameter(g),
+        "longest_path_len": longest_path_length(g),
+        "delta": min(degs),
+        "Delta": max(degs),
+    }
+    if out["diam"] is inf:
+        out["diam"] = None
+    return out

@@ -30,27 +30,6 @@ class IntervalError(ValueError):
     """Malformed interval literal or endpoints."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Rational endpoints with per-endpoint open/closed flags."""
-
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise IntervalError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise IntervalError("degenerate interval must be closed on both ends")
-
-    def __str__(self) -> str:
-        lo = "[" if self.lo_closed else "("
-        hi = "]" if self.hi_closed else ")"
-        return f"{lo}{self.lo},{self.hi}{hi}"
-
-
 _BOUND_RE = re.compile(
     r"""^\s*(?:
         (?P<coef>[+-]?(?:\d+(?:/\d+)?)?)\s*\*?\s*n\s*(?P<rest>[+-]\s*\d+(?:/\d+)?)?
@@ -60,24 +39,38 @@ _BOUND_RE = re.compile(
 )
 
 
+def _bound_str(coef: Fraction, const: Fraction) -> str:
+    if coef == 0:
+        return str(const)
+    cn = "n" if coef == 1 else ("-n" if coef == -1 else f"{coef}n")
+    if const == 0:
+        return cn
+    return f"{cn}{'+' if const > 0 else '-'}{abs(const)}"
+
+
 @dataclass(frozen=True)
-class SymbolicBound:
-    """Endpoint of the form coef*n + const, resolved against a graph order."""
+class Interval:
+    """Endpoints coef*n + const, each a (coef, const) pair of rationals, with
+    per-endpoint open/closed flags; both coefs are 0 in a constant interval."""
 
-    coef: Fraction
-    const: Fraction
+    lo: tuple[Fraction, Fraction]
+    hi: tuple[Fraction, Fraction]
+    lo_closed: bool
+    hi_closed: bool
 
-    def resolve(self, n: int) -> Fraction:
-        return self.coef * n + self.const
+    def resolve(self, n: int) -> "Interval":
+        """The constant interval at graph order n. Endpoints out of order, or
+        equal and not both closed, raise IntervalError naming self and n."""
+        lo, hi = (coef * n + const for coef, const in (self.lo, self.hi))
+        if lo > hi:
+            raise IntervalError(f"{self} at n = {n}: interval endpoints out of order: {lo} > {hi}")
+        if lo == hi and not (self.lo_closed and self.hi_closed):
+            raise IntervalError(f"{self} at n = {n}: degenerate interval must be closed on both ends")
+        return Interval((0, lo), (0, hi), self.lo_closed, self.hi_closed)
 
     def __str__(self) -> str:
-        if self.coef == 0:
-            return str(self.const)
-        cn = "n" if self.coef == 1 else ("-n" if self.coef == -1 else f"{self.coef}n")
-        if self.const == 0:
-            return cn
-        sign = "+" if self.const > 0 else "-"
-        return f"{cn}{sign}{abs(self.const)}"
+        lo, hi = "[" if self.lo_closed else "(", "]" if self.hi_closed else ")"
+        return f"{lo}{_bound_str(*self.lo)},{_bound_str(*self.hi)}{hi}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -91,36 +84,20 @@ def parse_rational(text: str) -> Fraction:
         raise IntervalError(f"not a rational literal: {text!r}") from None
 
 
-def _parse_bound(text: str) -> SymbolicBound:
+def _parse_bound(text: str) -> tuple[Fraction, Fraction]:
     m = _BOUND_RE.match(text)
     if not m:
         raise IntervalError(f"cannot parse interval endpoint {text!r}")
     if m.group("const") is not None:
-        return SymbolicBound(Fraction(0), parse_rational(m.group("const")))
+        return Fraction(0), parse_rational(m.group("const"))
     coef = m.group("coef")
-    if coef in ("", "+"):
-        coef = "1"
-    elif coef == "-":
-        coef = "-1"
+    if coef in ("", "+", "-"):
+        coef += "1"
     rest = (m.group("rest") or "0").replace(" ", "")
-    return SymbolicBound(parse_rational(coef), parse_rational(rest))
+    return parse_rational(coef), parse_rational(rest)
 
 
-@dataclass(frozen=True)
-class SymbolicInterval:
-    lo: SymbolicBound
-    hi: SymbolicBound
-    lo_closed: bool
-    hi_closed: bool
-
-    def resolve(self, n: int) -> Interval:
-        return Interval(self.lo.resolve(n), self.hi.resolve(n), self.lo_closed, self.hi_closed)
-
-    def __str__(self) -> str:
-        return f"{'[' if self.lo_closed else '('}{self.lo},{self.hi}{']' if self.hi_closed else ')'}"
-
-
-def parse_interval(text: str) -> SymbolicInterval:
+def parse_interval(text: str) -> Interval:
     """Parse interval syntax like "[0,1)", "(2,2n-2]", "[0,n-3)"."""
     s = text.strip()
     if len(s) < 5 or s[0] not in "[(" or s[-1] not in ")]":
@@ -129,24 +106,26 @@ def parse_interval(text: str) -> SymbolicInterval:
     if body.count(",") != 1:
         raise IntervalError(f"interval needs exactly one comma: {text!r}")
     lo_text, hi_text = body.split(",")
-    si = SymbolicInterval(_parse_bound(lo_text), _parse_bound(hi_text), s[0] == "[", s[-1] == "]")
-    if si.lo.coef == si.hi.coef == 0 and si.lo.const > si.hi.const:
+    iv = Interval(_parse_bound(lo_text), _parse_bound(hi_text), s[0] == "[", s[-1] == "]")
+    if iv.lo[0] == iv.hi[0] == 0 and iv.lo[1] > iv.hi[1]:
         raise IntervalError(f"interval endpoints out of order in {text!r}")
-    return si
+    return iv
 
 
 # -- matrix builders ----------------------------------------------------------
 
 
-def q_float(g: Graph) -> np.ndarray:
-    """Q(G) as a float64 array: matrix_stack of the one graph."""
-    return matrix_stack(adjacency(g.n, [g]))[0]
+def q_float(g: Graph, matrix: str = "Q") -> np.ndarray:
+    """Q(G) (or L(G)) as a float64 array: matrix_stack of the one graph."""
+    return matrix_stack(adjacency(g.n, [g]), matrix)[0]
 
 
 def m_count(g: Graph, iv: Interval, matrix: str = "Q") -> int:
-    """Exact number of eigenvalues of Q(G) (or L(G)) in the interval."""
-    at_hi = (exact.graph_count_le if iv.hi_closed else exact.graph_count_lt)(g, iv.hi, matrix)
-    at_lo = (exact.graph_count_lt if iv.lo_closed else exact.graph_count_le)(g, iv.lo, matrix)
+    """Exact number of eigenvalues of Q(G) (or L(G)) in the interval at order g.n."""
+    iv = iv.resolve(g.n)
+    (_, lo), (_, hi) = iv.lo, iv.hi
+    at_hi = (exact.graph_count_le if iv.hi_closed else exact.graph_count_lt)(g, hi, matrix)
+    at_lo = (exact.graph_count_lt if iv.lo_closed else exact.graph_count_le)(g, lo, matrix)
     return at_hi - at_lo
 
 
@@ -155,7 +134,7 @@ def m_count(g: Graph, iv: Interval, matrix: str = "Q") -> int:
 
 def spectrum_report(g: Graph, matrix: str = "Q", thresholds: Sequence[Fraction | int] = ()) -> dict:
     """JSON-able report: graph6, eigenvalues, and exact counts below thresholds."""
-    spec = eigenvalues_sym(matrix_stack(adjacency(g.n, [g]), matrix)[0])
+    spec = eigenvalues_sym(q_float(g, matrix))
     counts = {str(Fraction(t)): exact.graph_count_lt(g, Fraction(t), matrix) for t in thresholds}
     return {
         "graph": graph6_encode(g),

@@ -3,25 +3,26 @@ predicate over a table of graphs; the point checkers, the family checkers,
 seeded sampling (labeled edge masks decoded by jacobi.mask_adjacency), and
 counterexample search.
 
-Both graph tables share one shell, AdjacencyTable: a bool adjacency stack,
-its degrees, its G-e and G-v edits and its certified floating spectra
-(jacobi.matrix_stack into jacobi_batch, ROWS graphs per solve). A point
-checker is its statement's predicate on the one-row GraphTable of one
-graph's stack, whose other columns come from the per-graph kernels over
-Graphs that jacobi.graphs_of builds back from the stack. The exhaustive
-sweeps evaluate the same predicates on the sweeps.SweepTable of the class
-representatives (stacked kernels) and hand every labeled member of a class
-that does not pass to the point checkers, so a reported failure always
-rests on the per-graph kernels. Interval counts are exact or certified,
-never rounded floats: integer characteristic polynomials in the sweeps;
-in GraphTable, the point checkers' table, the certified spectra wherever
-every eigenvalue clears the threshold by its certified bound, with
-congruence inertia for every other row that is needed; and in the family
-grids, exact twin eigenvalues plus the certified spectra of the equitable
-quotient, with inertia of its integer form where they do not clear. The
-interlacing-chain statements also compare floating eigenvalues directly,
-with a fixed 1e-8 slack. Hypothesis failures report
-"not applicable" rather than "pass" so pass counts measure real coverage.
+Both graph tables share one shell, AdjacencyTable: a bool adjacency
+stack, its degrees, its G-e and G-v edits and its certified floating
+spectra (jacobi.matrix_stack into jacobi_batch, ROWS graphs per solve). A
+point checker is GRAPH_THEOREMS[tid].check: its statement's predicate on
+the one-row GraphTable of one graph's stack, whose other columns come
+from the per-graph kernels over Graphs that jacobi.graphs_of builds back
+from the stack. The exhaustive sweeps evaluate the same predicates on the
+sweeps.SweepTable of the class representatives (stacked kernels) and hand
+every labeled member of a class that does not pass to the point checkers,
+so a reported failure always rests on the per-graph kernels. Interval
+counts are exact or certified, never rounded floats: integer
+characteristic polynomials in the sweeps; in GraphTable, the point
+checkers' table, the certified spectra wherever every eigenvalue clears
+the threshold by its certified bound, with congruence inertia for every
+other row that is needed; and in the family grids, exact twin eigenvalues
+plus the certified spectra of the equitable quotient, with inertia of its
+integer form where they do not clear. The interlacing-chain statements
+also compare floating eigenvalues directly, with a fixed 1e-8 slack.
+Hypothesis failures report "not applicable" rather than "pass" so pass
+counts measure real coverage.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import ceil, inf
 from typing import Callable, Iterator
 
@@ -405,27 +406,6 @@ def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) 
     return TheoremReport(theorem_id, graph6_encode(g), bool(verdict.passed[0]), applicable, witness)
 
 
-def _checker(theorem_id: str, predicate: Callable[[object], Verdict]) -> Callable[[Graph], TheoremReport]:
-    def check(g: Graph) -> TheoremReport:
-        return evaluate(theorem_id, predicate, g)
-
-    check.__doc__ = predicate.__doc__
-    return check
-
-
-check_edge_interlacing = _checker("edge-interlacing", edge_interlacing)
-check_vertex_deletion = _checker("vertex-deletion", vertex_deletion)
-check_matching_upper = _checker("matching-upper", matching_upper)
-check_delta2 = _checker("delta2", delta2)
-check_domination_bound = _checker("domination-bound", domination_bound)
-check_m02_bound = _checker("m02-bound", m02_bound)
-check_alpha_sandwich = _checker("alpha-sandwich", alpha_sandwich)
-check_longest_path = _checker("longest-path", longest_path)
-check_diameter_main = _checker("diameter-main", diameter_main)
-check_diameter3 = _checker("diameter-3", diameter3)
-check_tail_eigenvalue_bound = _checker("tail-eigenvalue-bound", tail_eigenvalue_bound)
-
-
 # -- family checkers ---------------------------------------------------------------
 #
 # A family statement has one instance per parameter tuple, and one checker
@@ -569,19 +549,19 @@ class GraphTheorem:
 
 
 GRAPH_THEOREMS: dict[str, GraphTheorem] = {
-    t.theorem_id: t
-    for t in [
-        GraphTheorem("edge-interlacing", check_edge_interlacing, "edge deletion interlaces eigenvalues", edge_interlacing),
-        GraphTheorem("vertex-deletion", check_vertex_deletion, "vertex deletion shifts eigenvalues by at most 1", vertex_deletion),
-        GraphTheorem("matching-upper", check_matching_upper, "count below 1 bounded by matching number", matching_upper),
-        GraphTheorem("delta2", check_delta2, "min degree 2, no 5-cycle components: count below 1 <= nu-1", delta2),
-        GraphTheorem("domination-bound", check_domination_bound, "count below 1 bounded by domination number", domination_bound),
-        GraphTheorem("m02-bound", check_m02_bound, "count below 2 bounded by n - nu", m02_bound),
-        GraphTheorem("alpha-sandwich", check_alpha_sandwich, "independence number under both interval counts", alpha_sandwich),
-        GraphTheorem("longest-path", check_longest_path, "count above 2 at least half the longest path", longest_path),
-        GraphTheorem("diameter-main", check_diameter_main, "diameter lower-bounds interval counts", diameter_main),
-        GraphTheorem("diameter-3", check_diameter3, "diameter 3: at least 2 eigenvalues below n-3", diameter3),
-        GraphTheorem("tail-eigenvalue-bound", check_tail_eigenvalue_bound, "q_i <= n-3 for i >= delta+2", tail_eigenvalue_bound),
+    tid: GraphTheorem(tid, partial(evaluate, tid, predicate), description, predicate)
+    for tid, predicate, description in [
+        ("edge-interlacing", edge_interlacing, "edge deletion interlaces eigenvalues"),
+        ("vertex-deletion", vertex_deletion, "vertex deletion shifts eigenvalues by at most 1"),
+        ("matching-upper", matching_upper, "count below 1 bounded by matching number"),
+        ("delta2", delta2, "min degree 2, no 5-cycle components: count below 1 <= nu-1"),
+        ("domination-bound", domination_bound, "count below 1 bounded by domination number"),
+        ("m02-bound", m02_bound, "count below 2 bounded by n - nu"),
+        ("alpha-sandwich", alpha_sandwich, "independence number under both interval counts"),
+        ("longest-path", longest_path, "count above 2 at least half the longest path"),
+        ("diameter-main", diameter_main, "diameter lower-bounds interval counts"),
+        ("diameter-3", diameter3, "diameter 3: at least 2 eigenvalues below n-3"),
+        ("tail-eigenvalue-bound", tail_eigenvalue_bound, "q_i <= n-3 for i >= delta+2"),
     ]
 }
 

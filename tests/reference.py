@@ -1,9 +1,10 @@
 """Reference computations that only the tests read: the textbook closed
 forms of C_n, K_n, K_{2,n-2} and K_n minus an edge, the tests' exact
 matrix type with its rational inertia, determinants and characteristic
-polynomials, the G - v edit, and the Weyl and Cauchy-interlacing
-inequality checkers. qdist itself never calls them; the tests hold its
-results against them."""
+polynomials, the Graph queries only the tests ask (validate, degree,
+edge_count, graph_to_json), the G - v edit, and the Weyl and
+Cauchy-interlacing inequality checkers. qdist itself never calls them;
+the tests hold its results against them."""
 
 import json
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from math import cos, lcm, pi, sqrt
 import numpy as np
 
 from qdist.exact import _inertia_int
-from qdist.graphs import Graph, GraphError
+from qdist.graphs import Graph, GraphError, _bits
 from qdist.jacobi import INEQ_SLACK, eigenvalues_sym
 
 # -- exact matrices ------------------------------------------------------------
@@ -170,6 +171,35 @@ def kn_minus_e_spectrum(n: int) -> ClosedFormSpectrum:
     so only for n <= 3: the pair is irrational."""
     root = sqrt(n * n + 4 * n - 12)
     return ClosedFormSpectrum((((3 * n - 6 + root) / 2, 1), ((3 * n - 6 - root) / 2, 1), (Fraction(n - 2), n - 2)))
+
+
+# -- graph queries -------------------------------------------------------------
+
+
+def validate(g: Graph) -> None:
+    if g.n < 0 or len(g.adj) != g.n:
+        raise GraphError(f"adjacency has {len(g.adj)} rows for n={g.n}")
+    for u, row in enumerate(g.adj):
+        if row >> g.n:
+            raise GraphError(f"row {u} mentions vertices >= n")
+        if row & (1 << u):
+            raise GraphError(f"self-loop at vertex {u}")
+        for v in _bits(row):
+            if not g.adj[v] & (1 << u):
+                raise GraphError(f"asymmetric adjacency between {u} and {v}")
+
+
+def degree(g: Graph, u: int) -> int:
+    return g.adj[u].bit_count()
+
+
+def edge_count(g: Graph) -> int:
+    return sum(row.bit_count() for row in g.adj) // 2
+
+
+def graph_to_json(g: Graph) -> str:
+    """Adjacency-list JSON export: {"n": ..., "edges": [[u, v], ...]}."""
+    return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]})
 
 
 # -- the G - v edit -----------------------------------------------------------

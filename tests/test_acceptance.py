@@ -33,7 +33,7 @@ from qdist.graphs import (
 from qdist.invariants import matching_number
 from qdist.jacobi import eigenvalues_sym
 from qdist.spectral import q_float
-from qdist.verify import check_diameter_main, sample_graphs
+from qdist.verify import GRAPH_THEOREMS, sample_graphs
 
 _AGREEMENTS: dict[int, sweeps.AgreementResult] = {}
 
@@ -169,7 +169,7 @@ def test_criterion_3_exhaustive_sweeps():
     activated = 0
     for n in (8, 9):
         for g in sample_graphs(n, 400, seed=97 + n):
-            rep = check_diameter_main(g)
+            rep = GRAPH_THEOREMS["diameter-main"].check(g)
             assert rep.passed or not rep.applicable
             if rep.applicable and 3 <= rep.witness["d"] <= n - 5:
                 activated += 1

@@ -335,13 +335,15 @@ def test_bad_family_and_range_input_is_a_usage_error_naming_it(args, message):
 
 def test_count_resolves_every_interval_before_printing(tmp_path):
     """A symbolic interval that is empty at the order of some input graph
-    is a usage error before any count is printed, and it names the graph."""
+    is a usage error before any count is printed, and it names the graph,
+    the interval and the order."""
     batch = tmp_path / "k3_k2_k3.g6"
     batch.write_text("Bw\nA_\nBw\n")  # K3, K2, K3: (2, 2n-2] is (2, 2] at n = 2
-    for option, value, graph in (("--file", str(batch), "A_"), ("--graph6", "@", "@")):  # @ is K1
+    for option, value, graph, n in (("--file", str(batch), "A_", 2), ("--graph6", "@", "@", 1)):  # @ is K1
         proc = run_cli(["count", option, value, "--interval", "(2,2n-2]"])
         assert (proc.returncode, proc.stdout) == (2, ""), option
-        assert f"(graph {graph})" in proc.stderr, option
+        assert proc.stderr.startswith(f"error: graph {graph}: "), option
+        assert f"(2,2n-2] at n = {n}: " in proc.stderr, option
 
 
 @pytest.mark.parametrize(
@@ -349,17 +351,50 @@ def test_count_resolves_every_interval_before_printing(tmp_path):
     [
         (["invariants"], "diameter of the empty graph is undefined"),
         (["quotient", "--blocks", "0;1"], "partition vertex 0 out of range for n=0"),
+        (["count", "--interval", "[0,n)"], "[0,n) at n = 0: degenerate interval must be closed on both ends"),
     ],
 )
 def test_batch_commands_reject_a_graph_before_printing(tmp_path, args, message):
-    """invariants and quotient compute every graph of a --file batch before
-    the first line, so a graph they reject leaves stdout empty, and the
-    error names that graph."""
+    """invariants, quotient and count compute every graph of a --file batch
+    before the first line, so a graph they reject leaves stdout empty, and
+    the error names that graph."""
     batch = tmp_path / "k2_k0_k3.g6"
     batch.write_text("A_\n?\nBw\n")  # K2, the empty graph on no vertices, K3
     proc = run_cli([*args, "--file", str(batch)])
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stdout
     assert f"error: graph ?: {message}" in proc.stderr, proc.stderr
+
+
+def test_spectrum_computes_every_graph_before_printing(tmp_path, monkeypatch, capsys):
+    """A spectrum that fails its certificate on the second graph of a batch
+    leaves stdout empty, although the first graph's spectrum is fine."""
+    batch = tmp_path / "k2_k3.g6"
+    batch.write_text("A_\nBw\n")  # K2, K3
+    real = np.linalg.eigh
+
+    def spoiled_at_order_3(a):
+        w, v = real(a)
+        return (w + 1e-10 if a.shape[-1] == 3 else w), v
+
+    monkeypatch.setattr(jacobi.np.linalg, "eigh", spoiled_at_order_3)
+    assert main(["spectrum", "--file", str(batch)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "certificate failed" in out.err
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        (["spectrum"], ["--family", "gndt,n=9,d=3,t=2", "--graph6", "Dhc"]),
+        (["invariants"], ["--graph6", "Dhc", "--file", "/nonexistent"]),
+        (["count", "--interval", "[0,1)"], ["--file", "/nonexistent", "--family", "cycle,n=5"]),
+    ],
+    ids=["family-graph6", "graph6-file", "file-family"],
+)
+def test_more_than_one_graph_input_is_a_usage_error(command, inputs):
+    proc = run_cli([*command, *inputs])
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stdout
+    assert "not allowed with argument" in proc.stderr, proc.stderr
 
 
 def _forbid(monkeypatch, module, name):
@@ -440,10 +475,8 @@ def test_invariants_output_matches_schema(capsys):
 
 
 def test_report_lines_match_schema():
-    from qdist.verify import check_matching_upper, check_diameter_main
-
     schema = load_schema("theorem_report.schema.json")
-    for rep in (check_matching_upper(cycle_graph(5)), check_diameter_main(cycle_graph(6))):
+    for rep in (verify.GRAPH_THEOREMS["matching-upper"].check(cycle_graph(5)), verify.GRAPH_THEOREMS["diameter-main"].check(cycle_graph(6))):
         jsonschema.validate(json.loads(rep.to_json_line()), schema)
 
 

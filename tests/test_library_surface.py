@@ -13,6 +13,9 @@ A reader is
     `qdist.<module>.name`) in src/qdist, scripts/ or perfbench/;
   - a string constant in perfbench/, whose tracer wraps names by string;
   - a value of verify.FAMILY_CHECKERS, which verify looks up in globals().
+A public method of a public library class has a reader when its name is
+read as an attribute (`x.name`) anywhere in src/qdist, scripts/ or
+perfbench/; a method that only the tests call belongs in tests/ too.
 """
 
 import ast
@@ -92,3 +95,21 @@ def unread_names() -> list[str]:
 
 def test_every_public_library_name_has_a_reader():
     assert sorted(unread_names()) == sorted(ALLOWED)
+
+
+def unread_methods() -> list[str]:
+    read = set()
+    for directory in PROGRAM:
+        for path in sorted(directory.glob("*.py")):
+            read |= {node.attr for node in ast.walk(_tree(path)) if isinstance(node, ast.Attribute)}
+    unread = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for cls in _public_definitions(_tree(path)):
+            if isinstance(cls, ast.ClassDef):
+                methods = [f.name for f in cls.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+                unread += [f"{path.stem}.{cls.name}.{name}" for name in methods if name not in read]
+    return unread
+
+
+def test_every_public_library_method_has_a_reader():
+    assert unread_methods() == []

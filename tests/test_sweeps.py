@@ -185,7 +185,7 @@ def test_sweep_tables_refuse_orders_above_nine():
     applicable and failing, where its point checker finds the hypothesis
     false."""
     two_c5 = disjoint_union(cycle_graph(5), cycle_graph(5))
-    assert not verify.check_delta2(two_c5).applicable
+    assert not verify.GRAPH_THEOREMS["delta2"].check(two_c5).applicable
     with pytest.raises(ValueError, match="n <= 9, got 10"):
         sweeps.SweepTable(10, jacobi.adjacency(10, [two_c5]))
     nine = sweeps.SweepTable(9, jacobi.adjacency(9, [complete_graph(9)]))

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from labeled import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs
+from reference import edge_count
 
 from qdist import exact, quotients, sweeps, verify
 from qdist.graphs import (
@@ -28,21 +29,12 @@ from qdist.invariants import diameter
 from qdist.jacobi import adjacency
 from qdist.spectral import q_float
 from qdist.verify import (
-    check_alpha_sandwich,
+    GRAPH_THEOREMS,
     check_cycle_matching,
-    check_delta2,
     check_diameter3_equality,
-    check_diameter_main,
-    check_domination_bound,
-    check_edge_interlacing,
     check_family_counts,
     check_gndra_q5,
     check_gndt_laplacian_count,
-    check_longest_path,
-    check_m02_bound,
-    check_matching_upper,
-    check_tail_eigenvalue_bound,
-    check_vertex_deletion,
     is_k_c5,
     sample_graphs,
     search_counterexamples,
@@ -124,42 +116,42 @@ def test_one_bfs_matches_networkx():
 
 
 def test_edge_interlacing_k4():
-    rep = check_edge_interlacing(complete_graph(4))
+    rep = GRAPH_THEOREMS["edge-interlacing"].check(complete_graph(4))
     assert rep.passed and rep.applicable and rep.witness == {"edges_checked": 6}
 
 
 def test_edge_interlacing_c6_to_p6():
-    rep = check_edge_interlacing(cycle_graph(6))  # every edge of C6 leaves P6
+    rep = GRAPH_THEOREMS["edge-interlacing"].check(cycle_graph(6))  # every edge of C6 leaves P6
     assert rep.passed and rep.witness == {"edges_checked": 6}
-    rep = check_edge_interlacing(make_empty(3))
+    rep = GRAPH_THEOREMS["edge-interlacing"].check(make_empty(3))
     assert not rep.applicable and rep.witness == {"note": "no edges"}
 
 
 def test_vertex_deletion_k5():
-    rep = check_vertex_deletion(complete_graph(5))
+    rep = GRAPH_THEOREMS["vertex-deletion"].check(complete_graph(5))
     assert rep.passed and rep.applicable
-    rep = check_vertex_deletion(path_graph(2))
+    rep = GRAPH_THEOREMS["vertex-deletion"].check(path_graph(2))
     assert rep.passed and rep.applicable
-    assert not check_vertex_deletion(make_empty(1)).applicable
+    assert not GRAPH_THEOREMS["vertex-deletion"].check(make_empty(1)).applicable
 
 
 def test_matching_upper_c5_tight():
-    rep = check_matching_upper(cycle_graph(5))
+    rep = GRAPH_THEOREMS["matching-upper"].check(cycle_graph(5))
     assert rep.passed
     assert rep.witness["m01"] == 2 == rep.witness["nu"]
     assert not rep.witness["strengthened"]  # C5 exclusion bites
-    rep = check_delta2(cycle_graph(5))
+    rep = GRAPH_THEOREMS["delta2"].check(cycle_graph(5))
     assert not rep.applicable
 
 
 def test_matching_upper_k2n_equality():
-    rep = check_delta2(complete_bipartite(2, 4))
+    rep = GRAPH_THEOREMS["delta2"].check(complete_bipartite(2, 4))
     assert rep.applicable and rep.passed
     assert rep.witness["m01"] == 1 == rep.witness["nu"] - 1
 
 
 def test_matching_upper_isolated_not_applicable():
-    rep = check_matching_upper(disjoint_union(path_graph(2), make_empty(1)))
+    rep = GRAPH_THEOREMS["matching-upper"].check(disjoint_union(path_graph(2), make_empty(1)))
     assert not rep.applicable
 
 
@@ -171,40 +163,40 @@ def test_cycle_matching_values():
 
 
 def test_domination_bound_examples():
-    assert check_domination_bound(complete_graph(6)).witness["m01"] == 0
-    rep = check_domination_bound(cycle_graph(5))
+    assert GRAPH_THEOREMS["domination-bound"].check(complete_graph(6)).witness["m01"] == 0
+    rep = GRAPH_THEOREMS["domination-bound"].check(cycle_graph(5))
     assert rep.passed and rep.witness == {"m01": 2, "gamma": 2}
 
 
 def test_m02_bound_p6_equality():
-    rep = check_m02_bound(path_graph(6))
+    rep = GRAPH_THEOREMS["m02-bound"].check(path_graph(6))
     assert rep.passed and rep.witness["m02"] == 3 and rep.witness["nu"] == 3
 
 
 def test_alpha_sandwich_k23():
-    rep = check_alpha_sandwich(complete_bipartite(2, 3))
+    rep = GRAPH_THEOREMS["alpha-sandwich"].check(complete_bipartite(2, 3))
     assert rep.passed
     assert rep.witness == {"alpha": 3, "m_delta_up": 4, "m_0_Delta": 4}
 
 
 def test_longest_path_examples():
-    rep = check_longest_path(path_graph(6))
+    rep = GRAPH_THEOREMS["longest-path"].check(path_graph(6))
     assert rep.passed and rep.witness == {"ell": 5, "m_2_up": 2}
-    rep = check_longest_path(complete_graph(4))
+    rep = GRAPH_THEOREMS["longest-path"].check(complete_graph(4))
     assert rep.passed and rep.witness == {"ell": 3, "m_2_up": 1}
 
 
 def test_diameter_main_tight_cases():
-    rep = check_diameter_main(complete_graph(6))
+    rep = GRAPH_THEOREMS["diameter-main"].check(complete_graph(6))
     assert rep.passed and rep.witness["d"] == 1 and rep.witness["m_below_n-2"] == 0
-    rep = check_diameter_main(complete_minus_edge(6))
+    rep = GRAPH_THEOREMS["diameter-main"].check(complete_minus_edge(6))
     assert rep.passed and rep.witness["d"] == 2 and rep.witness["m_below_n-2"] == 1
 
 
 def test_tail_eigenvalue_bound():
-    rep = check_tail_eigenvalue_bound(complete_bipartite(1, 5))
+    rep = GRAPH_THEOREMS["tail-eigenvalue-bound"].check(complete_bipartite(1, 5))
     assert rep.applicable and rep.passed
-    rep = check_tail_eigenvalue_bound(complete_graph(5))
+    rep = GRAPH_THEOREMS["tail-eigenvalue-bound"].check(complete_graph(5))
     assert not rep.applicable  # index range empty
 
 
@@ -461,7 +453,7 @@ def test_point_tables_count_exactly():
     for g in seeded + integral:
         tab = verify.GraphTable(g.n, adjacency(g.n, [g]))
         _, _, sub = tab.without_edges()
-        assert sub.count == g.edge_count()
+        assert sub.count == edge_count(g)
         for t in range(0, 2 * g.n - 1):
             for h, lt, le in zip([g] + sub.graphs, tab.lt(t).tolist() + sub.lt(t).tolist(),
                                  tab.le(t).tolist() + sub.le(t).tolist()):
@@ -509,7 +501,7 @@ def test_edge_interlacing_counts_each_table_once_per_threshold(monkeypatch):
     real = verify.certified_below
     monkeypatch.setattr(verify, "certified_below", lambda *a: calls.append(a) or real(*a))
     seeded, _ = _point_graphs()
-    assert all(check_edge_interlacing(g).passed for g in seeded)
+    assert all(GRAPH_THEOREMS["edge-interlacing"].check(g).passed for g in seeded)
     assert len(seeded) == 18 and len(calls) == sum(2 * (2 * g.n - 2) for g in seeded) == 576
     # the tables of G and of its G-e and G-v build their Graphs (verify.graphs_of)
     # only to send a row to Bareiss, and then once: the G-e tables of the 18
@@ -576,7 +568,7 @@ def test_edge_interlacing_chain_witness(monkeypatch):
     # of a later edge, so the first failing edge is the witness
     _spoil(monkeypatch, [(from_edges(4, [(0, 1), (2, 3)]), [0, -1.5, 0, 0], None),
                          (from_edges(4, [(0, 1), (1, 2)]), [2, 0, 0, 0], None)])
-    rep = check_edge_interlacing(path_graph(4))
+    rep = GRAPH_THEOREMS["edge-interlacing"].check(path_graph(4))
     assert not rep.passed and rep.witness.pop("edge") == [1, 2]
     assert rep.witness == pytest.approx({"i": 2, "qi_Ge": 0.5, "qnext_G": 2 - 2**0.5})
 
@@ -588,7 +580,7 @@ def test_edge_interlacing_count_witness(monkeypatch):
     # count 4 eigenvalues below and inertia counts 1 for K_5 - e
     g = complete_graph(5)
     _spoil(monkeypatch, [(g, -0.5, None)] + [(remove_edge(g, u, v), -0.5, 10.0) for u, v in mask_pairs(5)])
-    rep = check_edge_interlacing(g)
+    rep = GRAPH_THEOREMS["edge-interlacing"].check(g)
     assert (rep.passed, rep.witness) == (False, {"edge": [0, 1], "threshold": 3, "count_G": 4, "count_Ge": 1})
 
 
@@ -601,7 +593,7 @@ def test_edge_interlacing_counts_from_threshold_one(monkeypatch):
     monkeypatch.setattr(exact, "graph_count_lt", lambda g, t, matrix="Q": calls.append(t) or real(g, t, matrix))
     for g in (path_graph(4), cycle_graph(6)):
         calls.clear()
-        assert check_edge_interlacing(g).passed
+        assert GRAPH_THEOREMS["edge-interlacing"].check(g).passed
         assert calls and 0 not in calls, calls
 
 
@@ -612,7 +604,7 @@ def test_vertex_deletion_witness(monkeypatch):
     # q_2(G) = 2 <= q_1(G-v) + 1: an earlier i of a later vertex, so the
     # first failing vertex is the witness
     _spoil(monkeypatch, [(from_edges(3, [(1, 2)]), [0, -1.5, 0], None), (from_edges(3, [(0, 1)]), [-1.5, 0, 0], None)])
-    rep = check_vertex_deletion(path_graph(4))
+    rep = GRAPH_THEOREMS["vertex-deletion"].check(path_graph(4))
     assert not rep.passed
     assert rep.witness == pytest.approx({"vertex": 1, "i": 2, "q_next_G": 2 - 2**0.5, "q_i_Gv": -1.5})
 
@@ -621,7 +613,7 @@ def test_vertex_deletion_witness(monkeypatch):
 
 
 def test_report_serialization_is_stable():
-    rep = check_matching_upper(cycle_graph(5))
+    rep = GRAPH_THEOREMS["matching-upper"].check(cycle_graph(5))
     line = rep.to_json_line()
     assert json.loads(line) == {
         "theorem": "matching-upper",
