@@ -46,17 +46,22 @@ def _parse_family_string(text: str) -> tuple[str, dict[str, int]]:
 def _input_graphs(args: argparse.Namespace) -> list[Graph]:
     if args.graph6 is not None:
         return [graph6_decode(args.graph6)]
+    if args.family is not None:
+        return [make_family(*_parse_family_string(args.family))]
     if args.file is not None:
         try:
             with open(args.file) as fh:
-                return [graph6_decode(line) for line in fh if line.strip()]
+                lines, source = fh.readlines(), f"--file {args.file}"
         except OSError as err:
             raise GraphError(f"cannot read --file: {err}") from err
-    if args.family is not None:
-        return [make_family(*_parse_family_string(args.family))]
-    if not sys.stdin.isatty():
-        return [graph6_decode(line) for line in sys.stdin if line.strip()]
-    raise GraphError("no graph input: use --graph6, --file, --family, or pipe graph6 lines")
+    elif not sys.stdin.isatty():
+        lines, source = sys.stdin.readlines(), "stdin"
+    else:
+        raise GraphError("no graph input: use --graph6, --file, --family, or pipe graph6 lines")
+    graphs = [graph6_decode(line) for line in lines if line.strip()]
+    if not graphs:  # an empty producer upstream must not read as a clean run
+        raise GraphError(f"no graph6 line in {source}")
+    return graphs
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:

@@ -52,9 +52,9 @@ rounding margin, at the orders solved:
     1e-12 · (1 + ||A||_F) plus the margin above, with ||A||_F <=
     n·sqrt(n - 1).
 
-Inequality checks take 1e-8 slack. No verdict and no gate reads GUARD_BAND
-(1e-6): only sweeps.inband_flags does, to report which graphs have an
-eigenvalue within it of a threshold.
+INEQ_SLACK is the float tolerance of the two interlacing chains only. No
+verdict and no gate reads GUARD_BAND (1e-6): only sweeps.inband_flags does,
+to report which graphs have an eigenvalue within it of a threshold.
 """
 
 from __future__ import annotations

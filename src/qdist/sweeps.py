@@ -49,7 +49,7 @@ import numpy as np
 from . import exact, verify
 from .invariants import longest_path_lengths
 from .jacobi import GUARD_BAND, certified_below, edge_pairs, graphs_of, jacobi_batch, mask_adjacency
-from .verify import TheoremReport
+from .verify import Clause, CountStatement, TheoremReport
 
 CHUNK = 1 << 12  # masks per step of class_map's scan for the next representative
 
@@ -447,17 +447,20 @@ def eig_inertia_agreement(n: int) -> AgreementResult:
 # -- auxiliary exhaustive properties ---------------------------------------------------
 
 
+# the opening bounds: at most one eigenvalue above n-2; off K_n, at least two at or above the minimum degree
+INTRO_BOUNDS = {
+    "q2<=n-2": CountStatement("q_2 <= n-2", "", (
+        Clause(lambda tab: np.ones(tab.count, dtype=bool), "gt", lambda tab: tab.n - 2, "<=", 1, "above_n-2"),)),
+    "q2>=delta": CountStatement("q_2 >= delta off K_n", "complete", (
+        Clause(lambda tab: tab.mindeg < tab.n - 1, "ge", "mindeg", ">=", 2, "from_delta"),)),
+}
+
+
 def intro_bound_failures(n: int) -> list[tuple[int, str]]:
-    """The two opening bounds, per labeled graph: at most one eigenvalue
-    above n-2; and for non-complete graphs at least two eigenvalues at or
-    above the minimum degree. Evaluated once per class."""
+    """(mask, label) of every labeled graph on n vertices that fails an
+    opening bound, those of q2<=n-2 first. Evaluated once per class."""
     if n < 2:
         return []
     data = sweep_data(n)
-    tab = data.table
-    above = n - tab.le(n - 2) > 1
-    noncomplete = tab.mindeg < n - 1
-    below_two = noncomplete & (n - tab.lt(tab.mindeg, noncomplete) < 2)
-    return [(int(mask), "q2<=n-2") for mask in np.flatnonzero(above[data.class_of])] + [
-        (int(mask), "q2>=delta") for mask in np.flatnonzero(below_two[data.class_of])
-    ]
+    return [(int(mask), label) for label, statement in INTRO_BOUNDS.items()
+            for mask in np.flatnonzero(~statement(data.table).passed[data.class_of])]

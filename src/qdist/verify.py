@@ -1,7 +1,9 @@
 """The theorem catalog: every per-graph statement written once, as a
 predicate over a table of graphs; the point checkers, the family checkers,
 seeded sampling (labeled edge masks decoded by jacobi.mask_adjacency), and
-counterexample search.
+counterexample search. The nine count statements are data, COUNT_STATEMENTS:
+tuples of Clauses read by one evaluator (CountStatement.__call__), whose
+Verdict.slack is the integer margin of a count clause.
 
 Both graph tables share one shell, AdjacencyTable: a bool adjacency
 stack, its degrees, its G-e and G-v edits and its certified floating
@@ -19,8 +21,9 @@ checkers' table, the certified spectra wherever every eigenvalue clears
 the threshold by its certified bound, with congruence inertia for every
 other row that is needed; and in the family grids, exact twin eigenvalues
 plus the certified spectra of the equitable quotient, with inertia of its
-integer form where they do not clear. The interlacing-chain statements
-also compare floating eigenvalues directly, with a fixed 1e-8 slack.
+integer form where they do not clear. The two interlacing chains also
+compare floating eigenvalues, with jacobi.INEQ_SLACK (1e-8), their float
+tolerance and nothing else's.
 Hypothesis failures report "not applicable" rather than "pass" so pass
 counts measure real coverage.
 """
@@ -123,6 +126,10 @@ def is_k_c5(g: Graph) -> bool:
 #   ordered by row and then by edge bit k of jacobi.edge_pairs(n), and rows and
 #   edges hold that row and k; without_vertices(): the table of order n-1
 #   whose row i*n + v is graph i minus vertex v.
+# A count statement's Verdict.slack is the integer margin of a count clause
+# (bound - count or count - bound), least over the clauses that apply, and
+# passed = ~applicable | (slack >= 0); jacobi.INEQ_SLACK is the float
+# tolerance of the two interlacing chains, whose Verdicts have no slack.
 
 
 @dataclass
@@ -134,6 +141,7 @@ class Verdict:
     passed: np.ndarray  # (count,) bool
     note: str | Callable[[int], str]  # why row i does not apply
     witness: Callable[[int], dict]  # witness of an applicable row i
+    slack: np.ndarray | None = None  # (count,) int64 of a count statement, defined where applicable
 
     @classmethod
     def columns(cls, applicable, holds, note, **cols) -> "Verdict":
@@ -220,97 +228,89 @@ def _delta2_hypothesis(tab) -> np.ndarray:
     return (tab.mindeg >= 2) & ~tab.kc5
 
 
-def matching_upper(tab) -> Verdict:
-    """Count below 1 is at most the matching number; with minimum degree two
-    and no component a 5-cycle, at most the matching number minus one."""
-    applicable = tab.mindeg >= 1
-    strengthened = _delta2_hypothesis(tab)
-    m01 = tab.lt(1, applicable)
-    holds = m01 <= tab.nu - strengthened
-    return Verdict.columns(applicable, holds, "isolated vertex", m01=m01, nu=tab.nu, strengthened=strengthened)
+@dataclass(frozen=True)
+class Clause:
+    """Where hypothesis holds, the number of eigenvalues below (kind "lt"), at
+    most ("le"), at least ("ge", n - lt) or above ("gt", n - le) the
+    threshold is at most (side "<=") or at least (">=") the bound. Each is an
+    int, a table column's name or tab -> column. Witness keys: name (the
+    count), then "required" (the bound), "equality" (margin 0) or a column
+    (WITNESS_COLUMNS, else by name). A guarded clause is read only where the
+    earlier clauses hold."""
+
+    hypothesis: str | Callable[[object], np.ndarray]
+    kind: str
+    threshold: int | str | Callable
+    side: str
+    bound: int | str | Callable
+    name: str
+    witness: tuple[str, ...] = ()
+    guarded: bool = False
 
 
-def delta2(tab) -> Verdict:
-    """The strengthened bound alone: delta >= 2 and not kC5 imply count below 1 <= nu - 1."""
-    applicable = _delta2_hypothesis(tab)
-    m01 = tab.lt(1, applicable)
-    return Verdict.columns(applicable, m01 <= tab.nu - 1, "hypothesis fails", m01=m01, nu=tab.nu)
+WITNESS_COLUMNS = {"d": "diam", "delta": "mindeg", "strengthened": _delta2_hypothesis}
 
 
-def domination_bound(tab) -> Verdict:
-    """Count below 1 is at most the domination number (no isolated vertices)."""
-    applicable = tab.mindeg >= 1
-    m01 = tab.lt(1, applicable)
-    return Verdict.columns(applicable, m01 <= tab.gamma, "isolated vertex", m01=m01, gamma=tab.gamma)
+@dataclass(frozen=True)
+class CountStatement:
+    """Clauses, and why a row does not apply (a string, or note(tab, i)).
+    Called on a table, it is the statement's predicate: each count is read
+    only where its clause applies; slack is the least margin over those."""
+
+    description: str
+    note: str | Callable[[object, int], str]
+    clauses: tuple[Clause, ...]
+
+    def __call__(self, tab) -> Verdict:
+        value = lambda x: getattr(tab, x) if isinstance(x, str) else x(tab) if callable(x) else x  # noqa: E731
+        applicable, held = np.zeros(tab.count, dtype=bool), np.ones(tab.count, dtype=bool)
+        slack, parts = np.full(tab.count, np.iinfo(np.int64).max), []  # no clause applies: no margin
+        for c in self.clauses:
+            where = value(c.hypothesis) & held if c.guarded else value(c.hypothesis)
+            count = (tab.lt if c.kind in ("lt", "ge") else tab.le)(value(c.threshold), where)
+            count, bound = (tab.n - count if c.kind in ("ge", "gt") else count), value(c.bound)
+            margin = np.asarray(bound - count if c.side == "<=" else count - bound, dtype=np.int64)
+            slack = np.where(where, np.minimum(slack, margin), slack)
+            applicable, held = applicable | where, held & (~where | (margin >= 0))
+            named = {c.name: count, "required": bound, "equality": margin == 0}
+            cols = {k: named[k] if k in named else value(WITNESS_COLUMNS.get(k, k)) for k in (c.name, *c.witness)}
+            parts.append((where, cols))
+
+        def witness(i: int) -> dict:
+            return {k: v[i] if isinstance(v, np.ndarray) else v for on, cols in parts if on[i] for k, v in cols.items()}
+
+        note = self.note if isinstance(self.note, str) else partial(self.note, tab)
+        return Verdict(applicable, ~applicable | (slack >= 0), note, witness, slack)
 
 
-def m02_bound(tab) -> Verdict:
-    """Count below 2 is at most n minus the matching number (no isolated vertices)."""
-    applicable = tab.mindeg >= 1
-    m02 = tab.lt(2, applicable)
-    return Verdict.columns(applicable, m02 <= tab.n - tab.nu, "isolated vertex", m02=m02, nu=tab.nu, n=tab.n)
-
-
-def alpha_sandwich(tab) -> Verdict:
-    """Independence number at most both closed-interval counts
-    [delta, 2n-2] and [0, Delta]."""
-    applicable = np.full(tab.count, tab.n >= 1)
-    high = tab.n - tab.lt(tab.mindeg, applicable)  # eigenvalues >= delta
-    low = tab.le(tab.maxdeg, applicable)  # eigenvalues <= Delta
-    holds = (tab.alpha <= high) & (tab.alpha <= low)
-    return Verdict.columns(applicable, holds, "empty", alpha=tab.alpha, m_delta_up=high, m_0_Delta=low)
-
-
-def longest_path(tab) -> Verdict:
-    """Count above 2 is at least floor(longest path length / 2) for connected graphs."""
-    applicable = tab.conn
-    above2 = tab.n - tab.le(2, applicable)
-    return Verdict.columns(applicable, above2 >= tab.ell // 2, "disconnected", ell=tab.ell, m_2_up=above2)
-
-
-def diameter_main(tab) -> Verdict:
-    """Diameter forces counts: below n-2 at least d-1; for 3 <= d <= n-3,
-    below n-d+1 at least d (d <= n-5) or d-1 (d in {n-4, n-3})."""
-    n = tab.n
-    applicable = tab.conn
-    d = tab.diam
-    below = tab.lt(n - 2, applicable)
-    holds = below >= d - 1
-    second = applicable & holds & (d >= 3) & (d <= n - 3)
-    required = np.where(d <= n - 5, d, d - 1)
-    below2 = tab.lt(n - d + 1, second)
-    holds &= ~second | (below2 >= required)
-
-    def witness(i: int) -> dict:
-        w = {"d": d[i], "m_below_n-2": below[i]}
-        if second[i]:
-            w.update({"m_below_n-d+1": below2[i], "required": required[i]})
-        return w
-
-    return Verdict(applicable, ~applicable | holds, "disconnected", witness)
-
-
-def diameter3(tab) -> Verdict:
-    """Connected diameter-3 graphs on n >= 7 vertices have at least two
-    eigenvalues below n-3."""
-    applicable = tab.conn & (tab.n >= 7) & (tab.diam == 3)
-    below = tab.lt(tab.n - 3, applicable)
-    witness = {"m_below_n-3": below, "equality": below == 2}
-    return Verdict.columns(applicable, below >= 2, "hypothesis fails", **witness)
-
-
-def tail_eigenvalue_bound(tab) -> Verdict:
-    """q_i <= n-3 for all delta+2 <= i <= n-1 on connected graphs.
-
-    The q_i are nonincreasing, so this says exactly that at most delta+1
-    eigenvalues exceed n-3, which the exact count at n-3 decides.
-    """
-    n = tab.n
-    conn, delta = tab.conn, tab.mindeg
-    applicable = conn & (delta + 2 <= n - 1)
-    above = n - tab.le(n - 3, applicable)
-    note = lambda i: "index range empty" if conn[i] else "disconnected"  # noqa: E731
-    return Verdict.columns(applicable, above <= delta + 1, note, **{"delta": delta, "count_above_n-3": above})
+COUNT_STATEMENTS: dict[str, CountStatement] = {  # the paper's nine, in catalog order
+    "matching-upper": CountStatement("count below 1 bounded by matching number", "isolated vertex", (
+        Clause(lambda tab: tab.mindeg >= 1, "lt", 1, "<=", lambda tab: tab.nu - _delta2_hypothesis(tab), "m01",
+               ("nu", "strengthened")),)),
+    "delta2": CountStatement("min degree 2, no 5-cycle components: count below 1 <= nu-1", "hypothesis fails", (
+        Clause(_delta2_hypothesis, "lt", 1, "<=", lambda tab: tab.nu - 1, "m01", ("nu",)),)),
+    "domination-bound": CountStatement("count below 1 bounded by domination number", "isolated vertex", (
+        Clause(lambda tab: tab.mindeg >= 1, "lt", 1, "<=", "gamma", "m01", ("gamma",)),)),
+    "m02-bound": CountStatement("count below 2 bounded by n - nu", "isolated vertex", (
+        Clause(lambda tab: tab.mindeg >= 1, "lt", 2, "<=", lambda tab: tab.n - tab.nu, "m02", ("nu", "n")),)),
+    "alpha-sandwich": CountStatement("independence number under both interval counts", "empty", (
+        Clause(lambda tab: np.full(tab.count, tab.n >= 1), "ge", "mindeg", ">=", "alpha", "m_delta_up", ("alpha",)),
+        Clause(lambda tab: np.full(tab.count, tab.n >= 1), "le", "maxdeg", ">=", "alpha", "m_0_Delta", ("alpha",)))),
+    "longest-path": CountStatement("count above 2 at least half the longest path", "disconnected", (
+        Clause("conn", "gt", 2, ">=", lambda tab: tab.ell // 2, "m_2_up", ("ell",)),)),
+    "diameter-main": CountStatement("diameter lower-bounds interval counts", "disconnected", (
+        Clause("conn", "lt", lambda tab: tab.n - 2, ">=", lambda tab: tab.diam - 1, "m_below_n-2", ("d",)),
+        Clause(lambda tab: tab.conn & (tab.diam >= 3) & (tab.diam <= tab.n - 3), "lt", lambda tab: tab.n - tab.diam + 1,
+               ">=", lambda tab: np.where(tab.diam <= tab.n - 5, tab.diam, tab.diam - 1), "m_below_n-d+1",
+               ("required",), guarded=True))),
+    "diameter-3": CountStatement("diameter 3: at least 2 eigenvalues below n-3", "hypothesis fails", (
+        Clause(lambda tab: tab.conn & (tab.n >= 7) & (tab.diam == 3), "lt", lambda tab: tab.n - 3, ">=", 2,
+               "m_below_n-3", ("equality",)),)),
+    "tail-eigenvalue-bound": CountStatement(
+        "q_i <= n-3 for i >= delta+2", lambda tab, i: "index range empty" if tab.conn[i] else "disconnected", (
+            Clause(lambda tab: tab.conn & (tab.mindeg + 2 <= tab.n - 1), "gt", lambda tab: tab.n - 3, "<=",
+                   lambda tab: tab.mindeg + 1, "count_above_n-3", ("delta",)),)),
+}
 
 
 class AdjacencyTable:
@@ -553,15 +553,7 @@ GRAPH_THEOREMS: dict[str, GraphTheorem] = {
     for tid, predicate, description in [
         ("edge-interlacing", edge_interlacing, "edge deletion interlaces eigenvalues"),
         ("vertex-deletion", vertex_deletion, "vertex deletion shifts eigenvalues by at most 1"),
-        ("matching-upper", matching_upper, "count below 1 bounded by matching number"),
-        ("delta2", delta2, "min degree 2, no 5-cycle components: count below 1 <= nu-1"),
-        ("domination-bound", domination_bound, "count below 1 bounded by domination number"),
-        ("m02-bound", m02_bound, "count below 2 bounded by n - nu"),
-        ("alpha-sandwich", alpha_sandwich, "independence number under both interval counts"),
-        ("longest-path", longest_path, "count above 2 at least half the longest path"),
-        ("diameter-main", diameter_main, "diameter lower-bounds interval counts"),
-        ("diameter-3", diameter3, "diameter 3: at least 2 eigenvalues below n-3"),
-        ("tail-eigenvalue-bound", tail_eigenvalue_bound, "q_i <= n-3 for i >= delta+2"),
+        *((tid, statement, statement.description) for tid, statement in COUNT_STATEMENTS.items()),
     ]
 }
 

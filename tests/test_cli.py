@@ -295,6 +295,23 @@ def test_usage_errors_exit_two():
         assert message in proc.stderr, option
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("args", [["count", "--interval", "[0,1)"], ["spectrum"], ["invariants"],
+                                  ["quotient", "--blocks", "0"]], ids=lambda args: args[0])
+def test_an_empty_batch_is_a_usage_error_naming_its_source(tmp_path, args, source):
+    """A file or stdin with no graph6 line, empty or blank lines only, is
+    refused: exit 2, nothing on stdout, and the error names the source."""
+    batch = tmp_path / "empty.g6"
+    for text in ("", "\n  \n"):
+        batch.write_text(text)
+        if source == "file":
+            proc, name = run_cli([*args, "--file", str(batch)]), f"--file {batch}"
+        else:
+            proc, name = run_cli(args, stdin=text), "stdin"
+        assert (proc.returncode, proc.stdout) == (2, ""), text
+        assert proc.stderr == f"error: no graph6 line in {name}\n", proc.stderr
+
+
 @pytest.mark.parametrize(
     "args, text",
     [

@@ -2,6 +2,7 @@
 route (SweepTable) and the point-checker route (GraphTable) must agree, and
 deliberately false statements must be caught with rechecked witnesses."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -230,3 +231,136 @@ def test_no_statement_escalates(n):
     the same at n = 7)."""
     for tid in verify.GRAPH_THEOREMS:
         assert sweeps.exhaustive_failures(tid, n).escalated == 0, tid
+
+
+# -- the count statements' clause table -------------------------------------------
+
+# zero-slack / applicable classes at n = 7, per statement and per clause
+SLACK_CENSUS = {
+    "matching-upper": ((71, 888), [(71, 888)]),
+    "delta2": ((30, 510), [(30, 510)]),
+    "domination-bound": ((233, 888), [(233, 888)]),
+    "m02-bound": ((88, 888), [(88, 888)]),
+    "alpha-sandwich": ((72, 1044), [(58, 1044), (22, 1044)]),
+    "longest-path": ((112, 853), [(112, 853)]),
+    "diameter-main": ((2, 853), [(2, 853), (0, 469)]),
+    "diameter-3": ((3, 387), [(3, 387)]),
+    "tail-eigenvalue-bound": ((169, 849), [(169, 849)]),
+}
+
+
+def _census(verdict):
+    return int((verdict.applicable & (verdict.slack == 0)).sum()), int(verdict.applicable.sum())
+
+
+def _alone(statement, k):
+    """The statement with clause k as its only clause."""
+    return dataclasses.replace(statement, clauses=(statement.clauses[k],))
+
+
+def test_count_statements_are_the_nine_of_the_catalog():
+    assert list(verify.COUNT_STATEMENTS) == list(verify.GRAPH_THEOREMS)[2:] == list(SLACK_CENSUS)
+    for tid, statement in verify.COUNT_STATEMENTS.items():
+        assert verify.GRAPH_THEOREMS[tid].predicate is statement
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_every_count_verdict_passes_exactly_where_its_slack_is_not_negative(n):
+    for table in _tables(n):
+        for tid, statement in verify.COUNT_STATEMENTS.items():
+            v = statement(table)
+            assert v.slack.dtype == np.int64, tid
+            assert np.array_equal(v.passed, ~v.applicable | (v.slack >= 0)), tid
+
+
+def test_slack_census_at_order_7():
+    """The classes at n = 7 where a statement, or one of its clauses alone,
+    holds with equality, out of the classes where it applies."""
+    tab = sweeps.sweep_data(7).table
+    for tid, statement in verify.COUNT_STATEMENTS.items():
+        per_clause = [_census(_alone(statement, k)(tab)) for k in range(len(statement.clauses))]
+        assert (_census(statement(tab)), per_clause) == SLACK_CENSUS[tid], tid
+
+
+def test_a_guarded_clause_is_read_only_where_the_earlier_clauses_hold():
+    """diameter-main's second clause counts and reports only the rows where
+    its first clause holds: all of its hypothesis rows as written, none when
+    the first clause is made to fail on every connected graph."""
+    statement = verify.COUNT_STATEMENTS["diameter-main"]
+    first, second = statement.clauses
+    failing = dataclasses.replace(statement, clauses=(dataclasses.replace(first, bound=lambda tab: tab.n + 1), second))
+    for s, reads_second in ((statement, True), (failing, False)):
+        tab = sweeps.SweepTable(6, sweeps.sweep_data(6).table.adj)
+        wheres, count_lt = [], tab.lt
+        tab.lt = lambda t, where: wheres.append(where) or count_lt(t, where)
+        v = s(tab)
+        hypothesis = second.hypothesis(tab) & reads_second
+        assert hypothesis.any() == reads_second and np.array_equal(wheres[1], hypothesis)
+        assert np.array_equal(v.passed, ~tab.conn | reads_second)
+        assert [("m_below_n-d+1" in v.witness(i)) for i in np.flatnonzero(tab.conn)] == hypothesis[tab.conn].tolist()
+
+
+def _at(tab, x):
+    """A clause's threshold or bound on the table: an int, a column name, or tab -> column."""
+    return getattr(tab, x) if isinstance(x, str) else x(tab) if callable(x) else x
+
+
+def _lowered(statement, k):
+    """The statement with clause k's margin lowered by one: its bound moved one step towards the count."""
+    clause = statement.clauses[k]
+    step = -1 if clause.side == "<=" else 1
+
+    def bound(tab):
+        return _at(tab, clause.bound) + step
+
+    clauses = list(statement.clauses)
+    clauses[k] = dataclasses.replace(clause, bound=bound)
+    return dataclasses.replace(statement, clauses=tuple(clauses))
+
+
+# the `qdist count` interval of each count kind at threshold t (every Q eigenvalue lies in [0, 2n-2])
+COUNT_INTERVALS = {"lt": "[-1,{})", "le": "[-1,{}]", "ge": "[{},2n+1]", "gt": "({},2n+1]"}
+
+CONTROLS = [(tid, k) for tid, s in verify.COUNT_STATEMENTS.items() for k in range(len(s.clauses))]
+
+
+@pytest.mark.parametrize("tid, k", CONTROLS, ids=[f"{tid}-{k}" for tid, k in CONTROLS])
+def test_off_by_one_control_fails_where_its_clause_is_tight(tid, k, capsys):
+    """Lowering one clause's margin by one makes its statement fail at
+    n <= 7 on exactly the classes where that clause holds with equality,
+    as many at n = 7 as the census counts; diameter-main's second clause is
+    never tight there, so its control passes. The least failing class
+    representative also fails the control's point checker, and its count
+    witness rechecks through `qdist count`."""
+    statement = verify.COUNT_STATEMENTS[tid]
+    control, clause = _lowered(statement, k), statement.clauses[k]
+    least = None
+    for n in range(1, 8):
+        data = sweeps.sweep_data(n)
+        tight = _alone(statement, k)(data.table)
+        v = control(data.table)
+        assert np.array_equal(v.applicable & ~v.passed, tight.applicable & (tight.slack == 0)), n
+        if least is None and not v.passed.all():
+            least = graph_from_mask(n, int(data.reps[np.flatnonzero(~v.passed)[0]]))
+    assert int((~v.passed).sum()) == SLACK_CENSUS[tid][1][k][0]
+    if (tid, k) == ("diameter-main", 1):
+        assert least is None
+        return
+    rep = verify.evaluate(tid, control, least)
+    assert rep.applicable and not rep.passed, rep
+    tab = verify.GraphTable(least.n, adjacency(least.n, [least]))
+    t = int(np.broadcast_to(_at(tab, clause.threshold), (1,))[0])
+    capsys.readouterr()
+    assert main(["count", "--graph6", rep.instance, "--interval", COUNT_INTERVALS[clause.kind].format(t)]) == 0
+    assert int(capsys.readouterr().out) == rep.witness[clause.name], rep
+
+
+def test_generated_longest_path_control_fails_where_the_hand_written_one_does(false_statements, monkeypatch):
+    generated = _lowered(verify.COUNT_STATEMENTS["longest-path"], 0)
+    theorem = verify.GraphTheorem("lowered", partial(verify.evaluate, "lowered", generated), "control", generated)
+    monkeypatch.setitem(verify.GRAPH_THEOREMS, "lowered", theorem)
+    for n in range(1, 6):
+        got, want = (sorted(rep.instance for rep in sweeps.exhaustive_failures(tid, n).failures)
+                     for tid in ("lowered", FALSE_LONGEST_PATH))
+        assert got == want, n
+    assert len(got) == 420
