@@ -45,14 +45,14 @@ def main() -> int:
 
     orders = range(5, min(args.max_n, 10) + 1)
     # gndt(n, 2, 2) is K_n minus an edge: the path's ends are the only non-adjacent pair
-    for n, closed in zip(orders, family_spectra("family-counts", [(n, 2, 2) for n in orders])):
+    for n, closed in zip(orders, family_spectra([("gndt", (n, 2, 2)) for n in orders])):
         show(f"complete-minus-edge n={n}", complete_minus_edge(n), closed, [n - 2])
     for n in range(3, min(args.max_n, 9) + 1):
         show(f"cycle n={n}", cycle_graph(n), None, [1])
     for n in range(7, args.max_n + 1):
         show(f"gndt(n={n},d=3,t=2)", gndt(n, 3, 2), None, [n - 3])
         sizes = range(1, n - 4)
-        for a, closed in zip(sizes, family_spectra("diameter-3-equality", [(n, a) for a in sizes])):
+        for a, closed in zip(sizes, family_spectra([("gndra", (n, 3, 2, a)) for a in sizes])):
             show(f"gndra(n={n},d=3,r=2,a={a})", gndra(n, 3, 2, a), closed, [n - 3])
     return 0
 

@@ -13,9 +13,9 @@ Submodules:
               counting, the spectrum report
   invariants  matching, diameter, independence, domination, longest path
   verify      theorem catalog, graph tables, sampling, search
-  quotients   family-grid counts and spectra on the twin quotient: exact
-              clique eigenvalues, certified stacked quotients, no member
-              graphs
+  quotients   counts, diameters and spectra of family members (kind,
+              parameters) on the twin quotient: exact clique eigenvalues,
+              certified stacked quotients, no member graphs, no statement
   sweeps      exhaustive sweeps at n <= 7, one isomorphism class at a time
   cli         command-line front end
 

@@ -175,7 +175,7 @@ def gndt(n: int, d: int, t: int) -> Graph:
         raise GraphError(f"gndt requires 2 <= d <= n-2, got d={d}, n={n}")
     if not 2 <= t <= d:
         raise GraphError(f"gndt requires 2 <= t <= d, got t={t}, d={d}")
-    return _path_plus_clique(n, d, [(d + 1, n, t - 2)])
+    return _path_plus_clique(n, d, clique_joins(n, d, t))
 
 
 def gndra(n: int, d: int, r: int, a: int) -> Graph:
@@ -191,22 +191,28 @@ def gndra(n: int, d: int, r: int, a: int) -> Graph:
         raise GraphError(f"gndra requires 2 <= r <= d-1, got r={r}, d={d}")
     if not 1 <= a <= n - d - 2:
         raise GraphError(f"gndra requires 1 <= a <= n-d-2, got a={a}, n={n}, d={d}")
-    return _path_plus_clique(n, d, [(d + 1, d + 1 + a, r - 2), (d + 1 + a, n, r - 1)])
+    return _path_plus_clique(n, d, clique_joins(n, d, r, a))
 
 
-def _path_plus_clique(n: int, d: int, joins: Sequence[tuple[int, int, int]]) -> Graph:
-    """The path 0-1-...-d plus a clique on d+1..n-1. The joins split the
-    clique into consecutive vertex ranges: for each (lo, hi, s) in joins, in
-    order, the clique vertices lo..hi-1 are joined to the three path vertices
-    s, s+1, s+2. Each row gets its join as one mask."""
-    clique = (1 << n) - (1 << (d + 1))
+def clique_joins(n: int, d: int, *rest: int) -> tuple[tuple[int, int], ...]:
+    """The clique parts of gndra(n, d, r, a) (rest = (r, a)) or gndt(n, d, t)
+    (rest = (t,)), in label order, as joins (k, first): k clique vertices,
+    each joined to the path labels first, first+1, first+2; quotients reads them as cells."""
+    r, a = rest if len(rest) == 2 else (rest[0], n - d - 1)  # gndt: every clique vertex on the left
+    return tuple((k, first) for k, first in ((a, r - 2), (n - d - 1 - a, r - 1)) if k)
+
+
+def _path_plus_clique(n: int, d: int, joins: Sequence[tuple[int, int]]) -> Graph:
+    """The path 0-1-...-d plus a clique on d+1..n-1, split by the joins
+    (k, first) of clique_joins into consecutive label ranges. Each row gets
+    its join as one mask."""
+    clique, lo = (1 << n) - (1 << (d + 1)), d + 1
     rows = [(1 << (u - 1) if u else 0) | (1 << (u + 1) if u < d else 0) for u in range(d + 1)]
-    for lo, hi, s in joins:
-        p = 0b111 << s
-        rows += [clique ^ (1 << u) | p for u in range(lo, hi)]
-    for lo, hi, s in joins:
-        for v in range(s, s + 3):
-            rows[v] |= (1 << hi) - (1 << lo)
+    for k, first in joins:
+        rows += [clique ^ (1 << u) | 0b111 << first for u in range(lo, lo + k)]
+        for v in range(first, first + 3):
+            rows[v] |= (1 << (lo + k)) - (1 << lo)
+        lo += k
     return Graph(n, tuple(rows))
 
 

@@ -1,11 +1,13 @@
-"""Eigenvalue counts and spectra of the family grids' members on their
-twin quotients, with no member graph built.
+"""Eigenvalue counts, diameters and spectra of members of the cycle,
+G(n,d,t) and G(n,d,r,a) on their twin quotients, with no member graph
+built. A member is (kind, graphs.FAMILIES parameters); its threshold and
+matrices are the caller's, so no statement is named here.
 
-Every member of G(n,d,t), G(n,d,r,a) and the cycle is described by its
-cells (_family_cells, from the instance's parameters alone): every path
-vertex is a cell of its own, and each clique part of k vertices is one cell
-(the cycle has only singleton cells). Two cells are joined completely or
-not at all, so the partition is equitable: with s the cell sizes and E the
+A member is described by its cells (_cells, from its kind and parameters
+alone): every path vertex is a cell of its own, and each clique part of k
+vertices, a join of graphs.clique_joins, is one cell (the cycle has only
+singleton cells). Two cells are joined completely or not at all, so the
+partition is equitable: with s the cell sizes and E the
 integer cell-edge matrix (E_ij = s_i s_j edges between joined cells i != j,
 E_ii = s_i (s_i - 1), twice the inner edges), a vertex of cell i has
 b_ij = E_ij / s_i neighbours in cell j and degree delta_i = sum_j b_ij.
@@ -23,7 +25,7 @@ Springer 2001, 9.3):
     an integer, and C_ij = sign * E_ij / sqrt(s_i s_j) = sign * sqrt(E_ij).
 
 The twins are counted in integers. The quotients of one quotient order,
-each with the matrices its statement reads, are solved FAMILY_STACK rows at
+each with every matrix asked for, are solved FAMILY_STACK rows at
 a time by jacobi_batch. Each off-diagonal entry of the float C is one
 correctly rounded square root of an integer and its diagonal is exact, so
 the float matrix differs from C by at most u|C| entrywise (u = 2^-53) and
@@ -46,46 +48,33 @@ from __future__ import annotations
 import numpy as np
 
 from . import exact
+from .graphs import clique_joins
 from .invariants import diameter
 from .jacobi import Spectrum, certified_below, graphs_of, jacobi_batch
 
 FAMILY_STACK = 32  # rows per stacked quotient solve, so a grid holds no more than one such stack
 
 
-def _family_cells(theorem_id: str, n: int, *rest: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """The cells of one instance's member and the threshold of its counts,
-    as (d, joins, t): the path cells 0..d, one per path vertex, then one
-    clique cell per join (k, first) of k vertices joined to the path cells
-    first, first+1, first+2, the clique cells joined to each other; these
-    are the consecutive vertex ranges of graphs.gndt and graphs.gndra. The
-    cycle has d = n - 1 and no join; its path is closed."""
-    if theorem_id == "cycle-matching":
-        return n - 1, (), 1
-    if theorem_id == "family-gndra-q5":
-        d, rest = n - 3, (rest[0], 1)
-        t = 4
-    elif theorem_id == "diameter-3-equality":
-        d, rest = 3, (2, *rest)
-        t = n - 3
-    else:  # family-counts, gndt-laplacian-count
-        d, rest = rest[0], rest[1:]
-        t = n - d + 1
-    if len(rest) == 1:  # gndt(n, d, t)
-        return d, ((n - d - 1, rest[0] - 2),), t
-    r, a = rest  # gndra(n, d, r, a)
-    return d, ((a, r - 2), (n - d - 1 - a, r - 1)), t
+def _cells(kind: str, params: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...], bool]:
+    """The cells of a member (kind, graphs.FAMILIES parameters) as (d, joins,
+    closed): the path cells 0..d, then one clique cell per join (k, first)
+    of graphs.clique_joins, the clique cells joined to each other. A cycle
+    has d = n - 1, no join and a closed path (cell d joined to cell 0)."""
+    if kind == "cycle":
+        return params[0] - 1, (), True
+    return params[1], clique_joins(*params), False
 
 
-def _cell_edges(m: int, cells: list, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+def _cell_edges(m: int, cells: list) -> tuple[np.ndarray, np.ndarray]:
     """The integer cell-edge matrices E (len(cells), m, m) and the cell
-    sizes s (len(cells), m) of instances with m cells each, given as
-    _family_cells gives them; closed joins cell m-1 to cell 0 (the cycle)."""
+    sizes s (len(cells), m) of members with m cells each, given as _cells
+    gives them; a closed member has cell m-1 joined to cell 0."""
     d = np.array([c[0] for c in cells])[:, None]
     k = np.arange(m)
     E = np.zeros((len(cells), m, m), dtype=np.int64)
     E[:, k[:-1], k[1:]] = E[:, k[1:], k[:-1]] = k[:-1] < d  # the path
-    if closed:
-        E[:, 0, m - 1] = E[:, m - 1, 0] = 1
+    closed = np.array([c[2] for c in cells], dtype=bool)
+    E[closed, 0, m - 1] = E[closed, m - 1, 0] = 1
     s = np.ones((len(cells), m), dtype=np.int64)
     row, cell, size, first = np.array(
         [(b, c[0] + 1 + j, size, first) for b, c in enumerate(cells) for j, (size, first) in enumerate(c[1])],
@@ -108,7 +97,7 @@ def _integer_form(E: np.ndarray, s: np.ndarray, sign: int, t: int) -> list[list[
 
 
 def _by_order(cells: list) -> dict[int, list[int]]:
-    """The indices of the instances with cells as _family_cells gives them, by quotient order."""
+    """The indices of the members with cells as _cells gives them, by quotient order."""
     by_order: dict[int, list[int]] = {}
     for i, (d, joins, _) in enumerate(cells):
         by_order.setdefault(d + 1 + len(joins), []).append(i)
@@ -144,15 +133,15 @@ def _quotient_counts(E: np.ndarray, s: np.ndarray, t: np.ndarray, sign: np.ndarr
     return below + ((s - 1) * (twin < t)).sum(axis=1), below + at + ((s - 1) * (twin <= t)).sum(axis=1)
 
 
-def family_spectra(theorem_id: str, params: list[tuple[int, ...]]) -> list[Spectrum]:
-    """The Q(G) spectra of the family instances params (checker arguments,
-    n first), in order: the exact twin values and the quotient's floats,
+def family_spectra(members: list[tuple[str, tuple[int, ...]]]) -> list[Spectrum]:
+    """The Q(G) spectra of the members (kind, graphs.FAMILIES parameters),
+    in order: the exact twin values and the quotient's floats,
     nonincreasing, with the quotient's bound. The members of one quotient
     order are solved in one stack."""
-    cells = [_family_cells(theorem_id, *p) for p in params]
-    spectra: list[Spectrum] = [Spectrum((), 0.0)] * len(params)
+    cells = [_cells(*member) for member in members]
+    spectra: list[Spectrum] = [Spectrum((), 0.0)] * len(members)
     for m, rows in _by_order(cells).items():
-        E, s = _cell_edges(m, [cells[i] for i in rows], theorem_id == "cycle-matching")
+        E, s = _cell_edges(m, [cells[i] for i in rows])
         twin, vals, bounds = _quotient_spectra(E, s, np.ones(len(rows), dtype=np.int64))
         for j, i in enumerate(rows):
             values = np.concatenate([vals[j], np.repeat(twin[j], s[j] - 1)]).tolist()
@@ -160,39 +149,43 @@ def family_spectra(theorem_id: str, params: list[tuple[int, ...]]) -> list[Spect
     return spectra
 
 
-def family_counts(theorem_id: str, params: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The counts of the family instances params (checker arguments, n
-    first), in order: the count below the instance's threshold; for
-    diameter-3-equality also the count at most it and the member's
-    diameter; for gndt-laplacian-count the count of L(G) first, then that
-    of Q(G). The members of one quotient order are solved together,
+def family_counts(members: list, thresholds: list[int], matrices: tuple[str, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """Of each member (kind, graphs.FAMILIES parameters), in order, the
+    counts (below, at most) its threshold of each of the matrices ("Q" or
+    "L"), in order. The members of one quotient order are solved together,
     FAMILY_STACK (member, matrix) rows at a time, a member and its mirror
     image (which maps the join (k, first) to (k, d - 2 - first)) once. A
     failed certificate raises ConvergenceError."""
-    signs = (-1, 1) if theorem_id == "gndt-laplacian-count" else (1,)
+    signs = [{"Q": 1, "L": -1}[x] for x in matrices]  # M = D + sign * A
     k, per = len(signs), FAMILY_STACK // len(signs)
-    cells = [_family_cells(theorem_id, *p) for p in params]
-    columns = np.zeros((3, len(params)), dtype=np.int64)
+    cells = [_cells(*member) for member in members]
+    counts: list = [()] * len(members)
     for m, rows in _by_order(cells).items():
         images: dict[tuple, list[int]] = {}
         for i in rows:
-            d, joins, _ = cells[i]
+            d, joins, closed = cells[i]
             mirrored = tuple(sorted((size, d - 2 - first) for size, first in joins))
-            images.setdefault(min(tuple(sorted(joins)), mirrored), []).append(i)
+            images.setdefault((min(tuple(sorted(joins)), mirrored), closed, thresholds[i]), []).append(i)
         groups = list(images.values())
         for lo in range(0, len(groups), per):
             group = groups[lo : lo + per]
-            E, s = _cell_edges(m, [cells[g[0]] for g in group], theorem_id == "cycle-matching")
-            t = np.array([cells[g[0]][2] for g in group])
+            E, s = _cell_edges(m, [cells[g[0]] for g in group])
+            t = np.array([thresholds[g[0]] for g in group])
             stacked = np.tile(E, (k, 1, 1)), np.tile(s, (k, 1)), np.tile(t, k), np.repeat(signs, len(group))
-            lt, le = _quotient_counts(*stacked)
-            counts = np.zeros((3, len(group)), dtype=np.int64)
-            counts[:k] = lt.reshape(k, -1)
-            if theorem_id == "diameter-3-equality":
-                counts[1] = le
-                cell_graphs = graphs_of((E > 0) & ~np.eye(m, dtype=bool))
-                counts[2] = [max(diameter(g), int(w.max() > 1)) for g, w in zip(cell_graphs, s)]
+            pairs = list(zip(*(c.tolist() for c in _quotient_counts(*stacked))))
             for j, g in enumerate(group):
-                columns[:, g] = counts[:, j : j + 1]
-    width = 3 if theorem_id == "diameter-3-equality" else len(signs)
-    return list(zip(*columns[:width].tolist()))
+                for i in g:
+                    counts[i] = tuple(pairs[j :: len(group)])
+    return counts
+
+
+def family_diameters(members: list[tuple[str, tuple[int, ...]]]) -> list[int]:
+    """The diameter of each member (kind, graphs.FAMILIES parameters), in
+    order: that of its cell graph, a clique cell having inner distance 1."""
+    cells = [_cells(*member) for member in members]
+    diameters = [0] * len(members)
+    for m, rows in _by_order(cells).items():
+        E, s = _cell_edges(m, [cells[i] for i in rows])
+        for i, g, w in zip(rows, graphs_of((E > 0) & ~np.eye(m, dtype=bool)), s):
+            diameters[i] = max(diameter(g), int(w.max() > 1))
+    return diameters

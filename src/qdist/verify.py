@@ -41,7 +41,7 @@ import numpy as np
 
 from . import exact
 from .graph6 import graph6_encode
-from .graphs import Graph, GraphError, bfs_distances, is_connected
+from .graphs import FAMILIES, Graph, GraphError, bfs_distances, is_connected
 # unused here, but kept bound: the benchmark's tracer (perfbench/layers.py) wraps verify.gndt, gndra and cycle_graph
 from .graphs import cycle_graph, gndra, gndt  # noqa: F401
 from .invariants import (
@@ -409,129 +409,141 @@ def evaluate(theorem_id: str, predicate: Callable[[object], Verdict], g: Graph) 
 # -- family checkers ---------------------------------------------------------------
 #
 # A family statement has one instance per parameter tuple, and one checker
-# that takes the tuple as its positional arguments. family_parameters lists
-# the tuples of one order. iter_family_reports counts every tuple of one
-# order at a time with quotients.family_counts (exact twin eigenvalues plus
-# the certified equitable quotient; no member graph is built) and hands
-# each checker call its own counts; a checker called without them counts
-# only its own instance. quotients is imported only here, so a run without
-# a family grid never loads it.
+# that takes the tuple as its positional arguments; its FAMILY_STATEMENTS
+# row maps a tuple to its member (also the report's instance), threshold
+# and matrices. iter_family_reports counts every tuple of one order at a
+# time with quotients.family_counts (exact twin eigenvalues plus the
+# certified equitable quotient; no member graph is built) and hands each
+# checker call its own counts; a checker called without them counts only
+# its own instance. quotients is imported only here, so a run without a
+# family grid never loads it.
 
 
 FAMILY_MIN = 7  # smallest order of a verify family grid
 
 
-def family_parameters(theorem_id: str, n: int) -> Iterator[tuple[int, ...]]:
+@dataclass(frozen=True)
+class FamilyStatement:
+    """The checker's name; grid(n), the checker tuples of order n in grid
+    order; of a tuple p, member(*p) as (kind, graphs.FAMILIES parameters)
+    and threshold(*p); the matrices counted; whether the diameter is read."""
+
+    checker: str
+    grid: Callable[[int], list[tuple[int, ...]]]
+    member: Callable[..., tuple[str, tuple[int, ...]]]
+    threshold: Callable[..., int]
+    matrices: tuple[str, ...] = ("Q",)
+    diameter: bool = False
+
+
+FAMILY_STATEMENTS: dict[str, FamilyStatement] = {  # the paper's five, in catalog order
+    "cycle-matching": FamilyStatement(
+        "check_cycle_matching", lambda n: [(n,)] if n >= 3 else [], lambda n: ("cycle", (n,)), lambda n: 1),
+    "family-counts": FamilyStatement(
+        "check_family_counts",
+        lambda n: [(n, d, t) for d in range(2, n - 2) for t in range(2, d + 1)]
+        + [(n, d, t, a) for d in range(3, n - 2) for t in range(2, d) for a in range(1, n - d - 1)],
+        lambda n, d, t, *a: ("gndra" if a else "gndt", (n, d, t, *a)), lambda n, d, *_: n - d + 1),
+    "family-gndra-q5": FamilyStatement(
+        "check_gndra_q5", lambda n: [(n, t) for t in range(2, n - 3)], lambda n, t: ("gndra", (n, n - 3, t, 1)),
+        lambda n, t: 4),
+    "diameter-3-equality": FamilyStatement(
+        "check_diameter3_equality", lambda n: [(n,)] + [(n, a) for a in range(1, n - 4)] if n >= 7 else [],
+        lambda n, *a: ("gndra" if a else "gndt", (n, 3, 2, *a)), lambda n, *_: n - 3, diameter=True),
+    "gndt-laplacian-count": FamilyStatement(
+        "check_gndt_laplacian_count", lambda n: [(n, d, t) for d in range(4, n - 4) for t in range(3, d)],
+        lambda n, d, t: ("gndt", (n, d, t)), lambda n, d, t: n - d + 1, ("L", "Q")),
+}
+FAMILY_CHECKERS = {tid: s.checker for tid, s in FAMILY_STATEMENTS.items()}
+FAMILY_THEOREM_IDS = tuple(FAMILY_STATEMENTS)
+
+
+def family_parameters(theorem_id: str, n: int) -> list[tuple[int, ...]]:
     """The checker arguments of every instance of the family statement at order n, in grid order."""
-    if theorem_id == "cycle-matching":
-        if n >= 3:
-            yield (n,)
-    elif theorem_id == "family-counts":
-        for d in range(2, n - 2):
-            for t in range(2, d + 1):
-                yield (n, d, t)
-        for d in range(3, n - 2):
-            for t in range(2, d):
-                for a in range(1, n - d - 1):
-                    yield (n, d, t, a)
-    elif theorem_id == "family-gndra-q5":
-        for t in range(2, n - 3):
-            yield (n, t)
-    elif theorem_id == "diameter-3-equality":
-        if n >= 7:
-            yield (n,)
-            for a in range(1, n - 4):
-                yield (n, a)
-    elif theorem_id == "gndt-laplacian-count":
-        for d in range(4, n - 4):
-            for t in range(3, d):
-                yield (n, d, t)
-    else:
+    if theorem_id not in FAMILY_STATEMENTS:
         raise KeyError(f"{theorem_id!r} is not a family theorem")
+    return FAMILY_STATEMENTS[theorem_id].grid(n)
 
 
-def _family_row(theorem_id: str, *key: int) -> tuple[int, ...]:
+def _family_counts(theorem_id: str, params: list[tuple[int, ...]]) -> list[tuple]:
+    """The counts of the checker tuples params, as a checker reads them:
+    (below, at most) the threshold per matrix, then the diameter if read."""
+    from . import quotients
+
+    statement = FAMILY_STATEMENTS[theorem_id]
+    members = [statement.member(*p) for p in params]
+    counts = quotients.family_counts(members, [statement.threshold(*p) for p in params], statement.matrices)
+    return [(*c, d) for c, d in zip(counts, quotients.family_diameters(members))] if statement.diameter else counts
+
+
+def _family_row(theorem_id: str, *key: int) -> tuple:
     """The counts of the one instance whose checker arguments are key (n
     first). Raises GraphError, before any count, when key is not a tuple
     of family_parameters."""
     if key not in family_parameters(theorem_id, key[0]):
         raise GraphError(f"{theorem_id} has no instance with arguments {key}")
-    from . import quotients
-
-    return quotients.family_counts(theorem_id, [key])[0]
+    return _family_counts(theorem_id, [key])[0]
 
 
-def check_cycle_matching(n: int, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
+def _family_report(theorem_id: str, key: tuple[int, ...], ok: bool, witness: dict) -> TheoremReport:
+    """The report on checker arguments key, whose instance is the member as
+    kind(k=v,...), its parameters in graphs.FAMILIES order."""
+    kind, params = FAMILY_STATEMENTS[theorem_id].member(*key)
+    return TheoremReport(theorem_id, f"{kind}({','.join(f'{k}={v}' for k, v in zip(FAMILIES[kind][1], params))})", ok,
+                         witness=witness)
+
+
+def check_cycle_matching(n: int, *, counts: tuple | None = None) -> TheoremReport:
     """Cycle count below 1 matches the ceil(n/3) residue formula and, off the
     5-cycle, stays at most the matching number minus one (n >= 3)."""
-    (m,) = counts or _family_row("cycle-matching", n)
+    ((m, _),) = counts or _family_row("cycle-matching", n)
     expected = ceil(n / 3) if n % 3 == 2 else ceil(n / 3) - 1
     nu = n // 2
     ok = m == expected and (n == 5 or m <= nu - 1)
-    return TheoremReport("cycle-matching", f"cycle(n={n})", ok, witness={"m01": m, "formula": expected, "nu": nu})
+    return _family_report("cycle-matching", (n,), ok, {"m01": m, "formula": expected, "nu": nu})
 
 
-def check_family_counts(
-    n: int, d: int, t: int, a: int | None = None, *, counts: tuple[int, ...] | None = None
-) -> TheoremReport:
+def check_family_counts(n: int, d: int, t: int, a: int | None = None, *, counts: tuple | None = None) -> TheoremReport:
     """Interval-count bounds for the path-plus-clique families.
 
     Three-parameter family (a is None, 2 <= t <= d <= n-3): at least d
     eigenvalues below n-d+1. Four-parameter family (2 <= t <= d-1 <= n-4,
     1 <= a <= n-d-2): the same bound; when d = n-3 additionally q_5 < 4.
     """
-    if a is None:
-        (below,) = counts or _family_row("family-counts", n, d, t)
-        instance = f"gndt(n={n},d={d},t={t})"
-    else:
-        (below,) = counts or _family_row("family-counts", n, d, t, a)
-        instance = f"gndra(n={n},d={d},r={t},a={a})"
+    key = (n, d, t) if a is None else (n, d, t, a)
+    ((below, _),) = counts or _family_row("family-counts", *key)
     witness: dict = {"m_below_n-d+1": below, "required": d}
     ok = below >= d
     if a is not None and d == n - 3:  # then n - d + 1 = 4: below is the count below 4
         witness["count_below_4"] = below
         witness["q5_below_4"] = below >= n - 4
         ok = ok and below >= n - 4
-    return TheoremReport("family-counts", instance, ok, witness=witness)
+    return _family_report("family-counts", key, ok, witness)
 
 
-def check_gndra_q5(n: int, t: int, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
+def check_gndra_q5(n: int, t: int, *, counts: tuple | None = None) -> TheoremReport:
     """q_5 < 4 for the four-parameter family at d = n-3, a = 1 (2 <= t <= n-4)."""
-    (below4,) = counts or _family_row("family-gndra-q5", n, t)
-    return TheoremReport(
-        "family-gndra-q5",
-        f"gndra(n={n},d={n - 3},r={t},a=1)",
-        below4 >= n - 4,
-        witness={"count_below_4": below4, "required": n - 4},
-    )
+    ((below4, _),) = counts or _family_row("family-gndra-q5", n, t)
+    return _family_report("family-gndra-q5", (n, t), below4 >= n - 4, {"count_below_4": below4, "required": n - 4})
 
 
-def check_diameter3_equality(n: int, a: int | None = None, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
+def check_diameter3_equality(n: int, a: int | None = None, *, counts: tuple | None = None) -> TheoremReport:
     """Equality witnesses for the diameter-3 bound (n >= 7, 1 <= a <= n-5):
     the path-plus-clique families have exactly two eigenvalues below n-3,
     exactly n-4 equal to n-3, and the rest above."""
-    if a is None:
-        lt, le, diam = counts or _family_row("diameter-3-equality", n)
-        instance = f"gndt(n={n},d=3,t=2)"
-    else:
-        lt, le, diam = counts or _family_row("diameter-3-equality", n, a)
-        instance = f"gndra(n={n},d=3,r=2,a={a})"
+    key = (n,) if a is None else (n, a)
+    (lt, le), diam = counts or _family_row("diameter-3-equality", *key)
     witness = {"m_below_n-3": lt, "mult_at_n-3": le - lt}
     ok = lt == 2 and le - lt == n - 4 and diam == 3
-    return TheoremReport("diameter-3-equality", instance, ok, witness=witness)
+    return _family_report("diameter-3-equality", key, ok, witness)
 
 
-def check_gndt_laplacian_count(n: int, d: int, t: int, *, counts: tuple[int, ...] | None = None) -> TheoremReport:
+def check_gndt_laplacian_count(n: int, d: int, t: int, *, counts: tuple | None = None) -> TheoremReport:
     """The three-parameter family has exactly d-1 Laplacian eigenvalues in
     [0, n-d+1) when d <= n-5 and 3 <= t <= d-1, against at least d signless ones."""
-    lap, signless = counts or _family_row("gndt-laplacian-count", n, d, t)
-    ok = lap == d - 1 and signless >= d
-    return TheoremReport(
-        "gndt-laplacian-count",
-        f"gndt(n={n},d={d},t={t})",
-        ok,
-        witness={"laplacian_below": lap, "signless_below": signless, "d": d},
-    )
+    (lap, _), (signless, _) = counts or _family_row("gndt-laplacian-count", n, d, t)
+    witness = {"laplacian_below": lap, "signless_below": signless, "d": d}
+    return _family_report("gndt-laplacian-count", (n, d, t), lap == d - 1 and signless >= d, witness)
 
 
 # -- catalog and search -------------------------------------------------------------
@@ -557,15 +569,6 @@ GRAPH_THEOREMS: dict[str, GraphTheorem] = {
     ]
 }
 
-FAMILY_CHECKERS = {
-    "cycle-matching": "check_cycle_matching",
-    "family-counts": "check_family_counts",
-    "family-gndra-q5": "check_gndra_q5",
-    "diameter-3-equality": "check_diameter3_equality",
-    "gndt-laplacian-count": "check_gndt_laplacian_count",
-}
-FAMILY_THEOREM_IDS = tuple(FAMILY_CHECKERS)
-
 ALL_THEOREM_IDS = tuple(GRAPH_THEOREMS) + FAMILY_THEOREM_IDS
 
 
@@ -587,11 +590,9 @@ def iter_family_reports(theorem_id: str, n_lo: int, n_hi: int) -> Iterator[Theor
     name = FAMILY_CHECKERS[tid]
 
     def reports() -> Iterator[TheoremReport]:
-        from . import quotients
-
         for n in range(n_lo, n_hi + 1):
-            params = list(family_parameters(tid, n))
-            for p, counts in zip(params, quotients.family_counts(tid, params)):
+            params = family_parameters(tid, n)
+            for p, counts in zip(params, _family_counts(tid, params)):
                 yield globals()[name](*p, counts=counts)
 
     return reports()

@@ -254,7 +254,8 @@ def test_family_spectra_match_the_full_matrix_solver():
                 continue
             graphs = [_member(tid, p)[0] for p in params]
             vals, bounds = jacobi_batch(matrix_stack(adjacency(n, graphs)))
-            for p, spec, want, bound in zip(params, quotients.family_spectra(tid, params), vals, bounds):
+            spectra = quotients.family_spectra([verify.FAMILY_STATEMENTS[tid].member(*p) for p in params])
+            for p, spec, want, bound in zip(params, spectra, vals, bounds):
                 assert np.abs(np.array(spec.values) - want).max() <= spec.residual + bound, (tid, p)
             members += len(params)
     assert members == 6876
@@ -264,7 +265,7 @@ def test_family_spectra_match_the_full_matrix_solver():
 def test_gn32a_spectrum(n, a):
     # the twin-quotient spectrum places every eigenvalue as Bareiss on the
     # member does, at every integer threshold
-    (spec,) = quotients.family_spectra("diameter-3-equality", [(n, a)])
+    (spec,) = quotients.family_spectra([("gndra", (n, 3, 2, a))])
     values, g = np.array(spec.values), gndra(n, 3, 2, a)
     assert len(values) == n
     for t in range(2 * n - 1):
@@ -282,7 +283,7 @@ def test_gn32a_balanced_case():
 
     assert (mult(n - 3), mult(n - 2), mult(a)) == (n - 4, 1, 1)
     assert exact.graph_count_lt(g, a + 1) - exact.graph_count_le(g, a) == 1
-    (spec,) = quotients.family_spectra("diameter-3-equality", [(n, a)])
+    (spec,) = quotients.family_spectra([("gndra", (n, 3, 2, a))])
     gammas = [v for v in spec.values if a + spec.residual < v < a + 1 - spec.residual]
     assert len(gammas) == 1
 

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from labeled import enumerate_graphs, graph_from_mask, graph_to_mask, mask_pairs
 from reference import edge_count
 
-from qdist import exact, quotients, sweeps, verify
+from qdist import cli, exact, quotients, sweeps, verify
 from qdist.graphs import (
     Graph,
     GraphError,
@@ -22,6 +24,7 @@ from qdist.graphs import (
     is_connected,
     k_copies,
     make_empty,
+    make_family,
     path_graph,
     remove_edge,
 )
@@ -241,9 +244,15 @@ def test_gndt_laplacian_count_examples():
 
 
 def _family_rows(tid, n):
-    """The engine's counts of every instance at order n, keyed by checker arguments."""
-    params = list(verify.family_parameters(tid, n))
-    return dict(zip(params, quotients.family_counts(tid, params)))
+    """The engine's counts of every instance at order n, keyed by checker
+    arguments: the count below the threshold of each matrix; for
+    diameter-3-equality the count below it, the count at most it and the
+    diameter."""
+    params = verify.family_parameters(tid, n)
+    rows = verify._family_counts(tid, params)
+    if tid == "diameter-3-equality":
+        return {p: (lt, le, diam) for p, ((lt, le), diam) in zip(params, rows)}
+    return {p: tuple(lt for lt, _ in row) for p, row in zip(params, rows)}
 
 
 def _member(tid, params):
@@ -301,6 +310,29 @@ def test_family_tables_equal_full_matrix_tables():
             assert list(rows.values()) == list(zip(*(c.tolist() for c in columns))), (tid, n)
 
 
+def test_family_labels_name_their_members():
+    # every report of the five grids at orders 7..22 names its member:
+    # kind(k=v,...) read as the --family spec kind,k=v,... builds the graph
+    # that _member builds for the report's checker arguments
+    reports = 0
+    for tid in verify.FAMILY_THEOREM_IDS:
+        params = [p for n in range(7, 23) for p in verify.family_parameters(tid, n)]
+        for p, rep in zip(params, verify.family_grid_reports(tid, 7, 22), strict=True):
+            spec = rep.instance.replace("(", ",", 1).removesuffix(")")
+            assert make_family(*cli._parse_family_string(spec)) == _member(tid, p)[0], (tid, p, rep.instance)
+            reports += 1
+    assert reports == 6876
+
+
+def test_quotients_names_no_statement():
+    # quotients counts members; the member, threshold and matrices of a
+    # statement are written only in verify.FAMILY_STATEMENTS
+    tree = ast.parse(Path(quotients.__file__).read_text())
+    named = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in verify.ALL_THEOREM_IDS]
+    assert named == []
+
+
 def test_family_cells_are_equitable_with_the_integer_quotient():
     # the cells are consecutive vertex ranges of the member; each partition
     # is equitable and its integer form at threshold 0 is diag(s) times the
@@ -309,12 +341,13 @@ def test_family_cells_are_equitable_with_the_integer_quotient():
     for tid in verify.FAMILY_THEOREM_IDS:
         for n in range(7, 17):
             for params in verify.family_parameters(tid, n):
-                d, joins, t = quotients._family_cells(tid, *params)
-                E, s = quotients._cell_edges(d + 1 + len(joins), [(d, joins, t)], tid == "cycle-matching")
+                statement = verify.FAMILY_STATEMENTS[tid]
+                d, joins, closed = quotients._cells(*statement.member(*params))
+                E, s = quotients._cell_edges(d + 1 + len(joins), [(d, joins, closed)])
                 ends = np.cumsum(s[0]).tolist()
                 cells = [range(hi - k, hi) for hi, k in zip(ends, s[0].tolist())]
                 g, x = _member(tid, params)
-                assert ends[-1] == g.n and t == x
+                assert ends[-1] == g.n and statement.threshold(*params) == x
                 B, equitable = exact.quotient(g, cells)
                 assert equitable, (tid, params)
                 scaled = [[k * b for b in row] for k, row in zip(s[0].tolist(), B)]
