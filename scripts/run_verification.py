@@ -10,7 +10,8 @@ Writes <out>.jsonl (one report line per failure; empty file means clean) and
 <out>.csv (per step: theorem, the summary line qdist verify prints, failure
 count, seconds, and peak_rss_mb: the process's peak resident set size in MiB
 once the step is done, so the step that sets the peak is the first row with
-the final value). Exit code 1 if any failure was found.
+the final value). Exit code 1 if any failure was found; 2, with `error:
+<message>` on stderr and no report written, on bad input, as qdist verify.
 """
 
 from __future__ import annotations
@@ -24,16 +25,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qdist import cli  # noqa: E402
+from qdist import cli, verify  # noqa: E402
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--exhaustive", type=int, default=7)
-    ap.add_argument("--family-max", type=int, default=12)
-    ap.add_argument("--out", default="verification_report")
-    args = ap.parse_args()
-    steps = cli.verify_steps("all", args.exhaustive, args.family_max)
+def campaign(args: argparse.Namespace) -> int:
+    steps = verify.verify_steps("all", args.exhaustive, args.family_max)
     print(f"# run_verification --exhaustive {args.exhaustive} --family-max {args.family_max}")
 
     rows = []
@@ -57,6 +53,14 @@ def main() -> int:
         writer.writerows(rows)
     print(f"# total failures: {len(failures)}; reports in {args.out}.jsonl / {args.out}.csv")
     return 1 if failures else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--exhaustive", type=int, default=7)
+    ap.add_argument("--family-max", type=int, default=12)
+    ap.add_argument("--out", default="verification_report")
+    return cli.exit_code(campaign, ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@ invariants, run verification campaigns, emit reports.
 
 Exit codes: 0 success, 1 verification failure found, 2 usage error.
 
-sweeps and spectral are imported inside the subcommands that run them, so a
-sampled search or a family verify starts without loading either (verify
-loads quotients only for a family grid or checker); csv is imported only
-for `verify --output csv`.
+verify and search run through verify's one run driver (verify.verify_steps,
+verify.search_counterexamples), which checks the order options and imports
+sweeps only for a sweep step and quotients only for a family grid or
+checker. spectral is imported inside the subcommands that read it, so a
+sampled search or a family verify starts without loading sweeps or
+spectral; csv is imported only for `verify --output csv`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator
+from typing import Callable
 
 from . import exact, jacobi, verify
 from .graph6 import graph6_decode, graph6_encode
@@ -171,58 +173,12 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return 0
 
 
-def _theorem_list(name: str) -> list[str]:
-    if name == "all":
-        return list(verify.ALL_THEOREM_IDS)
-    return [verify.canonical_theorem_id(name)]
-
-
-def verify_steps(
-    theorem: str, exhaustive: int, family_max: int
-) -> Iterator[tuple[str, str, list[verify.TheoremReport]]]:
-    """The steps of a verify run, each computed when it is asked for: every
-    exhaustive sweep for n = 1..exhaustive and every family grid, as its
-    theorem id, its summary line and its failures. The arguments are checked
-    before any step runs, and a run that would check nothing is refused."""
-    if not 0 <= exhaustive <= verify.EXHAUSTIVE_LIMIT:
-        raise ValueError(f"--exhaustive must lie in 0..{verify.EXHAUSTIVE_LIMIT}, got {exhaustive}")
-    if family_max > verify.FAMILY_LIMIT:
-        raise ValueError(f"--family-max must be at most {verify.FAMILY_LIMIT}, got {family_max}")
-    theorem_ids = _theorem_list(theorem)
-    grids = [tid for tid in theorem_ids if tid in verify.FAMILY_THEOREM_IDS]
-    if grids and family_max < verify.FAMILY_MIN:
-        raise ValueError(f"--family-max must be at least {verify.FAMILY_MIN} for a family grid, got {family_max}")
-    if not grids and exhaustive == 0:
-        raise ValueError(f"--exhaustive 0 selects no instance of {theorem}")
-
-    def steps():
-        for tid in theorem_ids:
-            if tid in verify.GRAPH_THEOREMS:
-                from . import sweeps
-
-                for n in range(1, exhaustive + 1):
-                    result = sweeps.exhaustive_failures(tid, n)
-                    yield tid, result.summary(), result.failures
-            else:
-                instances, bad = 0, []
-                for rep in verify.iter_family_reports(tid, verify.FAMILY_MIN, family_max):
-                    instances += 1
-                    if rep.applicable and not rep.passed:
-                        bad.append(rep)
-                yield tid, f"{tid} grid n<={family_max}: {instances} instances, {len(bad)} failures", bad
-
-    return steps()
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    steps = verify_steps(args.theorem, args.exhaustive, args.family_max)
+    steps = verify.verify_steps(args.theorem, args.exhaustive, args.family_max)
     print(f"# qdist verify --theorem {args.theorem} --exhaustive {args.exhaustive} "
           f"--family-max {args.family_max}", file=sys.stderr)
-    failures: list[verify.TheoremReport] = []
-    lines: list[str] = []
-    for _, line, bad in steps:
-        lines.append(line)
-        failures.extend(bad)
+    done = list(steps)
+    failures = [rep for _, _, bad in done for rep in bad]
     if args.output == "csv":
         import csv
 
@@ -233,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for rep in failures:
             print(rep.to_json_line())
     else:
-        for line in lines:
+        for _, line, _ in done:
             print(line)
         for rep in failures:
             print("FAIL " + rep.to_json_line())
@@ -308,13 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def exit_code(command: Callable[..., int], *args) -> int:
+    """command(*args), or 2 when it raises an input error, with `error:
+    <message>` on stderr. Every qdist input error is a ValueError; str() of
+    a KeyError quotes its message, so its argument is printed instead."""
+    try:
+        return command(*args)
+    except (jacobi.ConvergenceError, KeyError, ValueError) as err:
+        print(f"error: {err.args[0] if isinstance(err, KeyError) and err.args else err}", file=sys.stderr)
+        return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (jacobi.ConvergenceError, KeyError, ValueError) as err:  # every qdist input error is a ValueError
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

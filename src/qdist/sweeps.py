@@ -12,7 +12,9 @@ the representatives. Masks become graphs only through
 (labeled totals), expanding a class that does not pass into its labeled
 members for the point checker, in the same process and at most
 ``verify.ROWS`` masks per decode, and the labeled count cache of
-``counts_pair`` (int8, one byte per labeled mask and threshold).
+``counts_pair`` (int8, one byte per labeled mask and threshold), which
+``exhaustive_failures`` alone fills, from the representatives' own counts
+at every threshold a sweep has read; only the benchmark reads it.
 
 A SweepTable holds graphs of one order n <= 9 in the adjacency-stack shell
 of the point checkers' table (``verify.AdjacencyTable``), which gives it
@@ -76,13 +78,8 @@ class SweepData:
 
     @cached_property
     def table(self) -> "SweepTable":
-        """The representatives' graphs, in class order. Its counts are its own
-        (int16); reading a threshold also fills the labeled cache of counts_pair."""
-        return SweepTable(self.n, mask_adjacency(self.n, self.reps), self._rep_counts)
-
-    def _rep_counts(self, t) -> tuple[np.ndarray, np.ndarray]:
-        counts_pair(self, t)
-        return self.table.counts(t)
+        """The representatives' graphs, in class order."""
+        return SweepTable(self.n, mask_adjacency(self.n, self.reps))
 
 
 _DATA: dict[int, SweepData] = {}
@@ -300,16 +297,13 @@ class SweepTable(verify.AdjacencyTable):
     n <= 9. Each column the shell does not hold comes on first use from one
     stacked kernel over the whole stack; the char polys are solved per chunk.
     Counts come from Descartes' rule on the table's own char polys, cached
-    per threshold (``counts``), int16; count_source(t) -> (lt, le) may take
-    their place (the representatives' table also fills counts_pair's
-    labeled cache)."""
+    per threshold (``counts``), int16."""
 
-    def __init__(self, n: int, adj: np.ndarray, count_source=None):
+    def __init__(self, n: int, adj: np.ndarray):
         if n > 9:
             raise ValueError(f"sweep tables hold graphs of order n <= 9, got {n}")
         super().__init__(n, adj)
         self._counts: dict[Fraction, tuple[np.ndarray, np.ndarray]] = {}
-        self._source = count_source  # a bound self.counts here would keep the table in a reference cycle
 
     _closed = cached_property(lambda self: self.adj | np.eye(self.n, dtype=bool))
     # for n <= 9 every component is a 5-cycle only in the connected 2-regular graphs on 5 vertices
@@ -338,13 +332,12 @@ class SweepTable(verify.AdjacencyTable):
         on = np.ones((self.count,), dtype=bool) if where is None else where
         if not on.any():
             return np.zeros((self.count,), dtype=np.int16)
-        source = self._source or self.counts
         if np.ndim(t) == 0:
-            return source(t)[which]
+            return self.counts(t)[which]
         out = np.zeros((self.count,), dtype=np.int16)
         for tv in _distinct(t[on]):
             sel = on & (t == tv)
-            out[sel] = source(int(tv))[which][sel]
+            out[sel] = self.counts(int(tv))[which][sel]
         return out
 
     def lt(self, t, where: np.ndarray | None = None) -> np.ndarray:
@@ -379,20 +372,24 @@ def exhaustive_failures(theorem_id: str, n: int, jobs: int | None = None) -> Swe
     under relabeling, so a class's verdict is that of each of its labeled
     members: applicable counts the labeled members of the applicable
     classes, and every labeled member of a class that does not pass goes to
-    the point checker, whose failures alone are reported. jobs is ignored:
-    the point checks run in this process."""
+    the point checker, whose failures alone are reported. Every threshold
+    read on the representatives' table then fills its labeled cache
+    (counts_pair), the only call that does. jobs is ignored: the point
+    checks run in this process."""
     tid = verify.canonical_theorem_id(theorem_id)
     if tid not in verify.GRAPH_THEOREMS:
         raise KeyError(f"{theorem_id!r} is not a per-graph theorem")
     data = sweep_data(n)
     theorem = verify.GRAPH_THEOREMS[tid]
     verdict = theorem.predicate(data.table)
+    for t in data.table._counts:
+        counts_pair(data, t)
     escalate = np.flatnonzero((verdict.applicable & ~verdict.passed)[data.class_of])
     failures: list[TheoremReport] = []
     for lo in range(0, escalate.size, verify.ROWS):
         for g in graphs_of(mask_adjacency(n, escalate[lo : lo + verify.ROWS])):
             rep = theorem.check(g)
-            if rep.applicable and not rep.passed:
+            if rep.failed:
                 failures.append(rep)
     applicable = int(data.orbit[verdict.applicable].sum())
     return SweepResult(tid, n, data.count, applicable, int(escalate.size), failures)

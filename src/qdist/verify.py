@@ -1,7 +1,8 @@
 """The theorem catalog: every per-graph statement written once, as a
 predicate over a table of graphs; the point checkers, the family checkers,
 seeded sampling (labeled edge masks decoded by jacobi.mask_adjacency), and
-counterexample search. The nine count statements are data, COUNT_STATEMENTS:
+the one run driver of qdist verify, qdist search and the campaign script
+(_steps). The nine count statements are data, COUNT_STATEMENTS:
 tuples of Clauses read by one evaluator (CountStatement.__call__), whose
 Verdict.slack is the integer margin of a count clause.
 
@@ -68,6 +69,8 @@ class TheoremReport:
     passed: bool
     applicable: bool = True
     witness: dict = field(default_factory=dict)
+
+    failed = property(lambda self: self.applicable and not self.passed)  # applies and does not hold
 
     def to_json_line(self) -> str:
         obj = {
@@ -603,14 +606,61 @@ def family_grid_reports(theorem_id: str, n_lo: int, n_hi: int) -> list[TheoremRe
     return list(iter_family_reports(theorem_id, n_lo, n_hi))
 
 
+# -- the run driver --------------------------------------------------------------------
+
+
+def _steps(
+    theorem_ids: list[str], orders: range, grid: tuple[int, int], budget: int, seed: int
+) -> Iterator[tuple[str, str, list[TheoremReport]]]:
+    """(theorem id, summary line, failures) of each step, computed when it is
+    asked for. The one place that decides which stream covers which order: a
+    per-graph statement has a step per order, its sweep up to EXHAUSTIVE_LIMIT
+    and budget samples seeded by seed + n above; a family statement one step,
+    its grid over the orders grid[0]..grid[1]. sweeps is imported only by a
+    sweep step, so a sampled search or a family verify never loads it."""
+    for tid in theorem_ids:
+        if tid in FAMILY_THEOREM_IDS:
+            instances, bad = 0, []
+            for rep in iter_family_reports(tid, *grid):
+                instances += 1
+                if rep.failed:
+                    bad.append(rep)
+            yield tid, f"{tid} grid n<={grid[1]}: {instances} instances, {len(bad)} failures", bad
+            continue
+        for n in orders:
+            if n <= EXHAUSTIVE_LIMIT:
+                from . import sweeps
+
+                result = sweeps.exhaustive_failures(tid, n)
+                yield tid, result.summary(), result.failures
+            else:
+                checker = GRAPH_THEOREMS[tid].check
+                bad = [rep for rep in map(checker, sample_graphs(n, budget, seed + n)) if rep.failed]
+                yield tid, f"{tid} n={n}: {budget} samples, {len(bad)} failures", bad
+
+
+def verify_steps(theorem: str, exhaustive: int, family_max: int) -> Iterator[tuple[str, str, list[TheoremReport]]]:
+    """The steps of qdist verify over theorem (an id or "all"): sweeps for
+    n = 1..exhaustive, grids FAMILY_MIN..family_max. The arguments are
+    checked before any step runs; a run that would check nothing is refused."""
+    if not 0 <= exhaustive <= EXHAUSTIVE_LIMIT:
+        raise ValueError(f"--exhaustive must lie in 0..{EXHAUSTIVE_LIMIT}, got {exhaustive}")
+    if family_max > FAMILY_LIMIT:
+        raise ValueError(f"--family-max must be at most {FAMILY_LIMIT}, got {family_max}")
+    theorem_ids = list(ALL_THEOREM_IDS) if theorem == "all" else [canonical_theorem_id(theorem)]
+    grids = [tid for tid in theorem_ids if tid in FAMILY_THEOREM_IDS]
+    if grids and family_max < FAMILY_MIN:
+        raise ValueError(f"--family-max must be at least {FAMILY_MIN} for a family grid, got {family_max}")
+    if not grids and exhaustive == 0:
+        raise ValueError(f"--exhaustive 0 selects no instance of {theorem}")
+    return _steps(theorem_ids, range(1, exhaustive + 1), (FAMILY_MIN, family_max), budget=0, seed=0)
+
+
 def search_counterexamples(
-    theorem_id: str,
-    n_range: tuple[int, int],
-    budget: int = 2000,
-    seed: int = 0,
+    theorem_id: str, n_range: tuple[int, int], budget: int = 2000, seed: int = 0
 ) -> list[TheoremReport]:
-    """Run the named checker exhaustively (n <= 7) and on seeded samples
-    (n >= 8); return only genuine failures, deterministically."""
+    """The failures of the named statement over the orders of n_range (its
+    sweeps and seeded samples, or its grid), after the ranges are checked."""
     tid = canonical_theorem_id(theorem_id)
     n_lo, n_hi = n_range
     if n_lo > n_hi:
@@ -619,23 +669,8 @@ def search_counterexamples(
         raise GraphError(f"--n-min must be at least 1, got {n_lo}")
     if budget < 1:
         raise GraphError(f"budget must be at least 1, got {budget}")
-    if tid in FAMILY_THEOREM_IDS:
-        if not FAMILY_MIN <= n_hi <= FAMILY_LIMIT:
-            raise GraphError(f"family grids are for {FAMILY_MIN} <= n_max <= {FAMILY_LIMIT}, got {n_hi}")
-        return [r for r in iter_family_reports(tid, n_lo, n_hi) if r.applicable and not r.passed]
-    if n_hi > SAMPLE_LIMIT:
+    if tid in FAMILY_THEOREM_IDS and not FAMILY_MIN <= n_hi <= FAMILY_LIMIT:
+        raise GraphError(f"family grids are for {FAMILY_MIN} <= n_max <= {FAMILY_LIMIT}, got {n_hi}")
+    if tid in GRAPH_THEOREMS and n_hi > SAMPLE_LIMIT:
         raise GraphError(f"sampling is for {EXHAUSTIVE_LIMIT + 1} <= n <= {SAMPLE_LIMIT}, got {n_hi}")
-
-    failures: list[TheoremReport] = []
-    for n in range(n_lo, n_hi + 1):
-        if n <= EXHAUSTIVE_LIMIT:
-            from . import sweeps  # only here: a sampled-only search never loads the sweep tables
-
-            failures.extend(sweeps.exhaustive_failures(tid, n).failures)
-        else:
-            checker = GRAPH_THEOREMS[tid].check
-            for g in sample_graphs(n, budget, seed + n):
-                rep = checker(g)
-                if rep.applicable and not rep.passed:
-                    failures.append(rep)
-    return failures
+    return [rep for _, _, bad in _steps([tid], range(n_lo, n_hi + 1), n_range, budget, seed) for rep in bad]

@@ -201,6 +201,34 @@ def test_campaign_script_reports_the_verify_steps(tmp_path, capsys):
     assert Path(f"{out}.jsonl").read_text() == ""
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--exhaustive", "9", "--exhaustive must lie in 0..7, got 9"),
+    ("--family-max", "5", "--family-max must be at least 7 for a family grid, got 5"),
+], ids=["exhaustive", "family-max"])
+def test_campaign_script_usage_error_exits_two_and_writes_no_report(tmp_path, option, value, message):
+    out = tmp_path / "report"
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "run_verification.py"), option, value, "--out", str(out)],
+                          env=ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, name", [(["verify", "--theorem", "nope"], "nope"), (["search", "--theorem", "all"], "all")],
+                         ids=["verify", "search"])
+def test_unknown_theorem_message_is_not_quoted(capsys, argv, name):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"error: unknown theorem id '{name}'; known: {', '.join(verify.ALL_THEOREM_IDS)}"
+
+
+def test_verify_output_to_order_seven_is_pinned():
+    """Every sweep line at n <= 7 and every grid line to order 12, byte for
+    byte, against tests/verify_all_n7.txt."""
+    proc = run_cli(["verify", "--theorem", "all", "--exhaustive", "7", "--family-max", "12"])
+    assert (proc.returncode, proc.stderr) == (0, "# qdist verify --theorem all --exhaustive 7 --family-max 12\n")
+    assert proc.stdout == (REPO / "tests" / "verify_all_n7.txt").read_text()
+
+
 def test_bench_pairs_stops_its_child_on_sigterm(tmp_path):
     """SIGTERM to scripts/bench_pairs.py kills the perfbench/run.py it waits
     for, here a stub in a throwaway checkout that writes its pid and sleeps."""

@@ -606,6 +606,20 @@ def test_edge_interlacing_chain_witness(monkeypatch):
     assert rep.witness == pytest.approx({"i": 2, "qi_Ge": 0.5, "qnext_G": 2 - 2**0.5})
 
 
+def test_edge_interlacing_chain_tightened_by_1e_9_fails_at_equality(monkeypatch):
+    # a negative control: with the chain's slack at -1e-9, a link at equality
+    # fails. K_3 u K_2 (4, 2, 1, 1, 0) minus (0, 1) is P_3 u K_2 (3, 2, 1, 0, 0):
+    # q_2 = 2 for both, so the upper link at i = 2 fails first. K_2 (2, 0)
+    # minus its edge is (0, 0): the lower link q_1(G-e) >= q_2(G) = 0 fails
+    monkeypatch.setattr(verify, "INEQ_SLACK", -1e-9)
+    check = GRAPH_THEOREMS["edge-interlacing"].check
+    for g, want in [(disjoint_union(complete_graph(3), complete_graph(2)), {"i": 2, "qi_G": 2.0, "qi_Ge": 2.0}),
+                    (complete_graph(2), {"i": 1, "qi_Ge": 0.0, "qnext_G": 0.0})]:
+        rep = check(g)
+        assert not rep.passed and rep.witness.pop("edge") == [0, 1]
+        assert rep.witness["i"] == want["i"] and rep.witness == pytest.approx(want, abs=1e-12)
+
+
 def test_edge_interlacing_count_witness(monkeypatch):
     # K_5 has spectrum (8, 3, 3, 3, 3) and K_5 - e (7.37, 3, 3, 3, 1.63).
     # Both lowered by 1/2 still interlace, but every K_5 - e row, with no
